@@ -22,7 +22,6 @@ temp-file-then-rename write.
 import os
 import re
 import tempfile
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -79,6 +78,11 @@ class BFile:
         return self.entries[-1][0]
 
     def value(self, index: int) -> int:
+        """The entry at ``index``; ``ValueError`` outside the stored range."""
+        if not self.first_index <= index <= self.last_index:
+            raise ValueError(
+                f"index {index} is outside {self.first_index}..{self.last_index}"
+            )
         return self.entries[index - self.first_index][1]
 
 
@@ -98,7 +102,14 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
     consecutive; violations raise :class:`BFileParseError` naming the line.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # number lines as the str.splitlines() loop below would
+            lineno = len((text[: exc.start].decode("ascii") + "x").splitlines())
+            raise BFileParseError(
+                f"line {lineno}: non-ASCII byte {text[exc.start:exc.start + 1]!r}"
+            ) from None
     entries: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -239,6 +250,8 @@ def fetch_bfile(
     cached_path = cache / filename
     if cached_path.exists():
         return parse_bfile(cached_path.read_text("ascii"), sequence_id)
+
+    import urllib.request  # deferred: costs about half of the CLI's import time
 
     url = _OEIS_URL.format(sequence_id=sequence_id, filename=filename)
     request = urllib.request.Request(url, headers={"User-Agent": _USER_AGENT})

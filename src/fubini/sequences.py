@@ -14,6 +14,10 @@ precision); no floating point is used anywhere. The central objects:
 * ``worpitzky(n, k)`` -- ``k! * S(n+1, k+1)``.
 * alternating variants of the weighted sums, used as cross-checks.
 
+The weighted sums differ only in the shift of the factorial weight, an
+optional parity filter on k and an optional sign, so all seven share one
+reduction over a row that carries the weight as a running factorial.
+
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
 against an independent route.
@@ -135,10 +139,35 @@ def stirling2_row(n: int) -> list[int]:
     return _shared_triangle.row(n)
 
 
+def _weighted_row_sum(n: int, shift: int, parity: int | None = None,
+                      alternating: bool = False) -> int:
+    """``sum(sign(k) * (k-shift)! * S(n,k))`` over ``shift <= k <= n``.
+
+    The weight ``(k-shift)!`` is carried along the row as a running
+    product. ``parity`` (a residue mod 2) keeps only those k, and
+    ``alternating`` makes ``sign(k) = (-1)^k``; otherwise it is 1. The row
+    is looked up through the module global at call time, so a patched
+    ``stirling2_row`` reaches every sum.
+    """
+    row = stirling2_row(n)
+    total = 0
+    weight = 1
+    for k in range(shift, n + 1):
+        if k > shift:
+            weight *= k - shift
+        if parity is not None and k % 2 != parity:
+            continue
+        if alternating and k % 2:
+            total -= weight * row[k]
+        else:
+            total += weight * row[k]
+    return total
+
+
 def ordered_bell(n: int) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
     _require_at_least(n, 0)
-    return sum(factorial(k) * s for k, s in enumerate(stirling2_row(n)))
+    return _weighted_row_sum(n, 0)
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -147,30 +176,25 @@ def ordered_bell_parity(n: int, parity: str) -> int:
     ``sum(k! * S(n,k))`` restricted to even or odd ``k``; defined for n >= 1.
     """
     _require_at_least(n, 1)
-    residue = _parity_residue(parity)
-    row = stirling2_row(n)
-    return sum(factorial(k) * s for k, s in enumerate(row) if k % 2 == residue)
+    return _weighted_row_sum(n, 0, parity=_parity_residue(parity))
 
 
 def cyclic_ordered_bell(n: int) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
     _require_at_least(n, 1)
-    row = stirling2_row(n)
-    return sum(factorial(k - 1) * row[k] for k in range(1, n + 1))
+    return _weighted_row_sum(n, 1)
 
 
 def cyclic_ordered_bell_even(n: int) -> int:
     """Cyclic arrangements with an even number of blocks: sum of (k-1)!*S(n,k), k even."""
     _require_at_least(n, 1)
-    row = stirling2_row(n)
-    return sum(factorial(k - 1) * row[k] for k in range(2, n + 1, 2))
+    return _weighted_row_sum(n, 1, parity=0)
 
 
 def cyclic_ordered_bell_odd(n: int) -> int:
     """Cyclic arrangements with an odd number of blocks: sum of (k-1)!*S(n,k), k odd."""
     _require_at_least(n, 1)
-    row = stirling2_row(n)
-    return sum(factorial(k - 1) * row[k] for k in range(1, n + 1, 2))
+    return _weighted_row_sum(n, 1, parity=1)
 
 
 def worpitzky(n: int, k: int) -> int:
@@ -183,8 +207,7 @@ def worpitzky(n: int, k: int) -> int:
 def alternating_factorial_sum(n: int) -> int:
     """``sum((-1)^k * k! * S(n,k))``; equals (-1)^n for every n >= 1."""
     _require_at_least(n, 1)
-    row = stirling2_row(n)
-    return sum((-1) ** k * factorial(k) * s for k, s in enumerate(row))
+    return _weighted_row_sum(n, 0, alternating=True)
 
 
 def alternating_cyclic_sum(n: int) -> int:
@@ -194,8 +217,7 @@ def alternating_cyclic_sum(n: int) -> int:
     and 0 for all n >= 2.
     """
     _require_at_least(n, 1)
-    row = stirling2_row(n)
-    return sum((-1) ** k * factorial(k - 1) * row[k] for k in range(1, n + 1))
+    return _weighted_row_sum(n, 1, alternating=True)
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,24 @@ _ONE = Fraction(1)
 Coefficient = int | Fraction
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a ``Fraction``; floats and complex numbers raise ``TypeError``."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, complex)):
+        raise TypeError(
+            f"series coefficients must be exact, got {type(value).__name__} {value!r}"
+        )
+    return Fraction(value)
+
+
 class TruncatedSeries:
     """Formal power series kept up to a fixed order, with exact coefficients."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError(f"order must be >= 0, got {order}")
@@ -127,7 +138,7 @@ class TruncatedSeries:
                 [a + b for a, b in zip(self._coeffs, other._coeffs)], order=n
             )
         cs = list(self._coeffs)
-        cs[0] += Fraction(other)
+        cs[0] += _exact(other)
         return TruncatedSeries(cs)
 
     __radd__ = __add__
@@ -136,10 +147,10 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -Fraction(other))
+        return self + (-other if isinstance(other, TruncatedSeries) else -_exact(other))
 
     def __rsub__(self, other):
-        return -self + Fraction(other)
+        return -self + _exact(other)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -148,7 +159,7 @@ class TruncatedSeries:
             return TruncatedSeries(
                 [sum(f[i] * g[m - i] for i in range(m + 1)) for m in range(n + 1)]
             )
-        scale = Fraction(other)
+        scale = _exact(other)
         return TruncatedSeries([scale * c for c in self._coeffs])
 
     __rmul__ = __mul__

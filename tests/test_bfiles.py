@@ -57,6 +57,21 @@ def test_parse_rejects_bad_tokens():
         parse_bfile("# ok\n5 5\n6\n")
 
 
+def test_parse_rejects_non_ascii_bytes_naming_the_line():
+    with pytest.raises(BFileParseError, match="line 1.*non-ASCII"):
+        parse_bfile(b"1 \xff\n")
+    with pytest.raises(BFileParseError, match="line 3.*non-ASCII"):
+        parse_bfile(b"# header\r\n1 1\r\n2 \xe9\r\n")
+
+
+def test_value_rejects_index_outside_range():
+    bfile = parse_bfile("5 50\n6 60\n7 70\n")
+    assert [bfile.value(i) for i in (5, 6, 7)] == [50, 60, 70]
+    for index in (4, -1, 8):
+        with pytest.raises(ValueError, match=f"index {index} is outside 5..7"):
+            bfile.value(index)
+
+
 def test_parse_rejects_empty_input():
     with pytest.raises(BFileParseError, match="no data"):
         parse_bfile("# nothing but comments\n")

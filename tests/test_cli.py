@@ -228,3 +228,19 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert result.stdout == "0 1\n1 1\n2 3\n3 13\n"
+
+
+def test_cli_import_defers_the_http_client():
+    # urllib.request is about half of the CLI's import time and only fetch needs it
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, fubini.cli; print('urllib.request' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

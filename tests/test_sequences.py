@@ -1,6 +1,8 @@
 """Exact-sequence kernels against enumeration oracles and frozen values."""
 
+import math
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -288,3 +290,43 @@ def test_values_exceed_machine_words():
     # the n=200 row and its sums must be exact well past 2**64
     assert ordered_bell(200) > 10 ** 300
     assert cyclic_ordered_bell(200) == 2 * ordered_bell(199)
+
+
+# -- the shared weighted-row reduction -------------------------------------
+
+# (sum, shift of the factorial weight, kept parity of k, alternating sign)
+WEIGHTED_SUMS = [
+    pytest.param(ordered_bell, 0, None, False, id="ordered_bell"),
+    pytest.param(partial(ordered_bell_parity, parity="even"), 0, 0, False, id="parity_even"),
+    pytest.param(partial(ordered_bell_parity, parity="odd"), 0, 1, False, id="parity_odd"),
+    pytest.param(cyclic_ordered_bell, 1, None, False, id="cyclic"),
+    pytest.param(cyclic_ordered_bell_even, 1, 0, False, id="cyclic_even"),
+    pytest.param(cyclic_ordered_bell_odd, 1, 1, False, id="cyclic_odd"),
+    pytest.param(alternating_factorial_sum, 0, None, True, id="alternating_factorial"),
+    pytest.param(alternating_cyclic_sum, 1, None, True, id="alternating_cyclic"),
+]
+
+
+def _reference_sum(row, shift, parity, alternating):
+    total = 0
+    for k in range(shift, len(row)):
+        if parity is None or k % 2 == parity:
+            sign = (-1) ** k if alternating else 1
+            total += sign * math.factorial(k - shift) * row[k]
+    return total
+
+
+@pytest.mark.parametrize("func, shift, parity, alternating", WEIGHTED_SUMS)
+def test_weighted_sums_match_factorial_reference(func, shift, parity, alternating):
+    for n in range(1, 121):
+        assert func(n) == _reference_sum(stirling2_row(n), shift, parity, alternating), n
+
+
+@pytest.mark.parametrize("func, shift, parity, alternating", WEIGHTED_SUMS)
+def test_weighted_sums_read_the_patched_row(monkeypatch, func, shift, parity, alternating):
+    def fake_row(n):
+        return [k + 1 for k in range(n + 1)]
+
+    monkeypatch.setattr(sequences, "stirling2_row", fake_row)
+    for n in range(1, 12):
+        assert func(n) == _reference_sum(fake_row(n), shift, parity, alternating), n

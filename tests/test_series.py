@@ -52,6 +52,32 @@ def test_constructor_rejects_bad_input():
         TruncatedSeries([])
 
 
+@pytest.mark.parametrize("inexact", [0.1, 1.0, 1j, complex(1, 0)])
+def test_constructor_rejects_float_and_complex(inexact):
+    with pytest.raises(TypeError, match="exact"):
+        TruncatedSeries([inexact, 1])
+    with pytest.raises(TypeError, match="exact"):
+        TruncatedSeries.constant(inexact, 2)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda f, c: f + c,
+        lambda f, c: c + f,
+        lambda f, c: f - c,
+        lambda f, c: c - f,
+        lambda f, c: f * c,
+        lambda f, c: c * f,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+@pytest.mark.parametrize("inexact", [0.5, 2j])
+def test_scalar_operations_reject_float_and_complex(operation, inexact):
+    with pytest.raises(TypeError, match="exact"):
+        operation(S(1, 2, 3), inexact)
+
+
 def test_coefficients_are_normalized_fractions():
     s = S(F(2, 4), F(-3, -6))
     assert s[0] == F(1, 2) and s[0].denominator == 2
