@@ -40,7 +40,6 @@ from fubini.sequences import (
     cyclic_ordered_bell,
     cyclic_ordered_bell_even,
     cyclic_ordered_bell_odd,
-    factorial,
     ordered_bell,
     ordered_bell_parity,
     ordered_set_partitions,
@@ -87,7 +86,6 @@ __all__ = [
     "double_shifted_bell_egf",
     "emit_bfile",
     "exp_series",
-    "factorial",
     "fetch_bfile",
     "fixture_ids",
     "load_fixture",

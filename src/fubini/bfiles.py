@@ -5,14 +5,11 @@ A b-file is the OEIS plain-text sequence format: ASCII lines of
 trailing newline, optionally interleaved with blank lines and ``#``
 comments. Indices must be consecutive.
 
-Three reference b-files ship with the package under ``fubini/data/`` so
-the default test run needs no network:
-
-* ``A000670`` -- ordered Bell numbers, indices from 0;
-* ``A008277`` -- partition-count triangle ``S(n,k)`` read by rows
-  (n >= 1, k = 1..n), indices from 1;
-* ``A130850`` -- the ``k! * S(n+1, k+1)`` triangle read by rows
-  (n >= 0, k = 0..n), indices from 0.
+Every sequence in :data:`fubini.registry.SEQUENCES` with an OEIS id ships
+its reference b-file under ``fubini/data/``, so the default test run needs
+no network: ``A000670`` (ordered Bell numbers), ``A008277`` (the
+partition-count triangle ``S(n,k)``, rows n >= 1, k = 1..n) and
+``A130850`` (the ``k! * S(n+1, k+1)`` triangle, rows n >= 0, k = 0..n).
 
 :func:`fetch_bfile` can refresh a b-file from oeis.org, but only when
 networking is explicitly enabled; downloads are cached with an atomic
@@ -26,8 +23,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from fubini import sequences
 from fubini.identities import VerificationReport
+from fubini.registry import BY_OEIS_ID
 from fubini.sequences import SequenceTable
 
 __all__ = [
@@ -44,14 +41,9 @@ __all__ = [
 ]
 
 _SEQUENCE_ID_RE = re.compile(r"\AA\d{6}\Z")
+_INTEGER_RE = re.compile("-?[0-9]+")  # int() would also take '+5', '1_000' and non-ASCII digits
 _OEIS_URL = "https://oeis.org/{sequence_id}/{filename}"
 _USER_AGENT = "fubini/0.1 (+https://oeis.org)"
-
-_FIXTURES = {
-    "A000670": "b000670.txt",
-    "A008277": "b008277.txt",
-    "A130850": "b130850.txt",
-}
 
 
 class BFileParseError(ValueError):
@@ -94,12 +86,16 @@ def _check_sequence_id(sequence_id: str) -> str:
     return sequence_id
 
 
+def _filename(sequence_id: str) -> str:
+    return f"b{sequence_id[1:]}.txt"
+
+
 def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
     """Parse b-file text into a :class:`BFile`.
 
     Comment lines starting with ``#`` and blank lines are skipped. Every
-    data line must be exactly two integer tokens, and indices must be
-    consecutive; violations raise :class:`BFileParseError` naming the line.
+    data line must be two ASCII decimal integers ``-?[0-9]+``, and indices
+    must be consecutive; violations raise :class:`BFileParseError` naming the line.
     """
     if isinstance(text, bytes):
         try:
@@ -121,8 +117,10 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
                 f"line {lineno}: expected 'index value', got {raw!r}"
             )
         try:
+            if not all(map(_INTEGER_RE.fullmatch, tokens)):
+                raise ValueError(raw)
             index, value = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        except ValueError:  # int() also raises it past sys.get_int_max_str_digits()
             raise BFileParseError(
                 f"line {lineno}: non-integer token in {raw!r}"
             ) from None
@@ -146,57 +144,29 @@ def emit_bfile(table: SequenceTable) -> str:
 
 def fixture_ids() -> tuple[str, ...]:
     """Sequence ids with a bundled reference b-file."""
-    return tuple(sorted(_FIXTURES))
+    return tuple(sorted(BY_OEIS_ID))
 
 
 def load_fixture(sequence_id: str) -> BFile:
     """Load a bundled reference b-file."""
-    _check_sequence_id(sequence_id)
-    try:
-        filename = _FIXTURES[sequence_id]
-    except KeyError:
-        raise ValueError(f"no bundled fixture for {sequence_id}") from None
-    text = resources.files("fubini").joinpath("data", filename).read_text("ascii")
-    return parse_bfile(text, sequence_id)
-
-
-def _flattened_triangle(row_values, offset: int, limit: int) -> list[int]:
-    values: list[int] = []
-    n = 0
-    while offset + len(values) <= limit:
-        values.extend(row_values(n))
-        n += 1
-    return values[: limit - offset + 1]
+    if _check_sequence_id(sequence_id) not in BY_OEIS_ID:
+        raise ValueError(f"no bundled fixture for {sequence_id}")
+    path = resources.files("fubini").joinpath("data", _filename(sequence_id))
+    return parse_bfile(path.read_text("ascii"), sequence_id)
 
 
 def computed_table(sequence_id: str, limit: int) -> SequenceTable:
     """Compute our side of a supported OEIS sequence up to index ``limit``.
 
     ``limit`` is the inclusive maximum b-file index. Triangles are
-    flattened row by row in the orientation documented in the module
-    docstring.
+    flattened row by row as :meth:`fubini.registry.Sequence.terms` reads them.
     """
-    _check_sequence_id(sequence_id)
-    if sequence_id == "A000670":
-        if limit < 0:
-            raise ValueError(f"limit must be >= 0 for {sequence_id}, got {limit}")
-        values = [sequences.ordered_bell(n) for n in range(limit + 1)]
-        return SequenceTable(sequence_id, 0, tuple(values))
-    if sequence_id == "A008277":
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1 for {sequence_id}, got {limit}")
-        values = _flattened_triangle(
-            lambda n: sequences.stirling2_row(n + 1)[1:], 1, limit
-        )
-        return SequenceTable(sequence_id, 1, tuple(values))
-    if sequence_id == "A130850":
-        if limit < 0:
-            raise ValueError(f"limit must be >= 0 for {sequence_id}, got {limit}")
-        values = _flattened_triangle(
-            lambda n: [sequences.worpitzky(n, k) for k in range(n + 1)], 0, limit
-        )
-        return SequenceTable(sequence_id, 0, tuple(values))
-    raise ValueError(f"no computable sequence registered for {sequence_id}")
+    sequence = BY_OEIS_ID.get(_check_sequence_id(sequence_id))
+    if sequence is None:
+        raise ValueError(f"no computable sequence registered for {sequence_id}")
+    if limit < sequence.first:
+        raise ValueError(f"limit must be >= {sequence.first} for {sequence_id}, got {limit}")
+    return SequenceTable(sequence_id, sequence.first, tuple(sequence.terms(limit)))
 
 
 def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> VerificationReport:
@@ -245,11 +215,11 @@ def fetch_bfile(
         raise OfflineError(
             "offline mode: pass network=True to fetch from oeis.org"
         )
-    filename = f"b{sequence_id[1:]}.txt"
+    filename = _filename(sequence_id)
     cache = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
     cached_path = cache / filename
     if cached_path.exists():
-        return parse_bfile(cached_path.read_text("ascii"), sequence_id)
+        return parse_bfile(cached_path.read_bytes(), sequence_id)
 
     import urllib.request  # deferred: costs about half of the CLI's import time
 

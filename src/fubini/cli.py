@@ -13,8 +13,10 @@ import argparse
 import json
 import sys
 import urllib.error
+from math import factorial
 
 from fubini import bfiles, identities, sequences, series
+from fubini.registry import SEQUENCES
 
 __all__ = ["build_parser", "main"]
 
@@ -22,30 +24,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
-
-_RANGE_SEQUENCES = {
-    # name -> (first index, function of n)
-    "bell": (0, sequences.ordered_bell),
-    "cyclic": (1, sequences.cyclic_ordered_bell),
-    "cyclic-even": (1, sequences.cyclic_ordered_bell_even),
-    "cyclic-odd": (1, sequences.cyclic_ordered_bell_odd),
-}
-
-_ROW_SEQUENCES = {
-    # name -> function of n returning the row values for k = 0..n
-    "stirling-row": sequences.stirling2_row,
-    "worpitzky-row": lambda n: [sequences.worpitzky(n, k) for k in range(n + 1)],
-}
-
-_EGF_BUILDERS = {
-    "bell": series.ordered_bell_egf,
-    "cyclic": series.cyclic_ordered_bell_egf,
-    "double-shifted-bell": series.double_shifted_bell_egf,
-    "cyclic-even": series.cyclic_ordered_bell_even_egf,
-    "cyclic-odd": series.cyclic_ordered_bell_odd_egf,
-}
-
-_VERIFY_TARGETS = ("all", "bell", "cyclic", "alternating", "parity", "egf")
 
 
 def _usage_error(message: str) -> int:
@@ -69,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument(
         "sequence",
-        choices=sorted(_RANGE_SEQUENCES) + sorted(_ROW_SEQUENCES),
+        choices=[name for name, s in SEQUENCES.items() if s.route],
     )
     compute.add_argument("--max", type=int, dest="n_max", help="last index to print")
     compute.add_argument("--n", type=int, dest="row_n", help="row index for *-row sequences")
@@ -77,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=_cmd_compute)
 
     verify = sub.add_parser("verify", help="sweep the identity suite")
-    verify.add_argument("target", choices=_VERIFY_TARGETS)
+    verify.add_argument("target", choices=["all", *identities.VERIFY_TARGETS])
     verify.add_argument("--max", type=int, dest="n_max", default=200)
     verify.add_argument("--order", type=int, default=64)
     verify.add_argument("--format", choices=("plain", "structured"), default="plain")
@@ -86,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     egf = sub.add_parser(
         "egf", help="print exact generating-function coefficients"
     )
-    egf.add_argument("gf", choices=sorted(_EGF_BUILDERS) + ["stirling-col"])
+    egf.add_argument(
+        "gf", choices=[name for name, s in SEQUENCES.items() if s.egf] + ["stirling-col"]
+    )
     egf.add_argument("--order", type=int, required=True)
     egf.add_argument("--k", type=int, help="column for gf=stirling-col")
     egf.set_defaults(func=_cmd_egf)
@@ -114,42 +94,29 @@ def _print_table(table: sequences.SequenceTable, fmt: str) -> None:
 
 def _cmd_compute(args) -> int:
     name = args.sequence
-    if name in _ROW_SEQUENCES:
+    sequence = SEQUENCES[name]
+    if sequence.row:
         if args.row_n is None:
             return _usage_error(f"sequence {name!r} needs --n ROW")
         if args.row_n < 0:
             return _usage_error(f"--n must be >= 0, got {args.row_n}")
-        values = _ROW_SEQUENCES[name](args.row_n)
-        table = sequences.SequenceTable(name, 0, tuple(values))
+        table = sequences.SequenceTable(name, 0, tuple(sequence.route(args.row_n)))
     else:
-        first, func = _RANGE_SEQUENCES[name]
+        first = sequence.first
         if args.n_max is None:
             return _usage_error(f"sequence {name!r} needs --max N")
         if args.n_max < first:
             return _usage_error(f"--max must be >= {first} for {name!r}, got {args.n_max}")
-        values = [func(n) for n in range(first, args.n_max + 1)]
-        table = sequences.SequenceTable(name, first, tuple(values))
+        table = sequences.SequenceTable(name, first, tuple(sequence.terms(args.n_max)))
     _print_table(table, args.format)
     return EXIT_OK
 
 
-def _verify_reports(target: str, n_max: int, order: int):
-    if target == "all":
-        return identities.verify_all(n_max, order)
-    if target == "bell":
-        return identities.verify_bell_forms(n_max)
-    if target == "cyclic":
-        return identities.verify_cyclic_doubling(n_max)
-    if target == "alternating":
-        return identities.verify_alternating_sums(n_max)
-    if target == "parity":
-        return identities.verify_parity_split(n_max)
-    return identities.verify_egf_agreement(order)
-
-
 def _cmd_verify(args) -> int:
+    # every choice but "all" is a key of VERIFY_TARGETS
+    run = identities.VERIFY_TARGETS.get(args.target, identities.verify_all)
     try:
-        reports = _verify_reports(args.target, args.n_max, args.order)
+        reports = run(args.n_max, args.order)
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "structured":
@@ -170,9 +137,9 @@ def _cmd_egf(args) -> int:
             return _usage_error(f"--k must be >= 0, got {args.k}")
         gf = series.stirling_column_egf(args.k, args.order)
     else:
-        gf = _EGF_BUILDERS[args.gf](args.order)
+        gf = SEQUENCES[args.gf].egf(args.order)
     for n, coeff in enumerate(gf.coeffs):
-        scaled = sequences.factorial(n) * coeff
+        scaled = factorial(n) * coeff
         if scaled.denominator == 1:
             print(n, coeff, scaled)
         else:

@@ -33,10 +33,11 @@ The full registry of identity ids:
 import json
 from dataclasses import dataclass
 
-from fubini import sequences, series
+from fubini import registry, sequences, series
 
 __all__ = [
     "IDENTITY_IDS",
+    "VERIFY_TARGETS",
     "VerificationReport",
     "verify_all",
     "verify_alternating_sums",
@@ -117,9 +118,9 @@ def _sweep(identity_id, lo, hi, checks) -> VerificationReport:
     return VerificationReport(identity_id, (lo, hi), "pass")
 
 
-def _require_range(n_max: int) -> None:
+def _require_range(n_max: int, name: str = "n_max") -> None:
     if n_max < 1:
-        raise ValueError(f"empty range: n_max must be >= 1, got {n_max}")
+        raise ValueError(f"empty range: {name} must be >= 1, got {n_max}")
 
 
 def verify_bell_forms(n_max: int) -> list[VerificationReport]:
@@ -204,26 +205,18 @@ def verify_parity_split(n_max: int) -> list[VerificationReport]:
 
 def verify_egf_agreement(order: int) -> list[VerificationReport]:
     """Every generating function agrees with the direct integer route."""
-    _require_range(order)
+    _require_range(order, "order")
 
     def agreement():
-        bell = series.ordered_bell_egf(order).to_sequence()
-        for n in range(order + 1):
-            yield n, sequences.ordered_bell(n), bell[n]
+        for s in registry.SEQUENCES.values():
+            if s.route and s.egf:
+                extracted = s.egf(order).to_sequence()
+                for n in range(order + 1):  # the EGF's coefficients below first are 0
+                    yield n, s.route(n) if n >= s.first else 0, extracted[n]
         for k in range(11):
             column = series.stirling_column_egf(k, order).to_sequence()
             for n in range(order + 1):
                 yield n, sequences.stirling2(n, k), column[n]
-        total = series.cyclic_ordered_bell_egf(order).to_sequence()
-        even = series.cyclic_ordered_bell_even_egf(order).to_sequence()
-        odd = series.cyclic_ordered_bell_odd_egf(order).to_sequence()
-        yield 0, 0, total[0]
-        yield 0, 0, even[0]
-        yield 0, 0, odd[0]
-        for n in range(1, order + 1):
-            yield n, sequences.cyclic_ordered_bell(n), total[n]
-            yield n, sequences.cyclic_ordered_bell_even(n), even[n]
-            yield n, sequences.cyclic_ordered_bell_odd(n), odd[n]
 
     def parity_split():
         total = series.cyclic_ordered_bell_egf(order)
@@ -250,12 +243,17 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     ]
 
 
+#: Verify target -> its sweeps, as a function of ``(n_max, order)``. The
+#: verifiers are looked up when called, so a patched or wrapped one is run.
+VERIFY_TARGETS = {
+    "bell": lambda n_max, order: verify_bell_forms(n_max),
+    "cyclic": lambda n_max, order: verify_cyclic_doubling(n_max),
+    "alternating": lambda n_max, order: verify_alternating_sums(n_max),
+    "parity": lambda n_max, order: verify_parity_split(n_max),
+    "egf": lambda n_max, order: verify_egf_agreement(order),
+}
+
+
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:
     """Run every verifier; the aggregate passes only if each report passes."""
-    reports = []
-    reports.extend(verify_bell_forms(n_max))
-    reports.extend(verify_cyclic_doubling(n_max))
-    reports.extend(verify_alternating_sums(n_max))
-    reports.extend(verify_parity_split(n_max))
-    reports.extend(verify_egf_agreement(order))
-    return reports
+    return [r for run in VERIFY_TARGETS.values() for r in run(n_max, order)]

@@ -1,0 +1,54 @@
+"""One record per named sequence, read by the CLI, the b-file tools and the EGF checks.
+
+Adding a sequence is one :class:`Sequence` entry. Each route looks up its
+``sequences`` or ``series`` function when called, so a patched or wrapped
+one is used; the registry holds no arithmetic, so the routes stay independent.
+"""
+
+from fubini import sequences, series
+
+__all__ = ["BY_OEIS_ID", "SEQUENCES", "Sequence"]
+
+
+class Sequence:
+    """A named sequence: ``route(n)`` is the direct integer route, a(n) for
+    ``n >= first`` or, if ``row``, the triangle row k = 0..n; ``egf(order)``
+    builds the exponential generating function.
+    """
+
+    __slots__ = ("name", "first", "route", "egf", "oeis_id", "row")
+
+    def __init__(self, name, first, route=None, egf=None, oeis_id=None, row=False):
+        self.name, self.first, self.route = name, first, route
+        self.egf, self.oeis_id, self.row = egf, oeis_id, row
+
+    def terms(self, last: int) -> list[int]:
+        """a(first..last); a triangle is read by rows n >= first, each from k = first."""
+        if not self.row:
+            return [self.route(n) for n in range(self.first, last + 1)]
+        values, n = [], self.first
+        while self.first + len(values) <= last:
+            values += self.route(n)[self.first:]
+            n += 1
+        return values[: last - self.first + 1]
+
+
+#: Every named sequence by CLI name, in the order the CLI lists them.
+SEQUENCES = {s.name: s for s in (
+    Sequence("bell", 0, lambda n: sequences.ordered_bell(n),
+             lambda order: series.ordered_bell_egf(order), "A000670"),
+    Sequence("cyclic", 1, lambda n: sequences.cyclic_ordered_bell(n),
+             lambda order: series.cyclic_ordered_bell_egf(order)),
+    Sequence("cyclic-even", 1, lambda n: sequences.cyclic_ordered_bell_even(n),
+             lambda order: series.cyclic_ordered_bell_even_egf(order)),
+    Sequence("cyclic-odd", 1, lambda n: sequences.cyclic_ordered_bell_odd(n),
+             lambda order: series.cyclic_ordered_bell_odd_egf(order)),
+    Sequence("double-shifted-bell", 1, egf=lambda order: series.double_shifted_bell_egf(order)),
+    Sequence("stirling-row", 1, lambda n: sequences.stirling2_row(n),
+             oeis_id="A008277", row=True),
+    Sequence("worpitzky-row", 0, lambda n: [sequences.worpitzky(n, k) for k in range(n + 1)],
+             oeis_id="A130850", row=True),
+)}
+
+#: The sequences with an OEIS id; each ships the b-file ``data/b<id digits>.txt``.
+BY_OEIS_ID = {s.oeis_id: s for s in SEQUENCES.values() if s.oeis_id}

@@ -25,6 +25,7 @@ against an independent route.
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "cyclic_ordered_bell",
     "cyclic_ordered_bell_even",
     "cyclic_ordered_bell_odd",
-    "factorial",
     "ordered_bell",
     "ordered_bell_parity",
     "ordered_set_partitions",
@@ -266,7 +266,16 @@ def count_partitions_exhaustive(n: int, k: int) -> int:
         raise ValueError(
             f"exhaustive enumeration is capped at n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    return sum(1 for partition in set_partitions(n) if len(partition) == k)
+    return _block_count_histogram(n)[k] if k <= n else 0
+
+
+@lru_cache(maxsize=MAX_ENUMERATION_N + 1)
+def _block_count_histogram(n: int) -> tuple[int, ...]:
+    # one enumeration counts every k, where a pass per k re-enumerated all Bell(n) partitions
+    counts = [0] * (n + 1)
+    for partition in set_partitions(n):
+        counts[len(partition)] += 1
+    return tuple(counts)
 
 
 def ordered_set_partitions(n: int):

@@ -64,6 +64,21 @@ def test_parse_rejects_non_ascii_bytes_naming_the_line():
         parse_bfile(b"# header\r\n1 1\r\n2 \xe9\r\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        pytest.param("0 1_000\n", 1, id="underscore"),
+        pytest.param("0 1\n1 \u0663\n", 2, id="arabic-indic-digit"),
+        pytest.param("0 \uff15\n", 1, id="fullwidth-digit"),
+        pytest.param("0 1\n1 1\n2 +5\n", 3, id="plus-value"),
+        pytest.param("+0 1\n", 1, id="plus-index"),
+    ],
+)
+def test_parse_accepts_only_ascii_decimal_integers(text, lineno):
+    with pytest.raises(BFileParseError, match=f"line {lineno}: non-integer"):
+        parse_bfile(text)
+
+
 def test_value_rejects_index_outside_range():
     bfile = parse_bfile("5 50\n6 60\n7 70\n")
     assert [bfile.value(i) for i in (5, 6, 7)] == [50, 60, 70]
@@ -256,6 +271,12 @@ def test_fetch_does_not_cache_malformed_payload(monkeypatch, tmp_path):
     with pytest.raises(BFileParseError):
         fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert not (tmp_path / "b000670.txt").exists()
+
+
+def test_fetch_rejects_corrupt_cache_naming_the_line(tmp_path):
+    (tmp_path / "b000670.txt").write_bytes("0 1\n1 \u00e9\n".encode("utf-8"))
+    with pytest.raises(BFileParseError, match="line 2.*non-ASCII"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path)
 
 
 def test_fetch_cache_hit_still_requires_network(monkeypatch, tmp_path):

@@ -45,6 +45,9 @@ def test_compute_rows(capsys):
     assert out == "0 0\n1 1\n2 7\n3 6\n4 1\n"
     code, out, _ = run_cli(capsys, "compute", "worpitzky-row", "--n", "3")
     assert out == "0 1\n1 7\n2 12\n3 6\n"
+    code, out, _ = run_cli(capsys, "compute", "worpitzky-row", "--n", "3", "--format", "bfile")
+    assert code == 0
+    assert out == "0 1\n1 7\n2 12\n3 6\n"
 
 
 def test_compute_bfile_format_roundtrips(capsys):
@@ -121,10 +124,15 @@ def test_verify_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "bogus"])
     assert excinfo.value.code == 2
+    capsys.readouterr()
 
     code, _, err = run_cli(capsys, "verify", "all", "--max", "0")
     assert code == 2
-    assert "empty range" in err
+    assert err == "error: empty range: n_max must be >= 1, got 0\n"
+
+    code, _, err = run_cli(capsys, "verify", "egf", "--order", "0")
+    assert code == 2
+    assert err == "error: empty range: order must be >= 1, got 0\n"
 
 
 # -- egf ---------------------------------------------------------------------
@@ -140,6 +148,20 @@ def test_egf_cyclic_even_order_one(capsys):
     code, out, _ = run_cli(capsys, "egf", "cyclic-even", "--order", "1")
     assert code == 0
     assert out == "0 0 0\n1 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "gf, expected",
+    [
+        ("cyclic", "0 0 0\n1 1 1\n2 1 2\n3 1 6\n4 13/12 26\n"),
+        ("cyclic-odd", "0 0 0\n1 1 1\n2 1/2 1\n3 1/2 3\n4 13/24 13\n"),
+        ("double-shifted-bell", "0 0 0\n1 2 2\n2 1 2\n3 1 6\n4 13/12 26\n"),
+    ],
+)
+def test_egf_output(capsys, gf, expected):
+    code, out, _ = run_cli(capsys, "egf", gf, "--order", "4")
+    assert code == 0
+    assert out == expected
 
 
 def test_egf_stirling_col(capsys):
@@ -181,6 +203,12 @@ def test_bfile_export(capsys):
     code, out, _ = run_cli(capsys, "bfile", "export", "A000670", "--limit", "2")
     assert code == 0
     assert out == "0 1\n1 1\n2 3\n"
+    code, out, _ = run_cli(capsys, "bfile", "export", "A008277", "--limit", "10")
+    assert code == 0
+    assert out == "1 1\n2 1\n3 1\n4 1\n5 3\n6 1\n7 1\n8 7\n9 6\n10 1\n"
+    code, out, _ = run_cli(capsys, "bfile", "export", "A130850", "--limit", "9")
+    assert code == 0
+    assert out == "0 1\n1 1\n2 1\n3 1\n4 3\n5 2\n6 1\n7 7\n8 12\n9 6\n"
 
 
 def test_bfile_export_requires_limit(capsys):
@@ -214,6 +242,24 @@ def test_bfile_check_detects_mismatch(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "bfile", "check", "A000670", "--limit", "10")
     assert code == 1
     assert "fail" in out
+
+
+# -- help --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, choices",
+    [
+        ("compute", "{bell,cyclic,cyclic-even,cyclic-odd,stirling-row,worpitzky-row}"),
+        ("egf", "{bell,cyclic,cyclic-even,cyclic-odd,double-shifted-bell,stirling-col}"),
+        ("verify", "{all,bell,cyclic,alternating,parity,egf}"),
+    ],
+)
+def test_help_lists_choices_in_order(capsys, command, choices):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert f"positional arguments:\n  {choices}\n" in capsys.readouterr().out
 
 
 # -- installed entry point -----------------------------------------------------

@@ -18,7 +18,6 @@ from fubini.sequences import (
     cyclic_ordered_bell,
     cyclic_ordered_bell_even,
     cyclic_ordered_bell_odd,
-    factorial,
     ordered_bell,
     ordered_bell_parity,
     ordered_set_partitions,
@@ -27,19 +26,6 @@ from fubini.sequences import (
     stirling2_row,
     worpitzky,
 )
-
-
-# -- factorial -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (5, 120)])
-def test_factorial_small(n, expected):
-    assert factorial(n) == expected
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 # -- stirling2 -----------------------------------------------------------
@@ -240,7 +226,7 @@ def test_worpitzky_frozen(n, k, expected):
 def test_worpitzky_definition():
     for n in range(12):
         for k in range(n + 2):
-            assert worpitzky(n, k) == factorial(k) * stirling2(n + 1, k + 1)
+            assert worpitzky(n, k) == math.factorial(k) * stirling2(n + 1, k + 1)
 
 
 def test_worpitzky_rejects_negative():
