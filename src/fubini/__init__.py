@@ -47,6 +47,7 @@ from fubini.sequences import (
     stirling2,
     stirling2_row,
     worpitzky,
+    worpitzky_row,
 )
 from fubini.series import (
     TruncatedSeries,
@@ -105,4 +106,5 @@ __all__ = [
     "verify_egf_agreement",
     "verify_parity_split",
     "worpitzky",
+    "worpitzky_row",
 ]

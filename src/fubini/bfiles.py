@@ -18,6 +18,7 @@ temp-file-then-rename write.
 
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -42,6 +43,7 @@ __all__ = [
 
 _SEQUENCE_ID_RE = re.compile(r"\AA\d{6}\Z")
 _INTEGER_RE = re.compile("-?[0-9]+")  # int() would also take '+5', '1_000' and non-ASCII digits
+_SEPARATOR_RE = re.compile("[ \t]+")  # str.split() would also split on non-ASCII spaces
 _OEIS_URL = "https://oeis.org/{sequence_id}/{filename}"
 _USER_AGENT = "fubini/0.1 (+https://oeis.org)"
 
@@ -93,36 +95,39 @@ def _filename(sequence_id: str) -> str:
 def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
     """Parse b-file text into a :class:`BFile`.
 
-    Comment lines starting with ``#`` and blank lines are skipped. Every
-    data line must be two ASCII decimal integers ``-?[0-9]+``, and indices
-    must be consecutive; violations raise :class:`BFileParseError` naming the line.
+    Lines end in LF or CRLF. Comment lines starting with ``#`` and blank
+    lines are skipped. Every data line must be two ASCII decimal
+    integers ``-?[0-9]+`` separated by ASCII spaces or tabs, and indices
+    must be consecutive; violations raise :class:`BFileParseError` naming
+    the line, as does a value longer than ``sys.get_int_max_str_digits()``.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
-            # number lines as the str.splitlines() loop below would
-            lineno = len((text[: exc.start].decode("ascii") + "x").splitlines())
+            lineno = text.count(b"\n", 0, exc.start) + 1
             raise BFileParseError(
                 f"line {lineno}: non-ASCII byte {text[exc.start:exc.start + 1]!r}"
             ) from None
     entries: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = _SEPARATOR_RE.split(line)
         if len(tokens) != 2:
             raise BFileParseError(
                 f"line {lineno}: expected 'index value', got {raw!r}"
             )
+        if not all(map(_INTEGER_RE.fullmatch, tokens)):
+            raise BFileParseError(f"line {lineno}: non-integer token in {raw!r}")
         try:
-            if not all(map(_INTEGER_RE.fullmatch, tokens)):
-                raise ValueError(raw)
             index, value = int(tokens[0]), int(tokens[1])
-        except ValueError:  # int() also raises it past sys.get_int_max_str_digits()
+        except ValueError:  # the token is decimal, so only the digit limit is left
             raise BFileParseError(
-                f"line {lineno}: non-integer token in {raw!r}"
+                f"line {lineno}: a token exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit of int conversion"
             ) from None
         if entries and index != entries[-1][0] + 1:
             raise BFileParseError(
@@ -136,10 +141,21 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
 
 
 def emit_bfile(table: SequenceTable) -> str:
-    """Render a table in b-file format: ``index value`` lines, trailing newline."""
-    return "".join(
-        f"{table.offset + i} {value}\n" for i, value in enumerate(table.values)
-    )
+    """Render a table in b-file format: ``index value`` lines, trailing newline.
+
+    A value longer than ``sys.get_int_max_str_digits()`` raises ``ValueError``
+    naming its index.
+    """
+    lines = []
+    for index, value in enumerate(table.values, start=table.offset):
+        try:
+            lines.append(f"{index} {value}\n")
+        except ValueError:  # int-to-str conversion refuses it
+            raise ValueError(
+                f"index {index}: the value exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit of int-to-str conversion"
+            ) from None
+    return "".join(lines)
 
 
 def fixture_ids() -> tuple[str, ...]:

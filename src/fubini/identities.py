@@ -194,8 +194,9 @@ def verify_parity_split(n_max: int) -> list[VerificationReport]:
     def worpitzky_rows():
         for n in range(1, n_max + 1):
             b = sequences.ordered_bell(n)
-            yield n, b, sum(sequences.worpitzky(n, k) for k in range(0, n + 1, 2))
-            yield n, b, sum(sequences.worpitzky(n, k) for k in range(1, n + 1, 2))
+            row = sequences.worpitzky_row(n)
+            yield n, b, sum(row[0::2])
+            yield n, b, sum(row[1::2])
 
     return [
         _sweep("cyclic.parity-equal", 1, n_max, cyclic_parity()),

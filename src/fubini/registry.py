@@ -46,7 +46,7 @@ SEQUENCES = {s.name: s for s in (
     Sequence("double-shifted-bell", 1, egf=lambda order: series.double_shifted_bell_egf(order)),
     Sequence("stirling-row", 1, lambda n: sequences.stirling2_row(n),
              oeis_id="A008277", row=True),
-    Sequence("worpitzky-row", 0, lambda n: [sequences.worpitzky(n, k) for k in range(n + 1)],
+    Sequence("worpitzky-row", 0, lambda n: sequences.worpitzky_row(n),
              oeis_id="A130850", row=True),
 )}
 

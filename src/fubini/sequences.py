@@ -11,12 +11,15 @@ precision); no floating point is used anywhere. The central objects:
 * the ``cyclic_*`` family -- set partitions whose blocks are arranged in a
   cycle, weighting by ``(k-1)!`` instead of ``k!``, with variants that keep
   only an even or only an odd number of blocks.
-* ``worpitzky(n, k)`` -- ``k! * S(n+1, k+1)``.
+* ``worpitzky(n, k)`` -- ``k! * S(n+1, k+1)``; ``worpitzky_row(n)`` gives
+  k = 0..n from one read of row n+1.
 * alternating variants of the weighted sums, used as cross-checks.
 
 The weighted sums differ only in the shift of the factorial weight, an
 optional parity filter on k and an optional sign, so all seven share one
-reduction over a row that carries the weight as a running factorial.
+reduction over a row. It evaluates the sum in Horner form, from the top
+of the row down, so each step multiplies the accumulator by a small
+integer instead of multiplying a factorial by a row entry.
 
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
@@ -47,6 +50,7 @@ __all__ = [
     "stirling2",
     "stirling2_row",
     "worpitzky",
+    "worpitzky_row",
 ]
 
 #: Largest n accepted by the exhaustive set-partition counter.
@@ -143,24 +147,25 @@ def _weighted_row_sum(n: int, shift: int, parity: int | None = None,
                       alternating: bool = False) -> int:
     """``sum(sign(k) * (k-shift)! * S(n,k))`` over ``shift <= k <= n``.
 
-    The weight ``(k-shift)!`` is carried along the row as a running
-    product. ``parity`` (a residue mod 2) keeps only those k, and
+    The sum is accumulated in Horner form, from ``k = n`` down to
+    ``k = shift``: ``S(n,shift) + 1*(S(n,shift+1) + 2*(S(n,shift+2) + ...))``.
+    At each k the accumulator is multiplied by the small integer
+    ``k+1-shift`` and then takes ``sign(k) * S(n,k)``, so no step multiplies
+    two big integers. ``parity`` (a residue mod 2) keeps only those k, and
     ``alternating`` makes ``sign(k) = (-1)^k``; otherwise it is 1. The row
     is looked up through the module global at call time, so a patched
     ``stirling2_row`` reaches every sum.
     """
     row = stirling2_row(n)
     total = 0
-    weight = 1
-    for k in range(shift, n + 1):
-        if k > shift:
-            weight *= k - shift
+    for k in range(n, shift - 1, -1):
+        total *= k + 1 - shift
         if parity is not None and k % 2 != parity:
             continue
         if alternating and k % 2:
-            total -= weight * row[k]
+            total -= row[k]
         else:
-            total += weight * row[k]
+            total += row[k]
     return total
 
 
@@ -202,6 +207,22 @@ def worpitzky(n: int, k: int) -> int:
     _require_at_least(n, 0)
     _require_at_least(k, 0, "k")
     return factorial(k) * stirling2(n + 1, k + 1)
+
+
+def worpitzky_row(n: int) -> list[int]:
+    """The row ``[worpitzky(n, 0), ..., worpitzky(n, n)]``, from one read of row n+1.
+
+    ``k!`` is carried along the row as a running product.
+    """
+    _require_at_least(n, 0)
+    row = stirling2_row(n + 1)
+    values = []
+    weight = 1
+    for k in range(n + 1):
+        if k:
+            weight *= k
+        values.append(weight * row[k + 1])
+    return values
 
 
 def alternating_factorial_sum(n: int) -> int:

@@ -1,5 +1,6 @@
 """b-file parsing/emission, crosschecks, fixtures, and the fetch path."""
 
+import sys
 import urllib.request
 
 import pytest
@@ -77,6 +78,44 @@ def test_parse_rejects_non_ascii_bytes_naming_the_line():
 def test_parse_accepts_only_ascii_decimal_integers(text, lineno):
     with pytest.raises(BFileParseError, match=f"line {lineno}: non-integer"):
         parse_bfile(text)
+
+
+def test_parse_accepts_ascii_spaces_tabs_and_crlf():
+    assert parse_bfile("0\t1\r\n 1  5 \r\n\t2 \t 13\t\n").entries == ((0, 1), (1, 5), (2, 13))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("0\u00a01\n1\u20035\n", "line 1: expected", id="nbsp-separator"),
+        pytest.param("0 1\n1\u20035\n", "line 2: expected", id="em-space-separator"),
+        pytest.param("0 1\u00a0\n", "line 1: non-integer", id="trailing-nbsp"),
+        pytest.param("\u3000 0 1\n", "line 1: expected", id="leading-ideographic-space"),
+        pytest.param("0 1\u20281 5\n", "line 1: expected", id="line-separator"),
+    ],
+)
+def test_parse_rejects_non_ascii_whitespace(text, message):
+    with pytest.raises(BFileParseError, match=message):
+        parse_bfile(text)
+
+
+@pytest.fixture
+def digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_parse_names_the_digit_limit(digit_limit):
+    assert parse_bfile("0 " + "9" * digit_limit).entries == ((0, 10**digit_limit - 1),)
+    with pytest.raises(BFileParseError, match=f"line 2: .*{digit_limit}-digit limit"):
+        parse_bfile("0 1\n1 1" + "0" * digit_limit)
+
+
+def test_emit_names_the_digit_limit(digit_limit):
+    with pytest.raises(ValueError, match=f"index 4: .*{digit_limit}-digit limit"):
+        emit_bfile(SequenceTable("x", 3, (1, 10**digit_limit)))
 
 
 def test_value_rejects_index_outside_range():

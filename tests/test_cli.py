@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from fubini import bfiles, sequences
-from fubini.cli import main
+from fubini.cli import MAX_INDEX, MAX_ORDER, main
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,26 @@ def test_compute_usage_errors(capsys):
 
     code, _, err = run_cli(capsys, "compute", "cyclic", "--max", "0")
     assert code == 2  # cyclic sequences start at n=1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap",
+    [
+        (("compute", "bell", "--max"), "--max", MAX_INDEX),
+        (("compute", "stirling-row", "--n"), "--n", MAX_INDEX),
+        (("verify", "all", "--max"), "--max", MAX_INDEX),
+        (("verify", "egf", "--order"), "--order", MAX_ORDER),
+        (("egf", "cyclic-odd", "--order"), "--order", MAX_ORDER),
+        (("egf", "stirling-col", "--order", "8", "--k"), "--k", MAX_ORDER),
+        (("bfile", "export", "A000670", "--limit"), "--limit", MAX_INDEX),
+        (("bfile", "check", "A008277", "--limit"), "--limit", MAX_INDEX),
+    ],
+)
+def test_flags_above_their_cap_exit_2(capsys, argv, flag, cap):
+    code, out, err = run_cli(capsys, *argv, str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
 
 
 # -- verify -------------------------------------------------------------------

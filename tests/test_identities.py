@@ -132,15 +132,8 @@ def test_corrupted_direct_route_fails_egf_agreement(monkeypatch):
 
 
 def test_corrupted_stirling_entry_fails_worpitzky(monkeypatch):
-    real_entry = sequences.stirling2
-
-    def corrupted(n, k):
-        value = real_entry(n, k)
-        if (n, k) == (8, 3):
-            value += 1
-        return value
-
-    monkeypatch.setattr(sequences, "stirling2", corrupted)
+    # S(8, 3) is worpitzky(7, 2), read through row 8 of the Worpitzky row sums
+    _corrupt_stirling_row(monkeypatch, target_n=8, target_k=3, delta=1)
     reports = {r.identity_id: r for r in verify_parity_split(20)}
     assert not reports["worpitzky.parity-rows"].passed
     assert reports["worpitzky.parity-rows"].first_failure[0] == 7

@@ -25,6 +25,7 @@ from fubini.sequences import (
     stirling2,
     stirling2_row,
     worpitzky,
+    worpitzky_row,
 )
 
 
@@ -234,6 +235,28 @@ def test_worpitzky_rejects_negative():
         worpitzky(-1, 0)
     with pytest.raises(ValueError):
         worpitzky(0, -1)
+
+
+def test_worpitzky_row_matches_entries():
+    for n in range(61):
+        assert worpitzky_row(n) == [worpitzky(n, k) for k in range(n + 1)], n
+
+
+def test_worpitzky_row_rejects_negative_like_worpitzky():
+    with pytest.raises(ValueError) as point:
+        worpitzky(-1, 0)
+    with pytest.raises(ValueError) as row:
+        worpitzky_row(-1)
+    assert str(row.value) == str(point.value) == "n must be >= 0, got -1"
+
+
+def test_worpitzky_row_reads_the_patched_row(monkeypatch):
+    def fake_row(n):
+        return [k + 1 for k in range(n + 1)]
+
+    monkeypatch.setattr(sequences, "stirling2_row", fake_row)
+    for n in range(12):
+        assert worpitzky_row(n) == [math.factorial(k) * (k + 2) for k in range(n + 1)], n
 
 
 # -- alternating sums ----------------------------------------------------
