@@ -1,12 +1,20 @@
 """Truncated formal power series over exact rationals.
 
-A :class:`TruncatedSeries` is a fixed-length coefficient vector:
-``coeffs[i]`` is the coefficient of ``x**i``, kept up to a truncation
-order N.  All arithmetic is exact (``fractions.Fraction``, so every
-coefficient stays in lowest terms with a positive denominator), and a
-binary operation truncates its result to the smaller operand order,
-matching the usual formal-series semantics -- callers control precision
-by choosing orders.
+A :class:`TruncatedSeries` is a fixed-length coefficient vector kept up
+to a truncation order N: ``coeffs[i]`` is the coefficient of ``x**i``.
+All arithmetic is exact, and a binary operation truncates its result to
+the smaller operand order, matching the usual formal-series semantics --
+callers control precision by choosing orders.
+
+Storage is in the exponential basis over one common denominator: a
+series holds integer numerators ``a[0..N]`` and one integer ``d > 0``,
+and coefficient n is ``a[n] / (d * n!)``.  The form is canonical
+(``gcd(d, *a) == 1``), so equal series have equal storage and ``==`` is
+structural.  ``a[n] / d`` is the n-th term of the sequence the series
+generates as an EGF, and a product is the binomial convolution
+``c[m] = sum_i C(m, i) a[i] b[m-i]`` over ``d * e``, so every inner loop
+is integer-only; each operation ends with one content gcd.  ``coeffs``
+and indexing build reduced ``Fraction``s only on the way out.
 
 The transcendental operations are computed through their defining
 differential relations, which therefore hold exactly at the truncation
@@ -19,8 +27,10 @@ order:
 * ``f.atanh()``        is ``(log(1+f) - log(1-f)) / 2``
   (requires a zero constant term).
 
-Both recurrences are plain O(N^2) rational loops; no attempt is made at
-asymptotically fast multiplication (orders stay small here).
+``inverse``, ``exp`` and ``log`` run these recurrences multiplied through
+by powers of ``d`` and of the constant term's numerator, so they stay in
+integers.  Every recurrence is O(N^2) multiply-adds; no attempt is made
+at asymptotically fast multiplication (orders stay small here).
 
 The module also builds the exponential generating functions of the
 package's sequences.  Under the EGF convention a series encodes the
@@ -38,7 +48,9 @@ integer sequence ``a(n) = n! * coeffs[n]``, recovered by
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from numbers import Rational
+from operator import add, mul
 
 __all__ = [
     "TruncatedSeries",
@@ -51,37 +63,90 @@ __all__ = [
     "stirling_column_egf",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 Coefficient = int | Fraction
 
 
-def _exact(value) -> Fraction:
-    """``value`` as a ``Fraction``; floats and complex numbers raise ``TypeError``."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (float, complex)):
-        raise TypeError(
-            f"series coefficients must be exact, got {type(value).__name__} {value!r}"
-        )
-    return Fraction(value)
+def _exact(value) -> Coefficient:
+    """``value`` as an ``int`` or a ``Fraction``; any other type raises ``TypeError``."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError(
+        f"series coefficients must be exact (int or Rational), "
+        f"got {type(value).__name__} {value!r}"
+    )
+
+
+def _binomial_rows(n: int):
+    """Yield the rows ``[C(m, 0), ..., C(m, m)]`` for m = 0..n, by Pascal's rule."""
+    row = [1]
+    for m in range(n + 1):
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
+def _convolve(row, a, b_reversed) -> int:
+    """``sum_i row[i] * a[i] * b_reversed[i]``, over the shortest of the three."""
+    return sum(map(mul, map(mul, row, a), b_reversed))
+
+
+def _times_powers(values, x: int) -> list[int]:
+    """``[values[j] * x^j for each j]``, by a running power."""
+    out, power = [], 1
+    for value in values:
+        out.append(value * power)
+        power *= x
+    return out
+
+
+def _over_power(r, d: int) -> list[int]:
+    """Numerators of ``r[j] / d^j`` (j = 0..n) over the common denominator ``d^n``."""
+    return _times_powers(r[::-1], d)[::-1]
+
+
+def _reduced(num, den: int) -> tuple[tuple[int, ...], int]:
+    """``num`` and ``den != 0`` divided by their content, so that ``den > 0``."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple(c // g for c in num), den // g
+
+
+def _series(num, den: int) -> "TruncatedSeries":
+    """The series with numerators ``num`` over ``den``, in canonical form."""
+    s = object.__new__(TruncatedSeries)
+    s._num, s._den = _reduced(num, den)
+    return s
 
 
 class TruncatedSeries:
-    """Formal power series kept up to a fixed order, with exact coefficients."""
+    """Formal power series kept up to a fixed order, with exact coefficients.
 
-    __slots__ = ("_coeffs",)
+    Coefficient n is ``_num[n] / (_den * n!)``, in canonical form.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs, order: int | None = None):
+        if isinstance(coeffs, (str, bytes, bytearray)):
+            _exact(coeffs)  # raises, naming the type
         cs = [_exact(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError(f"order must be >= 0, got {order}")
-            cs = cs[: order + 1] + [_ZERO] * (order + 1 - len(cs))
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(cs)
+        scaled, weight = [], 1  # weight = n!
+        for n, c in enumerate(cs):
+            weight *= n or 1
+            scaled.append(c * weight)
+        den = lcm(*(s.denominator for s in scaled))
+        num = [s.numerator * (den // s.denominator) for s in scaled]
+        self._num, self._den = _reduced(num, den)
 
     # -- construction -------------------------------------------------
 
@@ -102,49 +167,58 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        out, weight = [], self._den  # weight = d * n!
+        for n, c in enumerate(self._num):
+            weight *= n or 1
+            out.append(Fraction(c, weight))
+        return tuple(out)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self._coeffs[i]
+        n = range(len(self._num))[i]
+        return Fraction(self._num[n], self._den * factorial(n))
 
     def __iter__(self):
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = ", ".join(str(c) for c in self._coeffs)
+        body = ", ".join(str(c) for c in self.coeffs)
         return f"TruncatedSeries([{body}])"
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Copy of this series cut (or zero-padded) to the given order."""
-        return TruncatedSeries(self._coeffs, order=order)
+        return TruncatedSeries(self.coeffs, order=order)
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
+        d = self._den
         if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(
-                [a + b for a, b in zip(self._coeffs, other._coeffs)], order=n
-            )
-        cs = list(self._coeffs)
-        cs[0] += _exact(other)
-        return TruncatedSeries(cs)
+            e = other._den
+            den = lcm(d, e)
+            u, v = den // d, den // e
+            return _series([u * a + v * b for a, b in zip(self._num, other._num)], den)
+        c = _exact(other)
+        den = lcm(d, c.denominator)
+        u = den // d
+        num = [u * a for a in self._num]
+        num[0] += c.numerator * (den // c.denominator)
+        return _series(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs])
+        return _series([-a for a in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries) else -_exact(other))
@@ -155,21 +229,29 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            f, g = self._coeffs, other._coeffs
-            return TruncatedSeries(
-                [sum(f[i] * g[m - i] for i in range(m + 1)) for m in range(n + 1)]
-            )
-        scale = _exact(other)
-        return TruncatedSeries([scale * c for c in self._coeffs])
+            a, b = self._num, other._num
+            num = [
+                _convolve(row, a, b[m::-1])
+                for m, row in enumerate(_binomial_rows(n))
+            ]
+            return _series(num, self._den * other._den)
+        c = _exact(other)
+        p = c.numerator
+        return _series([p * a for a in self._num], self._den * c.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"series power needs a nonnegative integer, got {exponent}")
-        result = TruncatedSeries.constant(1, self.order)
-        for _ in range(exponent):
-            result = result * self
+        # binary powering: one squaring per bit and one product per set bit
+        result, base = TruncatedSeries.constant(1, self.order), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- calculus ------------------------------------------------------
@@ -178,57 +260,71 @@ class TruncatedSeries:
         """Formal derivative; the order drops by one (order 0 maps to zero)."""
         if self.order == 0:
             return TruncatedSeries.zero(0)
-        return TruncatedSeries([i * c for i, c in enumerate(self._coeffs)][1:])
+        # coefficient n of f' is (n+1) a[n+1] / (d (n+1)!) = a[n+1] / (d n!)
+        return _series(self._num[1:], self._den)
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse: f * f.inverse() == 1 up to the order."""
-        f = self._coeffs
-        if f[0] == 0:
+        """Multiplicative inverse: f * f.inverse() == 1 up to the order.
+
+        With ``b[m] / e = m! g[m]`` and ``a0 = a[0]``, the recurrence
+        ``sum_i C(m, i) a[i] b[m-i] = 0`` (m >= 1) gives
+        ``m! g[m] = d * r[m] / a0^(m+1)``, where ``r[0] = 1`` and
+        ``r[m] = -sum_{i=1..m} C(m, i) a[i] a0^(i-1) r[m-i]``.
+        """
+        a, d, n = self._num, self._den, self.order
+        a0 = a[0]
+        if a0 == 0:
             raise ZeroDivisionError(
                 "not invertible as power series: zero constant term"
             )
-        g = [_ONE / f[0]]
-        for m in range(1, self.order + 1):
-            g.append(-sum(f[i] * g[m - i] for i in range(1, m + 1)) / f[0])
-        return TruncatedSeries(g)
+        p = _times_powers(a[1:], a0)
+        r = [1]
+        for m, row in enumerate(_binomial_rows(n)):
+            if m:
+                r.append(-_convolve(row[1:], p, r[::-1]))
+        return _series(_over_power([d * c for c in r], a0), a0 ** (n + 1))
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term.
 
-        Built coefficient by coefficient from ``g' = f' * g``:
-        ``(m+1) g[m+1] = sum_{i=0..m} (i+1) f[i+1] g[m-i]``.
+        Built coefficient by coefficient from ``g' = f' * g``.  With
+        ``b[j] = j! g[j]`` this reads
+        ``b[m+1] = sum_{i=0..m} C(m, i) (a[i+1] / d) b[m-i]``; putting
+        ``b[j] = r[j] / d^j`` gives the integer recurrence
+        ``r[m+1] = sum_{i=0..m} C(m, i) a[i+1] d^i r[m-i]``, ``r[0] = 1``.
         """
-        f = self._coeffs
-        if f[0] != 0:
+        a, d, n = self._num, self._den, self.order
+        if a[0] != 0:
             raise ValueError(
                 "series exp needs a zero constant term (e is not rational)"
             )
-        g = [_ONE]
-        for m in range(self.order):
-            total = sum((i + 1) * f[i + 1] * g[m - i] for i in range(m + 1))
-            g.append(total / (m + 1))
-        return TruncatedSeries(g)
+        p = _times_powers(a[1:], d)
+        r = [1]
+        for m, row in enumerate(_binomial_rows(n - 1)):
+            r.append(_convolve(row, p, r[::-1]))
+        return _series(_over_power(r, d), d ** n)
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term 1.
 
-        Built from ``f * g' = f'``:
-        ``(m+1) g[m+1] = (m+1) f[m+1] - sum_{j=1..m} j g[j] f[m+1-j]``.
+        Built from ``f * g' = f'``.  With ``b[j] = j! g[j]`` this reads
+        ``sum_{i=0..m} C(m, i) (a[i] / d) b[m+1-i] = a[m+1] / d``, where
+        ``a[0] = d``; putting ``b[j] = r[j] / d^j`` gives the integer
+        recurrence ``r[m+1] = a[m+1] d^m - sum_{i=1..m} C(m, i) a[i] d^(i-1)
+        r[m+1-i]``, ``r[0] = 0``.
         """
-        f = self._coeffs
-        if f[0] != 1:
+        a, d, n = self._num, self._den, self.order
+        if a[0] != d:
             raise ValueError("series log needs constant term 1")
-        g = [_ZERO]
-        for m in range(self.order):
-            total = (m + 1) * f[m + 1] - sum(
-                j * g[j] * f[m + 1 - j] for j in range(1, m + 1)
-            )
-            g.append(total / (m + 1))
-        return TruncatedSeries(g)
+        p = _times_powers(a[1:], d)
+        r = [0]
+        for m, row in enumerate(_binomial_rows(n - 1)):
+            r.append(p[m] - _convolve(row[1:], p, r[:0:-1]))
+        return _series(_over_power(r, d), d ** n)
 
     def atanh(self) -> "TruncatedSeries":
         """Inverse hyperbolic tangent of a series with zero constant term."""
-        if self._coeffs[0] != 0:
+        if self._num[0] != 0:
             raise ValueError("series atanh needs a zero constant term")
         one = TruncatedSeries.constant(1, self.order)
         return ((one + self).log() - (one - self).log()) * Fraction(1, 2)
@@ -241,15 +337,13 @@ class TruncatedSeries:
         Raises if any scaled coefficient is not an integer, which signals
         a series construction bug rather than bad input.
         """
-        out = []
-        for n, c in enumerate(self._coeffs):
-            scaled = factorial(n) * c
-            if scaled.denominator != 1:
+        d = self._den
+        for n, c in enumerate(self._num):
+            if c % d:
                 raise ValueError(
-                    f"not an integer EGF: {n}! * coefficient {n} = {scaled}"
+                    f"not an integer EGF: {n}! * coefficient {n} = {Fraction(c, d)}"
                 )
-            out.append(int(scaled))
-        return out
+        return [c // d for c in self._num]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +353,9 @@ class TruncatedSeries:
 
 def exp_series(order: int) -> TruncatedSeries:
     """``e^x``: coefficients ``1/n!`` (the EGF of the all-ones sequence)."""
-    return TruncatedSeries([Fraction(1, factorial(n)) for n in range(order + 1)])
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return _series([1] * (order + 1), 1)
 
 
 def ordered_bell_egf(order: int) -> TruncatedSeries:

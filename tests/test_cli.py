@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, round trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -188,6 +189,32 @@ def test_egf_stirling_col(capsys):
     code, out, _ = run_cli(capsys, "egf", "stirling-col", "--order", "3", "--k", "2")
     assert code == 0
     assert out.splitlines() == ["0 0 0", "1 0 0", "2 1/2 1", "3 1/2 3"]
+
+
+#: SHA-256 of the stdout of ``egf ... --order 64``. The printed coefficients
+#: are exact, so any change to the series engine must reproduce them byte for
+#: byte.
+EGF_ORDER_64_DIGESTS = {
+    ("bell",): "ef572262f428eea77d160ef7d6429ca85937bdde4effe11b9c9cd83c226ccb2a",
+    ("cyclic",): "a7acd4fdd702ef888a137516c63c8a5510a08996f16ca00be8ccac78a165a1f4",
+    ("double-shifted-bell",): "e8b2fc57fb0e74d0fc7de20a4353783a67e381556907cabced7db06646c62628",
+    ("cyclic-even",): "c59c17bb80da2bd7de1ab79ed8742207c12dbc67b9c0f27c7d261b00f1c095a0",
+    ("cyclic-odd",): "073d8ae81634601a1044d8b99367ef0df4dcf1b5aa337d705359e227138cddc9",
+    ("stirling-col", "--k", "0"): "f6720a989592b575fa150e6828a873941d658959994b971b8915f6904c4c32a5",
+    ("stirling-col", "--k", "1"): "606c05d63845cdb555a736809c216362d0696773d1fcbce02cee54d01d1eedf1",
+    ("stirling-col", "--k", "5"): "e0ed1cb6038ee93ddd5fd02583c7cbc7d9c5ecf0cec270b9609e44965c1f6470",
+    ("stirling-col", "--k", "12"): "5377e63142ba0da69a36d688e0abd779a67dd92b598b51f5d272e09c176d8433",
+}
+
+
+@pytest.mark.parametrize(
+    "args, digest", EGF_ORDER_64_DIGESTS.items(), ids=[" ".join(a) for a in EGF_ORDER_64_DIGESTS]
+)
+def test_egf_order_64_output_is_frozen(capsys, args, digest):
+    gf, *extra = args
+    code, out, err = run_cli(capsys, "egf", gf, "--order", "64", *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_egf_usage_errors(capsys):

@@ -1,6 +1,9 @@
 """Truncated rational series engine: frozen values, contracts, properties."""
 
+import functools
+from decimal import Decimal
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -60,7 +63,22 @@ def test_constructor_rejects_float_and_complex(inexact):
         TruncatedSeries.constant(inexact, 2)
 
 
-@pytest.mark.parametrize(
+NOT_RATIONAL = ["3", b"3", Decimal("3"), 0.5, 3j]
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL, ids=lambda v: type(v).__name__)
+def test_constructor_names_a_non_rational_type(value):
+    with pytest.raises(TypeError, match=f"exact.* got {type(value).__name__} "):
+        TruncatedSeries([1, value])
+
+
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")], ids=lambda v: type(v).__name__)
+def test_constructor_rejects_text_for_the_coefficient_list(text):
+    with pytest.raises(TypeError, match=f"exact.* got {type(text).__name__} "):
+        TruncatedSeries(text)
+
+
+SCALAR_OPERATIONS = pytest.mark.parametrize(
     "operation",
     [
         lambda f, c: f + c,
@@ -72,10 +90,20 @@ def test_constructor_rejects_float_and_complex(inexact):
     ],
     ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
 )
+
+
+@SCALAR_OPERATIONS
 @pytest.mark.parametrize("inexact", [0.5, 2j])
 def test_scalar_operations_reject_float_and_complex(operation, inexact):
     with pytest.raises(TypeError, match="exact"):
         operation(S(1, 2, 3), inexact)
+
+
+@SCALAR_OPERATIONS
+@pytest.mark.parametrize("value", NOT_RATIONAL[:3], ids=lambda v: type(v).__name__)
+def test_scalar_operations_name_a_non_rational_type(operation, value):
+    with pytest.raises(TypeError, match=f"exact.* got {type(value).__name__} "):
+        operation(S(1, 2, 3), value)
 
 
 def test_coefficients_are_normalized_fractions():
@@ -88,6 +116,40 @@ def test_equality_is_structural():
     assert S(1, 2) == S(1, 2)
     assert S(1, 2) != S(1, 2, 0)  # different orders differ
     assert (S(1) == object()) is False
+
+
+# -- canonical form ----------------------------------------------------------
+
+
+mixed_coefficients = st.one_of(st.integers(-9, 9), st.booleans(), small_fractions)
+
+
+@given(st.lists(mixed_coefficients, min_size=1, max_size=8))
+@settings(max_examples=60)
+def test_mixed_coefficient_types_read_back_as_fractions(cs):
+    coeffs = TruncatedSeries(cs).coeffs
+    assert coeffs == tuple(map(Fraction, cs))
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+def is_canonical(s):
+    # one positive denominator sharing no factor with all the numerators
+    return s._den > 0 and gcd(s._den, *s._num) == 1
+
+
+@given(
+    series_of_order(5),
+    series_of_order(5).filter(lambda s: s[0] != 0),
+    small_fractions.filter(bool),
+)
+@settings(max_examples=60)
+def test_one_series_through_different_denominators_compares_equal(f, g, c):
+    assert (f * 6) * F(1, 6) == f
+    assert (f * c) * (1 / c) == f
+    assert (f + g) - g == f
+    assert (f * g) * g.inverse() == f
+    assert TruncatedSeries(f.coeffs) == f
+    assert all(map(is_canonical, (f, f * c, f + g, f * g, g.inverse(), -f)))
 
 
 # -- ring operations -------------------------------------------------------
@@ -134,6 +196,23 @@ def test_power():
     assert f ** 3 == f * f * f
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_power_squares_instead_of_multiplying_k_times(monkeypatch):
+    f = exp_series(6) - 1
+    expected = TruncatedSeries.constant(1, 6)
+    for _ in range(13):
+        expected = expected * f
+    products = []
+    multiply = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    assert f ** 13 == expected
+    assert len(products) <= 2 * (13).bit_length()
 
 
 @given(series_of_order(6), series_of_order(6))
@@ -339,3 +418,113 @@ def test_parity_egfs_recombine():
     assert difference[1:] == [
         sequences.alternating_cyclic_sum(n) for n in range(1, order + 1)
     ]
+
+
+# -- differential test against a Fraction reference -------------------------
+#
+# Schoolbook recurrences over plain lists of Fractions, which share nothing
+# with the engine's integer storage; every coefficient of the engine must
+# equal theirs.
+
+
+def ref_mul(f, g):
+    n = min(len(f), len(g))
+    return [sum(f[i] * g[m - i] for i in range(m + 1)) for m in range(n)]
+
+
+def ref_inverse(f):
+    g = [1 / f[0]]
+    for m in range(1, len(f)):
+        g.append(-sum(f[i] * g[m - i] for i in range(1, m + 1)) / f[0])
+    return g
+
+
+def ref_exp(f):
+    g = [F(1)]
+    for m in range(len(f) - 1):
+        total = sum((i + 1) * f[i + 1] * g[m - i] for i in range(m + 1))
+        g.append(total / (m + 1))
+    return g
+
+
+def ref_log(f):
+    g = [F(0)]
+    for m in range(len(f) - 1):
+        total = (m + 1) * f[m + 1] - sum(
+            j * g[j] * f[m + 1 - j] for j in range(1, m + 1)
+        )
+        g.append(total / (m + 1))
+    return g
+
+
+mixed_denominators = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+coefficient_lists = st.integers(0, 10).flatmap(
+    lambda order: st.lists(mixed_denominators, min_size=order + 1, max_size=order + 1)
+)
+
+
+def same_coefficients(series, reference):
+    return series.coeffs == tuple(map(F, reference))
+
+
+@given(coefficient_lists, coefficient_lists)
+@settings(max_examples=80)
+def test_mul_matches_fraction_reference(f, g):
+    assert same_coefficients(TruncatedSeries(f) * TruncatedSeries(g), ref_mul(f, g))
+
+
+@given(coefficient_lists, mixed_denominators.filter(bool))
+@settings(max_examples=80)
+def test_inverse_matches_fraction_reference(f, constant):
+    f = [constant] + f[1:]
+    assert same_coefficients(TruncatedSeries(f).inverse(), ref_inverse(f))
+
+
+@given(coefficient_lists)
+@settings(max_examples=80)
+def test_exp_matches_fraction_reference(f):
+    f = [F(0)] + f[1:]
+    assert same_coefficients(TruncatedSeries(f).exp(), ref_exp(f))
+
+
+@given(coefficient_lists)
+@settings(max_examples=80)
+def test_log_matches_fraction_reference(f):
+    f = [F(1)] + f[1:]
+    assert same_coefficients(TruncatedSeries(f).log(), ref_log(f))
+
+
+@functools.cache
+def ref_egfs(order):
+    e = [F(1, factorial(n)) for n in range(order + 1)]
+    z = [F(0)] + e[1:]  # e^x - 1
+    two_minus_e = [F(1)] + [-c for c in e[1:]]
+    cyclic = [-c for c in ref_log(two_minus_e)]
+    x = ([F(0), F(1)] + [F(0)] * order)[: order + 1]
+    refs = {
+        "bell": ref_inverse(two_minus_e),
+        "cyclic": cyclic,
+        "double-shifted-bell": [a + b for a, b in zip(x, cyclic)],
+        "cyclic-even": [c * F(-1, 2) for c in ref_log(ref_mul(e, two_minus_e))],
+        "cyclic-odd": [(a - b) / 2 for a, b in zip(ref_log(e), ref_log(two_minus_e))],
+    }
+    power = [F(1)] + [F(0)] * order
+    for k in range(13):
+        refs[f"stirling-col-{k}"] = [c / factorial(k) for c in power]
+        power = ref_mul(power, z)
+    return refs
+
+
+EGF_BUILDERS = {
+    "bell": ordered_bell_egf,
+    "cyclic": cyclic_ordered_bell_egf,
+    "double-shifted-bell": double_shifted_bell_egf,
+    "cyclic-even": cyclic_ordered_bell_even_egf,
+    "cyclic-odd": cyclic_ordered_bell_odd_egf,
+    **{f"stirling-col-{k}": functools.partial(stirling_column_egf, k) for k in (0, 1, 5, 12)},
+}
+
+
+@pytest.mark.parametrize("name", EGF_BUILDERS)
+def test_egf_builder_matches_fraction_reference_at_order_64(name):
+    assert same_coefficients(EGF_BUILDERS[name](64), ref_egfs(64)[name])
