@@ -6,6 +6,18 @@ side, rational series coefficient extraction on the other where that
 applies) and reporting the first counterexample instead of raising: a
 violated identity means a code bug, and the report carries the evidence.
 
+The seven integer identities are checks on a window of three per-n
+records, for n-1, n and n+1, that slides forward over n in one pass: on
+first use, each record reads its Stirling row once and computes from it
+every weighted sum that the identities being checked read, and the row is
+not kept. The Worpitzky side of ``worpitzky.parity-rows`` comes from the
+Worpitzky recurrence (``sequences._worpitzky_rows``), not from the
+Stirling rows, so its two sides are built independently. The four integer
+verifiers run their own identities through the same pass, and
+``verify_all`` runs all seven in one. ``ordered_bell`` keeps its own
+accumulator: it is never rebuilt as even plus odd, which would reduce
+``bell.parity-split`` to ``alternating.factorial``.
+
 The full registry of identity ids:
 
 * ``bell.parity-split``     ordered_bell(n) == (-1)^(n+1) + 2 * (even-block
@@ -32,6 +44,7 @@ The full registry of identity ids:
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from fubini import registry, sequences, series
 
@@ -111,11 +124,16 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _report(identity_id, lo, hi, failure=None) -> VerificationReport:
+    status = "pass" if failure is None else "fail"
+    return VerificationReport(identity_id, (lo, hi), status, failure)
+
+
 def _sweep(identity_id, lo, hi, checks) -> VerificationReport:
     for n, expected, actual in checks:
         if expected != actual:
-            return VerificationReport(identity_id, (lo, hi), "fail", (n, expected, actual))
-    return VerificationReport(identity_id, (lo, hi), "pass")
+            return _report(identity_id, lo, hi, (n, expected, actual))
+    return _report(identity_id, lo, hi)
 
 
 def _require_range(n_max: int, name: str = "n_max") -> None:
@@ -123,85 +141,146 @@ def _require_range(n_max: int, name: str = "n_max") -> None:
         raise ValueError(f"empty range: {name} must be >= 1, got {n_max}")
 
 
+class _Record:
+    """The weighted sums ``names`` (keys of ``sequences._ROW_SUMS``) of Stirling row n.
+
+    On first use the row is read once and every sum in ``names`` is computed
+    from it; the row copy is not kept, so a sweep holds at most one at a
+    time, and a record never used reads nothing.
+    """
+
+    __slots__ = ("n", "names", "_sums")
+
+    def __init__(self, n: int, names):
+        self.n, self.names, self._sums = n, names, None
+
+    def __getitem__(self, name: str) -> int:
+        if self._sums is None:
+            row = sequences.stirling2_row(self.n)
+            self._sums = {s: sequences._row_sum(row, *sequences._ROW_SUMS[s]) for s in self.names}
+        return self._sums[name]
+
+
+# Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
+# yields ``(expected, actual)`` pairs in order, from the records of n-1, n and
+# n+1 (``prev`` is None at n = 1) and Worpitzky row n.
+
+
+def _bell_parity_split(n, prev, cur, nxt, worpitzky):
+    b, sign = cur["ordered_bell"], (-1) ** n
+    yield b, -sign + 2 * cur["ordered_bell_even"]
+    yield b, sign + 2 * cur["ordered_bell_odd"]
+
+
+def _bell_shifted_cyclic(n, prev, cur, nxt, worpitzky):
+    yield cur["ordered_bell"], nxt["cyclic_ordered_bell_even"]
+    yield cur["ordered_bell"], nxt["cyclic_ordered_bell_odd"]
+
+
+def _cyclic_doubling(n, prev, cur, nxt, worpitzky):
+    yield 1 if n == 1 else 2 * prev["ordered_bell"], cur["cyclic_ordered_bell"]
+
+
+def _alternating_factorial(n, prev, cur, nxt, worpitzky):
+    yield (-1) ** n, cur["alternating_factorial_sum"]
+
+
+def _alternating_cyclic(n, prev, cur, nxt, worpitzky):
+    value = cur["alternating_cyclic_sum"]
+    yield -1 if n == 1 else 0, value
+    yield cur["cyclic_ordered_bell_even"] - cur["cyclic_ordered_bell_odd"], value
+
+
+def _cyclic_parity_equal(n, prev, cur, nxt, worpitzky):
+    even, odd = (0, 1) if n == 1 else (prev["ordered_bell"],) * 2
+    yield even, cur["cyclic_ordered_bell_even"]
+    yield odd, cur["cyclic_ordered_bell_odd"]
+
+
+def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
+    yield cur["ordered_bell"], sum(worpitzky[0::2])
+    yield cur["ordered_bell"], sum(worpitzky[1::2])
+
+
+_BELL, _BELL_PARITY = ("ordered_bell",), ("ordered_bell_even", "ordered_bell_odd")
+_CYCLIC_PARITY = ("cyclic_ordered_bell_even", "cyclic_ordered_bell_odd")
+
+#: Integer identity id -> (its checks at one n, the row sums they read), in
+#: report order.
+_INTEGER_CHECKS = {
+    "bell.parity-split": (_bell_parity_split, _BELL + _BELL_PARITY),
+    "bell.shifted-cyclic": (_bell_shifted_cyclic, _BELL + _CYCLIC_PARITY),
+    "cyclic.doubling": (_cyclic_doubling, _BELL + ("cyclic_ordered_bell",)),
+    "alternating.factorial": (_alternating_factorial, ("alternating_factorial_sum",)),
+    "alternating.cyclic": (_alternating_cyclic, ("alternating_cyclic_sum",) + _CYCLIC_PARITY),
+    "cyclic.parity-equal": (_cyclic_parity_equal, _BELL + _CYCLIC_PARITY),
+    "worpitzky.parity-rows": (_worpitzky_parity_rows, _BELL),
+}
+
+
+def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
+    """Check the given integer identities over n = 1..n_max in one forward pass.
+
+    Only the records of n-1, n and n+1 are live, each holding the sums the
+    given identities read, and an identity stops being checked at its first
+    failure. Worpitzky rows come from ``sequences._worpitzky_rows``, looked
+    up here, and are built only while ``worpitzky.parity-rows`` is still
+    being checked.
+    """
+    _require_range(n_max)
+    pending = {i: _INTEGER_CHECKS[i][0] for i in identity_ids}
+    names = {name for i in identity_ids for name in _INTEGER_CHECKS[i][1]}
+    failures = {}
+    worpitzky_rows = sequences._worpitzky_rows()
+    next(worpitzky_rows)  # row 0
+    prev, cur = None, _Record(1, names)
+    for n in range(1, n_max + 1):
+        if not pending:
+            break
+        nxt = _Record(n + 1, names)
+        worpitzky = next(worpitzky_rows) if "worpitzky.parity-rows" in pending else None
+        for identity_id, check in list(pending.items()):
+            for expected, actual in check(n, prev, cur, nxt, worpitzky):
+                if expected != actual:
+                    failures[identity_id] = (n, expected, actual)
+                    del pending[identity_id]
+                    break
+        prev, cur = cur, nxt
+    return [_report(i, 1, n_max, failures.get(i)) for i in identity_ids]
+
+
 def verify_bell_forms(n_max: int) -> list[VerificationReport]:
     """Both four-way decompositions of the ordered Bell numbers."""
-    _require_range(n_max)
-
-    def parity_split():
-        for n in range(1, n_max + 1):
-            b = sequences.ordered_bell(n)
-            sign = (-1) ** n
-            yield n, b, -sign + 2 * sequences.ordered_bell_parity(n, "even")
-            yield n, b, sign + 2 * sequences.ordered_bell_parity(n, "odd")
-
-    def shifted_cyclic():
-        for n in range(1, n_max + 1):
-            b = sequences.ordered_bell(n)
-            yield n, b, sequences.cyclic_ordered_bell_even(n + 1)
-            yield n, b, sequences.cyclic_ordered_bell_odd(n + 1)
-
-    return [
-        _sweep("bell.parity-split", 1, n_max, parity_split()),
-        _sweep("bell.shifted-cyclic", 1, n_max, shifted_cyclic()),
-    ]
+    return _sweep_integers(n_max, ("bell.parity-split", "bell.shifted-cyclic"))
 
 
 def verify_cyclic_doubling(n_max: int) -> list[VerificationReport]:
     """Cyclic ordered Bell numbers are twice the shifted ordered Bell numbers."""
-    _require_range(n_max)
-
-    def checks():
-        yield 1, 1, sequences.cyclic_ordered_bell(1)
-        for n in range(2, n_max + 1):
-            yield n, 2 * sequences.ordered_bell(n - 1), sequences.cyclic_ordered_bell(n)
-
-    return [_sweep("cyclic.doubling", 1, n_max, checks())]
+    return _sweep_integers(n_max, ("cyclic.doubling",))
 
 
 def verify_alternating_sums(n_max: int) -> list[VerificationReport]:
     """The two alternating weighted sums collapse to signs."""
-    _require_range(n_max)
-
-    def factorial_sum():
-        for n in range(1, n_max + 1):
-            yield n, (-1) ** n, sequences.alternating_factorial_sum(n)
-
-    def cyclic_sum():
-        for n in range(1, n_max + 1):
-            value = sequences.alternating_cyclic_sum(n)
-            yield n, -1 if n == 1 else 0, value
-            split = sequences.cyclic_ordered_bell_even(n) - sequences.cyclic_ordered_bell_odd(n)
-            yield n, split, value
-
-    return [
-        _sweep("alternating.factorial", 1, n_max, factorial_sum()),
-        _sweep("alternating.cyclic", 1, n_max, cyclic_sum()),
-    ]
+    return _sweep_integers(n_max, ("alternating.factorial", "alternating.cyclic"))
 
 
 def verify_parity_split(n_max: int) -> list[VerificationReport]:
     """Even- and odd-block cyclic counts coincide, in both weight notations."""
-    _require_range(n_max)
+    return _sweep_integers(n_max, ("cyclic.parity-equal", "worpitzky.parity-rows"))
 
-    def cyclic_parity():
-        yield 1, 0, sequences.cyclic_ordered_bell_even(1)
-        yield 1, 1, sequences.cyclic_ordered_bell_odd(1)
-        for n in range(2, n_max + 1):
-            b = sequences.ordered_bell(n - 1)
-            yield n, b, sequences.cyclic_ordered_bell_even(n)
-            yield n, b, sequences.cyclic_ordered_bell_odd(n)
 
-    def worpitzky_rows():
-        for n in range(1, n_max + 1):
-            b = sequences.ordered_bell(n)
-            row = sequences.worpitzky_row(n)
-            yield n, b, sum(row[0::2])
-            yield n, b, sum(row[1::2])
+def _stirling_columns(order: int):
+    """Yield the Stirling column EGFs ``(e^x - 1)^k / k!`` for k = 0..10.
 
-    return [
-        _sweep("cyclic.parity-equal", 1, n_max, cyclic_parity()),
-        _sweep("worpitzky.parity-rows", 1, n_max, worpitzky_rows()),
-    ]
+    Column k is column k-1 times ``(e^x - 1) / k``: one series product per
+    column, where ``series.stirling_column_egf`` raises to the k-th power.
+    """
+    z = series.exp_series(order) - 1
+    column = series.TruncatedSeries.constant(1, order)
+    for k in range(11):
+        if k:
+            column = column * z * Fraction(1, k)
+        yield column
 
 
 def verify_egf_agreement(order: int) -> list[VerificationReport]:
@@ -214,10 +293,10 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
                 extracted = s.egf(order).to_sequence()
                 for n in range(order + 1):  # the EGF's coefficients below first are 0
                     yield n, s.route(n) if n >= s.first else 0, extracted[n]
-        for k in range(11):
-            column = series.stirling_column_egf(k, order).to_sequence()
+        for k, column in enumerate(_stirling_columns(order)):
+            values = column.to_sequence()
             for n in range(order + 1):
-                yield n, sequences.stirling2(n, k), column[n]
+                yield n, sequences.stirling2(n, k), values[n]
 
     def parity_split():
         total = series.cyclic_ordered_bell_egf(order)
@@ -245,7 +324,9 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
 
 
 #: Verify target -> its sweeps, as a function of ``(n_max, order)``. The
-#: verifiers are looked up when called, so a patched or wrapped one is run.
+#: verifiers are looked up when called, so a patched or wrapped one is run
+#: by ``fubini verify TARGET``; ``verify_all`` sweeps the integer identities
+#: itself, in one pass.
 VERIFY_TARGETS = {
     "bell": lambda n_max, order: verify_bell_forms(n_max),
     "cyclic": lambda n_max, order: verify_cyclic_doubling(n_max),
@@ -256,5 +337,7 @@ VERIFY_TARGETS = {
 
 
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:
-    """Run every verifier; the aggregate passes only if each report passes."""
-    return [r for run in VERIFY_TARGETS.values() for r in run(n_max, order)]
+    """Every identity: the seven integer ones in one pass over n = 1..n_max,
+    then the EGF checks at ``order``. The reports come in the order of
+    ``VERIFY_TARGETS``; the aggregate passes only if each report passes."""
+    return _sweep_integers(n_max, _INTEGER_CHECKS) + verify_egf_agreement(order)

@@ -19,7 +19,10 @@ The weighted sums differ only in the shift of the factorial weight, an
 optional parity filter on k and an optional sign, so all seven share one
 reduction over a row. It evaluates the sum in Horner form, from the top
 of the row down, so each step multiplies the accumulator by a small
-integer instead of multiplying a factorial by a row entry.
+integer instead of multiplying a factorial by a row entry. ``_row_sum``
+takes the row itself, so the identity sweep reads each row once for all
+of its sums; ``_worpitzky_rows`` builds the Worpitzky triangle from its
+own recurrence, for the sweep only.
 
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
@@ -126,13 +129,6 @@ def _require_at_least(n: int, minimum: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
 
 
-def _parity_residue(parity: str) -> int:
-    try:
-        return {"even": 0, "odd": 1}[parity]
-    except KeyError:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}") from None
-
-
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-element set into exactly k nonempty blocks."""
     return _shared_triangle.entry(n, k)
@@ -143,22 +139,42 @@ def stirling2_row(n: int) -> list[int]:
     return _shared_triangle.row(n)
 
 
-def _weighted_row_sum(n: int, shift: int, parity: int | None = None,
-                      alternating: bool = False) -> int:
-    """``sum(sign(k) * (k-shift)! * S(n,k))`` over ``shift <= k <= n``.
+#: The weighted row sums by name, as ``(shift, parity, alternating)`` of
+#: :func:`_row_sum`. The public sums and the identity sweep both take their
+#: weights from here.
+_ROW_SUMS = {
+    "ordered_bell": (0, None, False),
+    "ordered_bell_even": (0, 0, False),
+    "ordered_bell_odd": (0, 1, False),
+    "cyclic_ordered_bell": (1, None, False),
+    "cyclic_ordered_bell_even": (1, 0, False),
+    "cyclic_ordered_bell_odd": (1, 1, False),
+    "alternating_factorial_sum": (0, None, True),
+    "alternating_cyclic_sum": (1, None, True),
+}
 
-    The sum is accumulated in Horner form, from ``k = n`` down to
-    ``k = shift``: ``S(n,shift) + 1*(S(n,shift+1) + 2*(S(n,shift+2) + ...))``.
-    At each k the accumulator is multiplied by the small integer
-    ``k+1-shift`` and then takes ``sign(k) * S(n,k)``, so no step multiplies
-    two big integers. ``parity`` (a residue mod 2) keeps only those k, and
-    ``alternating`` makes ``sign(k) = (-1)^k``; otherwise it is 1. The row
-    is looked up through the module global at call time, so a patched
-    ``stirling2_row`` reaches every sum.
+
+def _weighted_row_sum(n: int, name: str) -> int:
+    """The sum ``name`` of :data:`_ROW_SUMS` over row n.
+
+    The row is looked up through the module global at call time, so a
+    patched ``stirling2_row`` reaches every sum.
     """
-    row = stirling2_row(n)
+    return _row_sum(stirling2_row(n), *_ROW_SUMS[name])
+
+
+def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) -> int:
+    """``sum(sign(k) * (k-shift)! * row[k])`` over ``shift <= k < len(row)``.
+
+    The sum is accumulated in Horner form, from the top of the row down to
+    ``k = shift``: ``row[shift] + 1*(row[shift+1] + 2*(row[shift+2] + ...))``.
+    At each k the accumulator is multiplied by the small integer
+    ``k+1-shift`` and then takes ``sign(k) * row[k]``, so no step multiplies
+    two big integers. ``parity`` (a residue mod 2) keeps only those k, and
+    ``alternating`` makes ``sign(k) = (-1)^k``; otherwise it is 1.
+    """
     total = 0
-    for k in range(n, shift - 1, -1):
+    for k in range(len(row) - 1, shift - 1, -1):
         total *= k + 1 - shift
         if parity is not None and k % 2 != parity:
             continue
@@ -172,7 +188,7 @@ def _weighted_row_sum(n: int, shift: int, parity: int | None = None,
 def ordered_bell(n: int) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
     _require_at_least(n, 0)
-    return _weighted_row_sum(n, 0)
+    return _weighted_row_sum(n, "ordered_bell")
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -181,25 +197,27 @@ def ordered_bell_parity(n: int, parity: str) -> int:
     ``sum(k! * S(n,k))`` restricted to even or odd ``k``; defined for n >= 1.
     """
     _require_at_least(n, 1)
-    return _weighted_row_sum(n, 0, parity=_parity_residue(parity))
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _weighted_row_sum(n, f"ordered_bell_{parity}")
 
 
 def cyclic_ordered_bell(n: int) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
     _require_at_least(n, 1)
-    return _weighted_row_sum(n, 1)
+    return _weighted_row_sum(n, "cyclic_ordered_bell")
 
 
 def cyclic_ordered_bell_even(n: int) -> int:
     """Cyclic arrangements with an even number of blocks: sum of (k-1)!*S(n,k), k even."""
     _require_at_least(n, 1)
-    return _weighted_row_sum(n, 1, parity=0)
+    return _weighted_row_sum(n, "cyclic_ordered_bell_even")
 
 
 def cyclic_ordered_bell_odd(n: int) -> int:
     """Cyclic arrangements with an odd number of blocks: sum of (k-1)!*S(n,k), k odd."""
     _require_at_least(n, 1)
-    return _weighted_row_sum(n, 1, parity=1)
+    return _weighted_row_sum(n, "cyclic_ordered_bell_odd")
 
 
 def worpitzky(n: int, k: int) -> int:
@@ -225,10 +243,27 @@ def worpitzky_row(n: int) -> list[int]:
     return values
 
 
+def _worpitzky_rows():
+    """Yield the Worpitzky rows n = 0, 1, 2, ... from their own recurrence.
+
+    ``W(n,k) = (k+1)*W(n-1,k) + k*W(n-1,k-1)`` (Worpitzky 1883; OEIS
+    A028246/A130850) follows from the Stirling recurrence; each step
+    multiplies by small integers, only the previous row is held, and no
+    Stirling row is read, so the identity sweep checks
+    ``worpitzky.parity-rows`` against a triangle of its own. Callers must
+    not mutate a yielded row: the next one is built from it.
+    """
+    row = [1]
+    while True:
+        yield row
+        m = len(row)
+        row = [1, *[(k + 1) * row[k] + k * row[k - 1] for k in range(1, m)], m * row[-1]]
+
+
 def alternating_factorial_sum(n: int) -> int:
     """``sum((-1)^k * k! * S(n,k))``; equals (-1)^n for every n >= 1."""
     _require_at_least(n, 1)
-    return _weighted_row_sum(n, 0, alternating=True)
+    return _weighted_row_sum(n, "alternating_factorial_sum")
 
 
 def alternating_cyclic_sum(n: int) -> int:
@@ -238,7 +273,7 @@ def alternating_cyclic_sum(n: int) -> int:
     and 0 for all n >= 2.
     """
     _require_at_least(n, 1)
-    return _weighted_row_sum(n, 1, alternating=True)
+    return _weighted_row_sum(n, "alternating_cyclic_sum")
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,20 @@ def test_emit_parse_roundtrip_property(offset, values):
     assert parsed.first_index == offset
 
 
+# digits, signs, separators and look-alikes that reach every branch of the line parser
+_BFILE_LIKE = st.text(alphabet="0123456789-+ \t\r\n#_x\u00a0\u0663", max_size=80)
+
+
+@given(st.one_of(st.text(), st.binary(), _BFILE_LIKE, _BFILE_LIKE.map(str.encode)))
+@settings(max_examples=150)
+def test_parse_returns_a_bfile_or_raises_parse_error(text):
+    try:
+        parsed = parse_bfile(text)
+    except BFileParseError:
+        return
+    assert isinstance(parsed, BFile)
+
+
 # -- computed tables and crosschecks ----------------------------------------
 
 

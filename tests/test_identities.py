@@ -1,10 +1,13 @@
 """Verifier behavior: passing sweeps, registry completeness, fault injection."""
 
 import json
+from collections import Counter
+from math import factorial
+from pathlib import Path
 
 import pytest
 
-from fubini import identities, sequences
+from fubini import identities, sequences, series
 from fubini.identities import (
     IDENTITY_IDS,
     VerificationReport,
@@ -132,11 +135,72 @@ def test_corrupted_direct_route_fails_egf_agreement(monkeypatch):
 
 
 def test_corrupted_stirling_entry_fails_worpitzky(monkeypatch):
-    # S(8, 3) is worpitzky(7, 2), read through row 8 of the Worpitzky row sums
-    _corrupt_stirling_row(monkeypatch, target_n=8, target_k=3, delta=1)
+    # S(7, 3) enters ordered_bell(7), the side of the Worpitzky row sums that
+    # reads Stirling rows; the Worpitzky rows come from their own recurrence
+    _corrupt_stirling_row(monkeypatch, target_n=7, target_k=3, delta=1)
     reports = {r.identity_id: r for r in verify_parity_split(20)}
     assert not reports["worpitzky.parity-rows"].passed
     assert reports["worpitzky.parity-rows"].first_failure[0] == 7
+
+
+def test_corrupted_worpitzky_row_fails_worpitzky(monkeypatch):
+    real_rows = sequences._worpitzky_rows
+
+    def corrupted():
+        for n, row in enumerate(real_rows()):
+            yield [*row[:2], row[2] + 1, *row[3:]] if n == 7 else row
+
+    monkeypatch.setattr(sequences, "_worpitzky_rows", corrupted)
+    reports = {r.identity_id: r for r in verify_parity_split(20)}
+    bell = sequences.ordered_bell(7)
+    assert reports["worpitzky.parity-rows"].first_failure == (7, bell, bell + 1)
+    assert reports["cyclic.parity-equal"].passed
+
+
+FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.json"
+
+
+def test_corrupted_rows_give_the_frozen_reports(monkeypatch):
+    """``verify_all(20, 8)`` under S(row, k) += 1, for rows 2..9 and every k,
+    against the reports captured at commit bb992ed, before the one-pass
+    sweep. Only ``worpitzky.parity-rows`` moved: its Worpitzky side no
+    longer reads Stirling rows, so it now fails at n = row, through the
+    corrupted ordered_bell(row) = B(row) + k!.
+    """
+    for case in json.loads(FROZEN_REPORTS.read_text()):
+        row, k = case["row"], case["k"]
+        with monkeypatch.context() as patch:
+            _corrupt_stirling_row(patch, target_n=row, target_k=k, delta=1)
+            reports = [r.to_dict() for r in verify_all(20, 8)]
+        assert len(reports) == len(case["reports"])
+        for report, frozen in zip(reports, case["reports"]):
+            if report["identity_id"] == "worpitzky.parity-rows":
+                bell = sequences.ordered_bell(row)
+                assert report["first_failure"] == {
+                    "n": row, "expected": str(bell + factorial(k)), "actual": str(bell)
+                }, (row, k)
+            else:
+                assert report == frozen, (row, k)
+
+
+def test_sweep_reads_each_stirling_row_once(monkeypatch):
+    reads = Counter()
+    real_row = sequences.stirling2_row
+
+    def counted(n):
+        reads[n] += 1
+        return real_row(n)
+
+    monkeypatch.setattr(sequences, "stirling2_row", counted)
+    identities._sweep_integers(30, identities._INTEGER_CHECKS)
+    # bell.shifted-cyclic reads the cyclic sums at n_max + 1
+    assert reads == Counter(range(1, 32))
+
+
+def test_chained_stirling_columns_match_powers():
+    columns = list(identities._stirling_columns(24))
+    assert len(columns) == 11
+    assert columns[10] == series.stirling_column_egf(10, 24)
 
 
 def test_verify_all_aggregates_failures(monkeypatch):

@@ -242,6 +242,12 @@ def test_worpitzky_row_matches_entries():
         assert worpitzky_row(n) == [worpitzky(n, k) for k in range(n + 1)], n
 
 
+def test_worpitzky_recurrence_rows_match_worpitzky_row():
+    rows = sequences._worpitzky_rows()
+    for n in range(61):
+        assert next(rows) == worpitzky_row(n), n
+
+
 def test_worpitzky_row_rejects_negative_like_worpitzky():
     with pytest.raises(ValueError) as point:
         worpitzky(-1, 0)
