@@ -58,10 +58,17 @@ class OfflineError(RuntimeError):
 
 @dataclass(frozen=True)
 class BFile:
-    """Parsed b-file content: consecutive ``(index, value)`` entries."""
+    """Parsed b-file content: consecutive ``(index, value)`` entries, or ``ValueError``."""
 
     sequence_id: str
     entries: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ValueError("a b-file needs at least one entry")
+        for (index, _), (following, _) in zip(self.entries, self.entries[1:]):
+            if following != index + 1:
+                raise ValueError(f"index {following} not consecutive (gap after {index})")
 
     @property
     def first_index(self) -> int:

@@ -29,8 +29,8 @@ EXIT_ENV = 3
 #: Largest index or row for ``--max``, ``--n`` and ``--limit``. Every value
 #: printed stays below the 4300-digit int-to-str limit (the ordered Bell
 #: number at 1000 has about 2,700 digits); ``compute stirling-row --n 1000``
-#: peaks at 212 MB and ``verify all --max 1000 --order 64`` takes 4.0 s
-#: (218 MB) on a 2-vCPU host.
+#: peaks at 212 MB and ``verify all --max 1000 --order 64`` takes 3.0 s
+#: (20 MB) on a 2-vCPU host.
 MAX_INDEX = 1000
 #: Largest series order for ``--order``, and column for ``--k`` (columns past
 #: the order are zero). On a 2-vCPU host ``egf cyclic-odd --order 256`` takes

@@ -6,14 +6,15 @@ side, rational series coefficient extraction on the other where that
 applies) and reporting the first counterexample instead of raising: a
 violated identity means a code bug, and the report carries the evidence.
 
-The seven integer identities are checks on a window of three per-n
-records, for n-1, n and n+1, that slides forward over n in one pass: on
-first use, each record reads its Stirling row once and computes from it
-every weighted sum that the identities being checked read, and the row is
-not kept. The Worpitzky side of ``worpitzky.parity-rows`` comes from the
-Worpitzky recurrence (``sequences._worpitzky_rows``), not from the
-Stirling rows, so its two sides are built independently. The four integer
-verifiers run their own identities through the same pass, and
+The seven integer identities are checks on a window of three dicts of
+weighted row sums, for n-1, n and n+1, that slides forward over n in one
+pass. The Stirling rows are streamed from the triangle recurrence
+(``sequences._stirling_rows``), not read from the shared memo: each row
+is summed once, for every sum that the identities being checked read,
+and is not kept. The Worpitzky side of ``worpitzky.parity-rows`` comes
+from the Worpitzky recurrence (``sequences._worpitzky_rows``), not from
+the Stirling rows, so its two sides are built independently. The four
+integer verifiers run their own identities through the same pass, and
 ``verify_all`` runs all seven in one. ``ordered_bell`` keeps its own
 accumulator: it is never rebuilt as even plus odd, which would reduce
 ``bell.parity-split`` to ``alternating.factorial``.
@@ -59,22 +60,6 @@ __all__ = [
     "verify_egf_agreement",
     "verify_parity_split",
 ]
-
-IDENTITY_IDS = frozenset(
-    {
-        "bell.parity-split",
-        "bell.shifted-cyclic",
-        "cyclic.doubling",
-        "cyclic.parity-equal",
-        "alternating.factorial",
-        "alternating.cyclic",
-        "worpitzky.parity-rows",
-        "egf.agreement",
-        "egf.parity-split",
-        "egf.derivative",
-    }
-)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -141,28 +126,8 @@ def _require_range(n_max: int, name: str = "n_max") -> None:
         raise ValueError(f"empty range: {name} must be >= 1, got {n_max}")
 
 
-class _Record:
-    """The weighted sums ``names`` (keys of ``sequences._ROW_SUMS``) of Stirling row n.
-
-    On first use the row is read once and every sum in ``names`` is computed
-    from it; the row copy is not kept, so a sweep holds at most one at a
-    time, and a record never used reads nothing.
-    """
-
-    __slots__ = ("n", "names", "_sums")
-
-    def __init__(self, n: int, names):
-        self.n, self.names, self._sums = n, names, None
-
-    def __getitem__(self, name: str) -> int:
-        if self._sums is None:
-            row = sequences.stirling2_row(self.n)
-            self._sums = {s: sequences._row_sum(row, *sequences._ROW_SUMS[s]) for s in self.names}
-        return self._sums[name]
-
-
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
-# yields ``(expected, actual)`` pairs in order, from the records of n-1, n and
+# yields ``(expected, actual)`` pairs in order, from the row sums of n-1, n and
 # n+1 (``prev`` is None at n = 1) and Worpitzky row n.
 
 
@@ -217,27 +182,34 @@ _INTEGER_CHECKS = {
     "worpitzky.parity-rows": (_worpitzky_parity_rows, _BELL),
 }
 
+IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
+
 
 def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
     """Check the given integer identities over n = 1..n_max in one forward pass.
 
-    Only the records of n-1, n and n+1 are live, each holding the sums the
-    given identities read, and an identity stops being checked at its first
-    failure. Worpitzky rows come from ``sequences._worpitzky_rows``, looked
-    up here, and are built only while ``worpitzky.parity-rows`` is still
-    being checked.
+    Stirling rows come from ``sequences._stirling_rows`` and Worpitzky rows
+    from ``sequences._worpitzky_rows``, both looked up here, not from the
+    shared memo. Only the sums of rows n-1, n and n+1 are live, and an
+    identity stops being checked at its first failure. Worpitzky rows are
+    built only while ``worpitzky.parity-rows`` is still being checked.
     """
     _require_range(n_max)
     pending = {i: _INTEGER_CHECKS[i][0] for i in identity_ids}
     names = {name for i in identity_ids for name in _INTEGER_CHECKS[i][1]}
     failures = {}
-    worpitzky_rows = sequences._worpitzky_rows()
-    next(worpitzky_rows)  # row 0
-    prev, cur = None, _Record(1, names)
+    stirling_rows, worpitzky_rows = sequences._stirling_rows(), sequences._worpitzky_rows()
+    next(stirling_rows), next(worpitzky_rows)  # row 0
+
+    def row_sums():
+        row = next(stirling_rows)
+        return {s: sequences._row_sum(row, *sequences._ROW_SUMS[s]) for s in names}
+
+    prev, cur = None, row_sums()
     for n in range(1, n_max + 1):
         if not pending:
             break
-        nxt = _Record(n + 1, names)
+        nxt = row_sums()
         worpitzky = next(worpitzky_rows) if "worpitzky.parity-rows" in pending else None
         for identity_id, check in list(pending.items()):
             for expected, actual in check(n, prev, cur, nxt, worpitzky):

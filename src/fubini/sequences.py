@@ -21,8 +21,10 @@ reduction over a row. It evaluates the sum in Horner form, from the top
 of the row down, so each step multiplies the accumulator by a small
 integer instead of multiplying a factorial by a row entry. ``_row_sum``
 takes the row itself, so the identity sweep reads each row once for all
-of its sums; ``_worpitzky_rows`` builds the Worpitzky triangle from its
-own recurrence, for the sweep only.
+of its sums. ``_stirling_rows`` is the one Stirling recurrence: the memo
+extends itself from it, and the sweep streams its own instance without
+holding the triangle. ``_worpitzky_rows`` builds the Worpitzky triangle
+from its own recurrence, for the sweep only.
 
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
@@ -74,16 +76,35 @@ class SequenceTable:
         object.__setattr__(self, "values", tuple(self.values))
 
 
+def _stirling_rows():
+    """Yield the rows ``[S(n,0), ..., S(n,n)]`` for n = 0, 1, 2, ...
+
+    The one place the triangle recurrence ``S(n,k) = k*S(n-1,k) +
+    S(n-1,k-1)`` is computed; only the previous row is held. Callers must
+    not mutate a yielded row: the next one is built from it.
+    """
+    row = [1]
+    while True:
+        yield row
+        prev, m = row, len(row)
+        row = [0] * (m + 1)  # sized exactly: the memo keeps every row
+        row[m] = 1
+        for k in range(1, m):
+            row[k] = k * prev[k] + prev[k - 1]
+
+
 class StirlingTriangle:
     """Memoized rows of second-kind partition counts.
 
-    Row ``n`` stores ``S(n, 0..n)``. Row extension is serialized with a
-    lock so a shared instance is safe to use from several threads;
-    completed rows are never mutated, and accessors hand out copies.
+    Row ``n`` stores ``S(n, 0..n)``, from the instance's own
+    :func:`_stirling_rows`. Row extension is serialized with a lock so a
+    shared instance is safe to use from several threads; completed rows
+    are never mutated, and accessors hand out copies.
     """
 
     def __init__(self):
-        self._rows: list[list[int]] = [[1]]
+        self._source = _stirling_rows()
+        self._rows: list[list[int]] = [next(self._source)]
         self._lock = threading.Lock()
 
     @property
@@ -94,13 +115,7 @@ class StirlingTriangle:
     def _extend_to(self, n: int) -> None:
         # caller holds the lock
         while len(self._rows) <= n:
-            prev = self._rows[-1]
-            m = len(self._rows)
-            row = [0] * (m + 1)
-            row[m] = 1
-            for k in range(1, m):
-                row[k] = k * prev[k] + prev[k - 1]
-            self._rows.append(row)
+            self._rows.append(next(self._source))
 
     def row(self, n: int) -> list[int]:
         """Return ``[S(n,0), ..., S(n,n)]`` as a fresh list."""

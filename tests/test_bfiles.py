@@ -126,6 +126,20 @@ def test_value_rejects_index_outside_range():
             bfile.value(index)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((), "at least one entry"),
+        (((0, 5), (2, 7)), r"index 2 not consecutive \(gap after 0\)"),
+        (((3, 1), (4, 1), (4, 2)), r"index 4 not consecutive \(gap after 4\)"),
+    ],
+)
+def test_bfile_rejects_empty_or_non_consecutive_entries(entries, message):
+    # a gap would make value(1) return the entry at 2, and crosscheck trust it
+    with pytest.raises(ValueError, match=message):
+        BFile("A000001", entries)
+
+
 def test_parse_rejects_empty_input():
     with pytest.raises(BFileParseError, match="no data"):
         parse_bfile("# nothing but comments\n")

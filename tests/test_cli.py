@@ -4,11 +4,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fubini import bfiles, sequences
 from fubini.cli import MAX_INDEX, MAX_ORDER, main
+from fubini.identities import VERIFY_TARGETS
+from fubini.registry import SEQUENCES
 
 
 def run_cli(capsys, *argv):
@@ -126,15 +131,20 @@ def test_verify_target_structured(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    real_row = sequences.stirling2_row
+    real_row, real_rows = sequences.stirling2_row, sequences._stirling_rows
 
-    def corrupted(n):
-        row = real_row(n)
+    def corrupted(n, row):
         if n == 6:
+            row = list(row)  # a copy: the stream builds the next row from this one
             row[2] += 1
         return row
 
-    monkeypatch.setattr(sequences, "stirling2_row", corrupted)
+    monkeypatch.setattr(sequences, "stirling2_row", lambda n: corrupted(n, real_row(n)))
+    monkeypatch.setattr(
+        sequences,
+        "_stirling_rows",
+        lambda: (corrupted(n, row) for n, row in enumerate(real_rows())),
+    )
     code, out, _ = run_cli(capsys, "verify", "cyclic", "--max", "10")
     assert code == 1
     assert "fail" in out
@@ -154,6 +164,22 @@ def test_verify_usage_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "egf", "--order", "0")
     assert code == 2
     assert err == "error: empty range: order must be >= 1, got 0\n"
+
+
+#: SHA-256 of the stdout of ``verify all --max 200 --order 24`` in each format,
+#: captured before the integer sweep streamed its own Stirling rows.
+VERIFY_ALL_DIGESTS = {
+    "plain": "19f2b244fc3054c006595220f919079170acc1565c066ed383a5db86729045bf",
+    "structured": "1b54265f821eaf35ad75fa2ea34e14a5695cc9f1013a2f6376684ee270115bfd",
+}
+
+
+@pytest.mark.parametrize("fmt, digest", VERIFY_ALL_DIGESTS.items())
+def test_verify_all_output_is_frozen(capsys, fmt, digest):
+    argv = ("verify", "all", "--max", "200", "--order", "24", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- egf ---------------------------------------------------------------------
@@ -307,6 +333,66 @@ def test_help_lists_choices_in_order(capsys, command, choices):
         main([command, "--help"])
     assert excinfo.value.code == 0
     assert f"positional arguments:\n  {choices}\n" in capsys.readouterr().out
+
+
+# -- hostile input -----------------------------------------------------------
+
+#: Each subcommand's positional arguments, valid and not.
+_POSITIONALS = {
+    "compute": [[name] for name, s in SEQUENCES.items() if s.route] + [["nonsense"]],
+    "verify": [["all"], *([target] for target in VERIFY_TARGETS), ["bogus"]],
+    "egf": [[name] for name, s in SEQUENCES.items() if s.egf] + [["stirling-col"], ["bogus"]],
+    "bfile": [
+        [action, sequence_id]
+        for action in ("check", "export", "fetch")
+        for sequence_id in ("A000670", "A008277", "A130850", "A000001", "X1", "")
+    ],
+}
+_NUMBERS = st.integers(-3, 12).map(str)
+_FORMATS = st.sampled_from(["plain", "structured", "bfile"])
+#: Values over every cap, malformed numbers and arbitrary text, for any flag.
+_HOSTILE = st.one_of(
+    st.sampled_from([str(MAX_INDEX + 1), str(MAX_ORDER + 1), "9" * 30]),
+    st.sampled_from(["", "0x1f", "1e3", "+3", "1_0", "\u0661"]),
+    st.text(max_size=4),
+)
+#: Each subcommand's flags and their well-formed values.
+_FLAGS = {
+    "compute": {"--max": _NUMBERS, "--n": _NUMBERS, "--format": _FORMATS},
+    "verify": {"--max": _NUMBERS, "--order": _NUMBERS, "--format": _FORMATS},
+    "egf": {"--order": _NUMBERS, "--k": _NUMBERS},
+    "bfile": {"--limit": _NUMBERS, "--cache-dir": st.just("cache")},
+}
+#: A trailing token: any value, or a flag of another subcommand.
+_JUNK = _HOSTILE | st.sampled_from(["-h", "--", "-", "--bogus", "--max", "--k", "--limit"])
+
+
+@st.composite
+def _hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(_POSITIONALS)))
+    argv = [command, *draw(st.sampled_from(_POSITIONALS[command]))]
+    if command == "verify":  # its defaults, --max 200 --order 64, take about a second
+        argv += ["--max", "6", "--order", "6"]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values | _HOSTILE)]
+    argv += draw(st.lists(_JUNK, max_size=1))
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return exc.code
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(argv=_hostile_argv())
+def test_hostile_argv_exits_with_a_code(argv):
+    # argparse takes any prefix of --network for it, and no example may fetch
+    assume(not (argv[0] == "bfile" and any(token.startswith("--n") for token in argv)))
+    assert _exit_code(argv) in (0, 1, 2, 3), argv
 
 
 # -- installed entry point -----------------------------------------------------

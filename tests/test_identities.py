@@ -90,15 +90,20 @@ def test_report_serialization_roundtrip():
 
 
 def _corrupt_stirling_row(monkeypatch, target_n, target_k, delta):
-    real_row = sequences.stirling2_row
+    """Corrupt S(target_n, target_k) on both Stirling routes: the memo's
+    ``stirling2_row`` and the stream ``_stirling_rows`` that the sweep reads."""
+    real_row, real_rows = sequences.stirling2_row, sequences._stirling_rows
 
-    def corrupted(n):
-        row = real_row(n)
+    def corrupt(n, row):
         if n == target_n and target_k < len(row):
+            row = list(row)  # a copy: the stream builds the next row from this one
             row[target_k] += delta
         return row
 
-    monkeypatch.setattr(sequences, "stirling2_row", corrupted)
+    monkeypatch.setattr(sequences, "stirling2_row", lambda n: corrupt(n, real_row(n)))
+    monkeypatch.setattr(
+        sequences, "_stirling_rows", lambda: (corrupt(n, row) for n, row in enumerate(real_rows()))
+    )
 
 
 def test_corrupted_row_fails_cyclic_doubling(monkeypatch):
@@ -184,17 +189,27 @@ def test_corrupted_rows_give_the_frozen_reports(monkeypatch):
 
 
 def test_sweep_reads_each_stirling_row_once(monkeypatch):
-    reads = Counter()
-    real_row = sequences.stirling2_row
+    memo_reads, taken = Counter(), Counter()
+    real_row, real_rows = sequences.stirling2_row, sequences._stirling_rows
 
-    def counted(n):
-        reads[n] += 1
+    def counted_row(n):
+        memo_reads[n] += 1
         return real_row(n)
 
-    monkeypatch.setattr(sequences, "stirling2_row", counted)
+    def counted_rows():
+        for n, row in enumerate(real_rows()):
+            taken[n] += 1
+            yield row
+
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences.StirlingTriangle())
+    monkeypatch.setattr(sequences, "stirling2_row", counted_row)
+    monkeypatch.setattr(sequences, "_stirling_rows", counted_rows)
     identities._sweep_integers(30, identities._INTEGER_CHECKS)
+    assert memo_reads == Counter()
     # bell.shifted-cyclic reads the cyclic sums at n_max + 1
-    assert reads == Counter(range(1, 32))
+    assert taken == Counter(range(32))
+    # the sweep ran past the memo's last row without extending it
+    assert sequences._shared_triangle.max_n == 0
 
 
 def test_chained_stirling_columns_match_powers():
