@@ -19,14 +19,11 @@ temp-file-then-rename write.
 import os
 import re
 import sys
-import tempfile
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from fubini.identities import VerificationReport
 from fubini.registry import BY_OEIS_ID
-from fubini.sequences import SequenceTable
+from fubini.sequences import SequenceTable, _FrozenRecord
 
 __all__ = [
     "BFile",
@@ -56,19 +53,18 @@ class OfflineError(RuntimeError):
     """Raised when a network fetch is attempted without networking enabled."""
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(_FrozenRecord):
     """Parsed b-file content: consecutive ``(index, value)`` entries, or ``ValueError``."""
 
-    sequence_id: str
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("sequence_id", "entries")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, sequence_id: str, entries: tuple[tuple[int, int], ...]):
+        if not entries:
             raise ValueError("a b-file needs at least one entry")
-        for (index, _), (following, _) in zip(self.entries, self.entries[1:]):
+        for (index, _), (following, _) in zip(entries, entries[1:]):
             if following != index + 1:
                 raise ValueError(f"index {following} not consecutive (gap after {index})")
+        self._set(sequence_id, entries)
 
     @property
     def first_index(self) -> int:
@@ -174,6 +170,8 @@ def load_fixture(sequence_id: str) -> BFile:
     """Load a bundled reference b-file."""
     if _check_sequence_id(sequence_id) not in BY_OEIS_ID:
         raise ValueError(f"no bundled fixture for {sequence_id}")
+    from importlib import resources  # deferred: only load_fixture needs it
+
     path = resources.files("fubini").joinpath("data", _filename(sequence_id))
     return parse_bfile(path.read_text("ascii"), sequence_id)
 
@@ -244,7 +242,8 @@ def fetch_bfile(
     if cached_path.exists():
         return parse_bfile(cached_path.read_bytes(), sequence_id)
 
-    import urllib.request  # deferred: costs about half of the CLI's import time
+    import tempfile  # deferred, like urllib.request: only a download needs them
+    import urllib.request
 
     url = _OEIS_URL.format(sequence_id=sequence_id, filename=filename)
     request = urllib.request.Request(url, headers={"User-Agent": _USER_AGENT})

@@ -7,16 +7,17 @@ coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck
 failure, 2 usage error, 3 environment error (network disabled or
 transport failure). A flag above its cap, :data:`MAX_INDEX` or
-:data:`MAX_ORDER`, is a usage error.
+:data:`MAX_ORDER`, is a usage error, and so is an abbreviated flag.
+
+Each command imports what only it needs (``series``, ``bfiles``, ``json``)
+when it runs, so a short command does not pay for the others' imports.
 """
 
 import argparse
-import json
 import sys
-import urllib.error
 from math import factorial
 
-from fubini import bfiles, identities, sequences, series
+from fubini import identities, sequences
 from fubini.registry import SEQUENCES
 
 __all__ = ["MAX_INDEX", "MAX_ORDER", "build_parser", "main"]
@@ -54,8 +55,10 @@ def _usage_error(message: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix of --network must not turn it on
     parser = argparse.ArgumentParser(
         prog="fubini",
+        allow_abbrev=False,
         description=(
             "Exact ordered Bell / partition-count sequences, identity "
             "verification, generating-function inspection, and OEIS "
@@ -65,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser(
-        "compute", help="print sequence values, one 'index value' line each"
+        "compute",
+        help="print sequence values, one 'index value' line each",
+        allow_abbrev=False,
     )
     compute.add_argument(
         "sequence",
@@ -76,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=("plain", "bfile"), default="plain")
     compute.set_defaults(func=_cmd_compute)
 
-    verify = sub.add_parser("verify", help="sweep the identity suite")
+    verify = sub.add_parser("verify", help="sweep the identity suite", allow_abbrev=False)
     verify.add_argument("target", choices=["all", *identities.VERIFY_TARGETS])
     verify.add_argument("--max", type=int, dest="n_max", default=200)
     verify.add_argument("--order", type=int, default=64)
@@ -84,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     egf = sub.add_parser(
-        "egf", help="print exact generating-function coefficients"
+        "egf", help="print exact generating-function coefficients", allow_abbrev=False
     )
     egf.add_argument(
         "gf", choices=[name for name, s in SEQUENCES.items() if s.egf] + ["stirling-col"]
@@ -93,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     egf.add_argument("--k", type=int, help="column for gf=stirling-col")
     egf.set_defaults(func=_cmd_egf)
 
-    bfile = sub.add_parser("bfile", help="check/export/fetch OEIS b-files")
+    bfile = sub.add_parser(
+        "bfile", help="check/export/fetch OEIS b-files", allow_abbrev=False
+    )
     bfile.add_argument("action", choices=("check", "export", "fetch"))
     bfile.add_argument("sequence_id", metavar="SEQUENCE_ID")
     bfile.add_argument("--limit", type=int, help="inclusive maximum index")
@@ -108,6 +115,8 @@ def _print_table(table: sequences.SequenceTable, fmt: str) -> None:
     # plain and b-file output share the "index value" line shape; the
     # bfile path goes through the emitter so round trips are exercised.
     if fmt == "bfile":
+        from fubini import bfiles
+
         sys.stdout.write(bfiles.emit_bfile(table))
     else:
         for i, value in enumerate(table.values):
@@ -142,6 +151,8 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "structured":
+        import json
+
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         for report in reports:
@@ -157,6 +168,8 @@ def _cmd_egf(args) -> int:
             return _usage_error("gf 'stirling-col' needs --k COLUMN")
         if args.k < 0:
             return _usage_error(f"--k must be >= 0, got {args.k}")
+        from fubini import series
+
         gf = series.stirling_column_egf(args.k, args.order)
     else:
         gf = SEQUENCES[args.gf].egf(args.order)
@@ -170,6 +183,10 @@ def _cmd_egf(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
+    import urllib.error
+
+    from fubini import bfiles
+
     sequence_id = args.sequence_id
     try:
         if args.action == "fetch":

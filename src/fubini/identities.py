@@ -43,11 +43,7 @@ The full registry of identity ids:
   ordered-Bell EGF, coefficientwise
 """
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
-
-from fubini import registry, sequences, series
+from fubini import sequences
 
 __all__ = [
     "IDENTITY_IDS",
@@ -61,8 +57,7 @@ __all__ = [
     "verify_parity_split",
 ]
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(sequences._FrozenRecord):
     """Outcome of sweeping one identity over a range of indices.
 
     ``status`` is "pass" exactly when no counterexample was found;
@@ -70,16 +65,20 @@ class VerificationReport:
     smallest index checked that failed.
     """
 
-    identity_id: str
-    range_checked: tuple[int, int]
-    status: str
-    first_failure: tuple[int, object, object] | None = None
+    __slots__ = ("identity_id", "range_checked", "status", "first_failure")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {self.status!r}")
-        if (self.status == "pass") != (self.first_failure is None):
+    def __init__(
+        self,
+        identity_id: str,
+        range_checked: tuple[int, int],
+        status: str,
+        first_failure: tuple[int, object, object] | None = None,
+    ):
+        if status not in ("pass", "fail"):
+            raise ValueError(f"status must be 'pass' or 'fail', got {status!r}")
+        if (status == "pass") != (first_failure is None):
             raise ValueError("status and first_failure are inconsistent")
+        self._set(identity_id, range_checked, status, first_failure)
 
     @property
     def passed(self) -> bool:
@@ -106,6 +105,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
@@ -247,6 +248,10 @@ def _stirling_columns(order: int):
     Column k is column k-1 times ``(e^x - 1) / k``: one series product per
     column, where ``series.stirling_column_egf`` raises to the k-th power.
     """
+    from fractions import Fraction
+
+    from fubini import series
+
     z = series.exp_series(order) - 1
     column = series.TruncatedSeries.constant(1, order)
     for k in range(11):
@@ -257,6 +262,8 @@ def _stirling_columns(order: int):
 
 def verify_egf_agreement(order: int) -> list[VerificationReport]:
     """Every generating function agrees with the direct integer route."""
+    from fubini import registry, series
+
     _require_range(order, "order")
 
     def agreement():

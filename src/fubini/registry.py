@@ -3,9 +3,10 @@
 Adding a sequence is one :class:`Sequence` entry. Each route looks up its
 ``sequences`` or ``series`` function when called, so a patched or wrapped
 one is used; the registry holds no arithmetic, so the routes stay independent.
+``series`` is imported by the first EGF built, not with the registry.
 """
 
-from fubini import sequences, series
+from fubini import sequences
 
 __all__ = ["BY_OEIS_ID", "SEQUENCES", "Sequence"]
 
@@ -33,17 +34,28 @@ class Sequence:
         return values[: last - self.first + 1]
 
 
+def _egf(builder: str):
+    """The route ``order -> series.<builder>(order)``, importing ``series`` when called."""
+
+    def egf(order):
+        from fubini import series
+
+        return getattr(series, builder)(order)
+
+    return egf
+
+
 #: Every named sequence by CLI name, in the order the CLI lists them.
 SEQUENCES = {s.name: s for s in (
     Sequence("bell", 0, lambda n: sequences.ordered_bell(n),
-             lambda order: series.ordered_bell_egf(order), "A000670"),
+             _egf("ordered_bell_egf"), "A000670"),
     Sequence("cyclic", 1, lambda n: sequences.cyclic_ordered_bell(n),
-             lambda order: series.cyclic_ordered_bell_egf(order)),
+             _egf("cyclic_ordered_bell_egf")),
     Sequence("cyclic-even", 1, lambda n: sequences.cyclic_ordered_bell_even(n),
-             lambda order: series.cyclic_ordered_bell_even_egf(order)),
+             _egf("cyclic_ordered_bell_even_egf")),
     Sequence("cyclic-odd", 1, lambda n: sequences.cyclic_ordered_bell_odd(n),
-             lambda order: series.cyclic_ordered_bell_odd_egf(order)),
-    Sequence("double-shifted-bell", 1, egf=lambda order: series.double_shifted_bell_egf(order)),
+             _egf("cyclic_ordered_bell_odd_egf")),
+    Sequence("double-shifted-bell", 1, egf=_egf("double_shifted_bell_egf")),
     Sequence("stirling-row", 1, lambda n: sequences.stirling2_row(n),
              oeis_id="A008277", row=True),
     Sequence("worpitzky-row", 0, lambda n: sequences.worpitzky_row(n),

@@ -32,7 +32,6 @@ against an independent route.
 """
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -64,16 +63,56 @@ MAX_ENUMERATION_N = 12
 MAX_ORDERED_ENUMERATION_N = 9
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class _FrozenRecord:
+    """Base of the immutable record classes: frozen value objects with named fields.
+
+    A subclass lists its fields in ``__slots__`` and sets them once, through
+    :meth:`_set`, in its ``__init__``. Equality, ``hash`` and ``repr`` follow
+    the fields in order; assigning or deleting a field raises
+    ``AttributeError``; pickling and copying call the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class SequenceTable(_FrozenRecord):
     """A named run of exact integer values; index i holds a(offset + i)."""
 
-    name: str
-    offset: int
-    values: tuple[int, ...]
+    __slots__ = ("name", "offset", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, name: str, offset: int, values: tuple[int, ...]):
+        self._set(name, offset, tuple(values))
 
 
 def _stirling_rows():

@@ -7,7 +7,7 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fubini import bfiles, sequences
@@ -298,6 +298,27 @@ def test_bfile_fetch_offline(capsys, tmp_path):
     assert "offline" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bfile", "fetch", "A000670", "--n"],
+        ["bfile", "fetch", "A000670", "--netw"],
+        ["compute", "bell", "--ma", "3"],
+        ["verify", "parity", "--max", "5", "--form", "structured"],
+    ],
+)
+def test_abbreviated_flags_are_usage_errors(capsys, monkeypatch, argv):
+    # networking is opt-in, so only its full spelling may turn it on
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("fetch_bfile was called")
+
+    monkeypatch.setattr(bfiles, "fetch_bfile", no_fetch)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bfile_unknown_ids(capsys):
     code, _, err = run_cli(capsys, "bfile", "check", "X123")
     assert code == 2
@@ -390,8 +411,6 @@ def _exit_code(argv):
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(argv=_hostile_argv())
 def test_hostile_argv_exits_with_a_code(argv):
-    # argparse takes any prefix of --network for it, and no example may fetch
-    assume(not (argv[0] == "bfile" and any(token.startswith("--n") for token in argv)))
     assert _exit_code(argv) in (0, 1, 2, 3), argv
 
 
