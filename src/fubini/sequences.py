@@ -21,17 +21,22 @@ reduction over a row. It evaluates the sum in Horner form, from the top
 of the row down, so each step multiplies the accumulator by a small
 integer instead of multiplying a factorial by a row entry. ``_row_sum``
 takes the row itself, so the identity sweep reads each row once for all
-of its sums. ``_stirling_rows`` is the one Stirling recurrence: the memo
-extends itself from it, and the sweep streams its own instance without
-holding the triangle. ``_worpitzky_rows`` builds the Worpitzky triangle
-from its own recurrence, for the sweep only.
+of its sums. ``_next_stirling_row`` is the one Stirling recurrence step:
+the sweep streams rows through ``_stirling_rows`` without holding the
+triangle, and the memo, ``StirlingTriangle``, steps with it too. The memo
+is bounded: it keeps every 16th row (a checkpoint) and the other rows read
+most recently up to a byte budget, and recomputes any other row from the
+nearest held row below it. ``_worpitzky_rows`` builds the Worpitzky
+triangle from its own recurrence, for the sweep only.
 
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
 against an independent route.
 """
 
+import sys
 import threading
+from collections import OrderedDict
 from functools import lru_cache
 from math import factorial
 
@@ -115,54 +120,124 @@ class SequenceTable(_FrozenRecord):
         self._set(name, offset, tuple(values))
 
 
+def _next_stirling_row(prev: list[int]) -> list[int]:
+    """Row n+1 of the triangle from row n, by ``S(n,k) = k*S(n-1,k) + S(n-1,k-1)``.
+
+    The one place the recurrence is computed: :func:`_stirling_rows` and
+    :class:`StirlingTriangle` both step with it.
+    """
+    m = len(prev)
+    row = [0] * (m + 1)  # sized exactly: no list over-allocation in a held row
+    row[m] = 1
+    for k in range(1, m):
+        row[k] = k * prev[k] + prev[k - 1]
+    return row
+
+
 def _stirling_rows():
     """Yield the rows ``[S(n,0), ..., S(n,n)]`` for n = 0, 1, 2, ...
 
-    The one place the triangle recurrence ``S(n,k) = k*S(n-1,k) +
-    S(n-1,k-1)`` is computed; only the previous row is held. Callers must
-    not mutate a yielded row: the next one is built from it.
+    Only the previous row is held. Callers must not mutate a yielded row:
+    the next one is built from it.
     """
     row = [1]
     while True:
         yield row
-        prev, m = row, len(row)
-        row = [0] * (m + 1)  # sized exactly: the memo keeps every row
-        row[m] = 1
-        for k in range(1, m):
-            row[k] = k * prev[k] + prev[k - 1]
+        row = _next_stirling_row(row)
+
+
+def _row_bytes(row: list[int]) -> int:
+    """Size of a row in bytes, from every 8th entry.
+
+    Entry sizes vary slowly along a row, so the sample is within 0.1% from
+    n = 400 on (4% at n = 50, where a row takes 2.5 kB); sizing every entry
+    would cost 40% of a recurrence step at n = 1000.
+    """
+    return sys.getsizeof(row) + 8 * sum(map(sys.getsizeof, row[::8]))
+
+
+#: The triangle keeps row n for good when n is a multiple of
+#: ``_CHECKPOINT_EVERY``, and the other rows read most recently up to
+#: ``_RECENT_BYTES`` in all. Chosen on perfbench lookup's seed-3 job, run in
+#: one process on a 2-vCPU host, where keeping every row peaks at 114 MB RSS
+#: and answers the queries in 108-116 ms. Spacing 16 with 8 MiB peaks at
+#: 26 MB and takes 127-129 ms, with 398 recurrence steps; spacing 8 peaks at
+#: 32 MB (123-129 ms), and 32 at 23 MB (149-153 ms). Lookup's 63 rows, less
+#: the checkpoints among them, take 4.5 MB, so a 4 MiB budget thrashes
+#: (270 ms at spacing 16, 1,839 steps) and 2 MiB more so (810 ms). At
+#: n = 1000 the checkpoints every 16 rows take 12 MB (every 8: 25 MB), and
+#: all rows 198 MB.
+_CHECKPOINT_EVERY = 16
+_RECENT_BYTES = 8 << 20
 
 
 class StirlingTriangle:
-    """Memoized rows of second-kind partition counts.
+    """Rows of second-kind partition counts, with a bounded memo.
 
-    Row ``n`` stores ``S(n, 0..n)``, from the instance's own
-    :func:`_stirling_rows`. Row extension is serialized with a lock so a
-    shared instance is safe to use from several threads; completed rows
-    are never mutated, and accessors hand out copies.
+    Row ``n`` is ``S(n, 0..n)``. The memo keeps two kinds of rows:
+
+    * checkpoints: every row whose index is a multiple of
+      ``_CHECKPOINT_EVERY``, up to the highest row computed;
+    * recent rows: the other rows most recently read, least recently used
+      first out once their total size passes ``_RECENT_BYTES`` bytes (the
+      newest is always kept).
+
+    A row that is not held is recomputed from the nearest held row below it
+    with :func:`_next_stirling_row`, the step :func:`_stirling_rows` takes:
+    at most ``_CHECKPOINT_EVERY - 1`` steps below :attr:`max_n`, and above it
+    the walk appends the checkpoints it passes. So the memo holds the
+    checkpoints, a sixteenth of the triangle, plus about ``_RECENT_BYTES``,
+    where keeping every row would hold the whole triangle. Lookups,
+    extensions and recomputations are serialized with one lock, so a
+    shared instance is safe to use from several threads; held rows are
+    never mutated, and accessors hand out copies.
     """
 
     def __init__(self):
-        self._source = _stirling_rows()
-        self._rows: list[list[int]] = [next(self._source)]
+        self._checkpoints: list[list[int]] = [[1]]
+        self._recent: OrderedDict[int, list[int]] = OrderedDict()
+        self._recent_bytes = 0
+        self._max_n = 0
         self._lock = threading.Lock()
 
     @property
     def max_n(self) -> int:
         """Index of the highest row computed so far."""
-        return len(self._rows) - 1
+        return self._max_n
 
-    def _extend_to(self, n: int) -> None:
+    def _get(self, n: int) -> list[int]:
         # caller holds the lock
-        while len(self._rows) <= n:
-            self._rows.append(next(self._source))
+        checkpoint, offset = divmod(n, _CHECKPOINT_EVERY)
+        if not offset and checkpoint < len(self._checkpoints):
+            return self._checkpoints[checkpoint]
+        row = self._recent.get(n)
+        if row is not None:
+            self._recent.move_to_end(n)
+            return row
+        start = min(checkpoint, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
+        row = self._checkpoints[start // _CHECKPOINT_EVERY]
+        for m in range(n - 1, start, -1):
+            if m in self._recent:
+                start, row = m, self._recent[m]
+                break
+        for m in range(start + 1, n + 1):  # crosses a checkpoint only above the held ones
+            row = _next_stirling_row(row)
+            if m % _CHECKPOINT_EVERY == 0:
+                self._checkpoints.append(row)
+        self._max_n = max(self._max_n, n)
+        if n % _CHECKPOINT_EVERY:
+            self._recent[n] = row
+            self._recent_bytes += _row_bytes(row)
+            while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
+                self._recent_bytes -= _row_bytes(self._recent.popitem(last=False)[1])
+        return row
 
     def row(self, n: int) -> list[int]:
         """Return ``[S(n,0), ..., S(n,n)]`` as a fresh list."""
         if n < 0:
             raise ValueError(f"row index must be >= 0, got {n}")
         with self._lock:
-            self._extend_to(n)
-            return list(self._rows[n])
+            return list(self._get(n))
 
     def entry(self, n: int, k: int) -> int:
         """Return ``S(n, k)``; zero for ``k > n``."""
@@ -171,8 +246,7 @@ class StirlingTriangle:
         if k > n:
             return 0
         with self._lock:
-            self._extend_to(n)
-            return self._rows[n][k]
+            return self._get(n)[k]
 
 
 _shared_triangle = StirlingTriangle()
@@ -225,13 +299,17 @@ def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) 
     At each k the accumulator is multiplied by the small integer
     ``k+1-shift`` and then takes ``sign(k) * row[k]``, so no step multiplies
     two big integers. ``parity`` (a residue mod 2) keeps only those k, and
-    ``alternating`` makes ``sign(k) = (-1)^k``; otherwise it is 1.
+    the loop steps over them alone: the accumulator is multiplied by
+    ``(k+1-shift)*(k+2-shift)``, and the lowest kept k, ``shift`` or
+    ``shift+1``, has weight 1. ``alternating`` makes ``sign(k) = (-1)^k``;
+    otherwise it is 1.
     """
+    step, low = (1, shift) if parity is None else (2, shift + (parity - shift) % 2)
+    top = len(row) - 1
     total = 0
-    for k in range(len(row) - 1, shift - 1, -1):
-        total *= k + 1 - shift
-        if parity is not None and k % 2 != parity:
-            continue
+    for k in range(top - (top - low) % step, low - 1, -step):
+        j = k - shift
+        total *= j + 1 if step == 1 else (j + 1) * (j + 2)
         if alternating and k % 2:
             total -= row[k]
         else:

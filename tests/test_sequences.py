@@ -1,7 +1,11 @@
 """Exact-sequence kernels against enumeration oracles and frozen values."""
 
+import itertools
 import math
+import random
+import sys
 import threading
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -88,20 +92,75 @@ def test_triangle_concurrent_extension():
     triangle = StirlingTriangle()
     failures = []
 
-    def worker():
+    def worker(indices):
         try:
-            for n in range(0, 121, 7):
+            for n in indices:
                 assert triangle.row(n) == stirling2_row(n)
         except AssertionError as exc:  # pragma: no cover - only on bug
             failures.append(exc)
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    ascending = range(0, 121, 7)
+    # the descending worker extends to the top first, so the others recompute
+    # rows below max_n while it and they read
+    orders = [ascending] * 4 + [ascending[::-1]]
+    threads = [threading.Thread(target=worker, args=(indices,)) for indices in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not failures
     assert triangle.max_n >= 119
+
+
+def _read_orders(top: int) -> dict[str, list[int]]:
+    ascending = list(range(top + 1))
+    shuffled = ascending[:]
+    random.Random(10).shuffle(shuffled)
+    return {
+        "descending": ascending[::-1],
+        "random": shuffled,
+        "interleaved": [n for pair in zip(ascending, reversed(ascending)) for n in pair],
+    }
+
+
+@pytest.mark.parametrize("order", ["descending", "random", "interleaved"])
+def test_triangle_recomputes_the_streamed_rows(order):
+    # rows 0..420 hold about 15 MB, so reading them all passes 26
+    # checkpoints and evicts recent rows past the byte budget
+    top = 420
+    expected = list(itertools.islice(sequences._stirling_rows(), top + 1))
+    triangle = StirlingTriangle()
+    for n in _read_orders(top)[order]:
+        assert triangle.row(n) == expected[n], n
+        assert triangle.entry(n, n // 3) == expected[n][n // 3], n
+    assert triangle.max_n == top
+    assert triangle._recent_bytes <= sequences._RECENT_BYTES
+    assert len(triangle._recent) < top + 1 - len(triangle._checkpoints)
+
+
+def test_triangle_memory_stays_within_checkpoints_and_budget():
+    # keeping every row retains about 42 MB at row 600
+    top, every = 600, sequences._CHECKPOINT_EVERY
+    checkpoint_bytes = sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+        for n, row in enumerate(itertools.islice(sequences._stirling_rows(), top + 1))
+        if n % every == 0
+    )
+    tracemalloc.start()
+    try:
+        triangle = StirlingTriangle()
+        triangle.row(top)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert triangle.max_n == top
+    assert retained < checkpoint_bytes + sequences._RECENT_BYTES
 
 
 # -- enumeration oracles -------------------------------------------------
