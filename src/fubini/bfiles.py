@@ -23,7 +23,7 @@ from pathlib import Path
 
 from fubini.identities import VerificationReport
 from fubini.registry import BY_OEIS_ID
-from fubini.sequences import SequenceTable, _FrozenRecord
+from fubini.sequences import SequenceTable, _FrozenRecord, _require_at_least
 
 __all__ = [
     "BFile",
@@ -83,7 +83,14 @@ class BFile(_FrozenRecord):
         return self.entries[index - self.first_index][1]
 
 
+def _require_type(value, expected, name: str) -> None:
+    if not isinstance(value, expected):
+        names = " or ".join(t.__name__ for t in expected)
+        raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
+
+
 def _check_sequence_id(sequence_id: str) -> str:
+    _require_type(sequence_id, (str,), "sequence_id")
     if not _SEQUENCE_ID_RE.match(sequence_id):
         raise ValueError(
             f"invalid OEIS sequence id {sequence_id!r} (expected 'A' + 6 digits)"
@@ -104,6 +111,7 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
     must be consecutive; violations raise :class:`BFileParseError` naming
     the line, as does a value longer than ``sys.get_int_max_str_digits()``.
     """
+    _require_type(text, (str, bytes), "text")
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -149,6 +157,7 @@ def emit_bfile(table: SequenceTable) -> str:
     A value longer than ``sys.get_int_max_str_digits()`` raises ``ValueError``
     naming its index.
     """
+    _require_type(table, (SequenceTable,), "table")
     lines = []
     for index, value in enumerate(table.values, start=table.offset):
         try:
@@ -185,9 +194,7 @@ def computed_table(sequence_id: str, limit: int) -> SequenceTable:
     sequence = BY_OEIS_ID.get(_check_sequence_id(sequence_id))
     if sequence is None:
         raise ValueError(f"no computable sequence registered for {sequence_id}")
-    if limit < sequence.first:
-        raise ValueError(f"limit must be >= {sequence.first} for {sequence_id}, got {limit}")
-    return SequenceTable(sequence_id, sequence.first, tuple(sequence.terms(limit)))
+    return SequenceTable(sequence_id, sequence.first, tuple(sequence.terms(limit, "limit")))
 
 
 def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> VerificationReport:
@@ -196,8 +203,9 @@ def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> Verific
     The comparison covers the overlap of both index ranges, clamped to
     indices ``<= limit``; an empty overlap is an error, not a failure.
     """
-    if limit < computed.offset:
-        raise ValueError(f"limit {limit} is below the computed offset {computed.offset}")
+    _require_type(computed, (SequenceTable,), "computed")
+    _require_type(reference, (BFile,), "reference")
+    limit = _require_at_least(limit, computed.offset, "limit")
     lo = max(computed.offset, reference.first_index)
     hi = min(computed.offset + len(computed.values) - 1, reference.last_index, limit)
     if lo > hi:

@@ -4,10 +4,10 @@ Four subcommands: ``compute`` prints sequence values, ``verify`` sweeps
 the identity suite, ``egf`` prints exact generating-function
 coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
-Exit codes: 0 success (all identities pass), 1 identity or crosscheck
-failure, 2 usage error, 3 environment error (network disabled or
-transport failure). A flag above its cap, :data:`MAX_INDEX` or
-:data:`MAX_ORDER`, is a usage error, and so is an abbreviated flag.
+Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure,
+2 usage error, 3 environment error (network disabled or transport failure). A
+usage error is an abbreviated flag, a flag above :data:`MAX_INDEX` or
+:data:`MAX_ORDER`, or a ``ValueError`` from the library, whose message is printed.
 
 Each command imports what only it needs (``series``, ``bfiles``, ``json``)
 when it runs, so a short command does not pay for the others' imports.
@@ -131,16 +131,11 @@ def _cmd_compute(args) -> int:
     if sequence.row:
         if args.row_n is None:
             return _usage_error(f"sequence {name!r} needs --n ROW")
-        if args.row_n < 0:
-            return _usage_error(f"--n must be >= 0, got {args.row_n}")
         table = sequences.SequenceTable(name, 0, tuple(sequence.route(args.row_n)))
     else:
-        first = sequence.first
         if args.n_max is None:
             return _usage_error(f"sequence {name!r} needs --max N")
-        if args.n_max < first:
-            return _usage_error(f"--max must be >= {first} for {name!r}, got {args.n_max}")
-        table = sequences.SequenceTable(name, first, tuple(sequence.terms(args.n_max)))
+        table = sequences.SequenceTable(name, sequence.first, tuple(sequence.terms(args.n_max)))
     _print_table(table, args.format)
     return EXIT_OK
 
@@ -148,10 +143,7 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     # every choice but "all" is a key of VERIFY_TARGETS
     run = identities.VERIFY_TARGETS.get(args.target, identities.verify_all)
-    try:
-        reports = run(args.n_max, args.order)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    reports = run(args.n_max, args.order)
     if args.format == "structured":
         import json
 
@@ -163,13 +155,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_egf(args) -> int:
-    if args.order < 0:
-        return _usage_error(f"--order must be >= 0, got {args.order}")
     if args.gf == "stirling-col":
         if args.k is None:
             return _usage_error("gf 'stirling-col' needs --k COLUMN")
-        if args.k < 0:
-            return _usage_error(f"--k must be >= 0, got {args.k}")
         from fubini import series
 
         gf = series.stirling_column_egf(args.k, args.order)
@@ -216,8 +204,6 @@ def _cmd_bfile(args) -> int:
     except urllib.error.URLError as exc:
         print(f"error: transport failure: {exc}", file=sys.stderr)
         return EXIT_ENV
-    except (ValueError, bfiles.BFileParseError) as exc:
-        return _usage_error(str(exc))
 
 
 def main(argv=None) -> int:
@@ -227,7 +213,10 @@ def main(argv=None) -> int:
         value = getattr(args, dest, None)
         if value is not None and value > cap:
             return _usage_error(f"{flag} must be <= {cap}, got {value}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the library's argument checks
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

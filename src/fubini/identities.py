@@ -122,9 +122,11 @@ def _sweep(identity_id, lo, hi, checks) -> VerificationReport:
     return _report(identity_id, lo, hi)
 
 
-def _require_range(n_max: int, name: str = "n_max") -> None:
-    if n_max < 1:
-        raise ValueError(f"empty range: {name} must be >= 1, got {n_max}")
+def _require_range(n_max, name: str = "n_max") -> int:
+    try:
+        return sequences._require_at_least(n_max, 1, name)
+    except ValueError as exc:
+        raise ValueError(f"empty range: {exc}") from None
 
 
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
@@ -171,8 +173,7 @@ def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
 _BELL, _BELL_PARITY = ("ordered_bell",), ("ordered_bell_even", "ordered_bell_odd")
 _CYCLIC_PARITY = ("cyclic_ordered_bell_even", "cyclic_ordered_bell_odd")
 
-#: Integer identity id -> (its checks at one n, the row sums they read), in
-#: report order.
+#: Integer identity id -> (its checks at one n, the row sums they read).
 _INTEGER_CHECKS = {
     "bell.parity-split": (_bell_parity_split, _BELL + _BELL_PARITY),
     "bell.shifted-cyclic": (_bell_shifted_cyclic, _BELL + _CYCLIC_PARITY),
@@ -181,6 +182,14 @@ _INTEGER_CHECKS = {
     "alternating.cyclic": (_alternating_cyclic, ("alternating_cyclic_sum",) + _CYCLIC_PARITY),
     "cyclic.parity-equal": (_cyclic_parity_equal, _BELL + _CYCLIC_PARITY),
     "worpitzky.parity-rows": (_worpitzky_parity_rows, _BELL),
+}
+
+#: Verify target -> the integer identities its verifier sweeps, in report order.
+_TARGET_IDS = {
+    "bell": ("bell.parity-split", "bell.shifted-cyclic"),
+    "cyclic": ("cyclic.doubling",),
+    "alternating": ("alternating.factorial", "alternating.cyclic"),
+    "parity": ("cyclic.parity-equal", "worpitzky.parity-rows"),
 }
 
 IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
@@ -195,7 +204,7 @@ def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
     identity stops being checked at its first failure. Worpitzky rows are
     built only while ``worpitzky.parity-rows`` is still being checked.
     """
-    _require_range(n_max)
+    n_max = _require_range(n_max)
     pending = {i: _INTEGER_CHECKS[i][0] for i in identity_ids}
     names = {name for i in identity_ids for name in _INTEGER_CHECKS[i][1]}
     failures = {}
@@ -224,22 +233,22 @@ def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
 
 def verify_bell_forms(n_max: int) -> list[VerificationReport]:
     """Both four-way decompositions of the ordered Bell numbers."""
-    return _sweep_integers(n_max, ("bell.parity-split", "bell.shifted-cyclic"))
+    return _sweep_integers(n_max, _TARGET_IDS["bell"])
 
 
 def verify_cyclic_doubling(n_max: int) -> list[VerificationReport]:
     """Cyclic ordered Bell numbers are twice the shifted ordered Bell numbers."""
-    return _sweep_integers(n_max, ("cyclic.doubling",))
+    return _sweep_integers(n_max, _TARGET_IDS["cyclic"])
 
 
 def verify_alternating_sums(n_max: int) -> list[VerificationReport]:
     """The two alternating weighted sums collapse to signs."""
-    return _sweep_integers(n_max, ("alternating.factorial", "alternating.cyclic"))
+    return _sweep_integers(n_max, _TARGET_IDS["alternating"])
 
 
 def verify_parity_split(n_max: int) -> list[VerificationReport]:
     """Even- and odd-block cyclic counts coincide, in both weight notations."""
-    return _sweep_integers(n_max, ("cyclic.parity-equal", "worpitzky.parity-rows"))
+    return _sweep_integers(n_max, _TARGET_IDS["parity"])
 
 
 def _stirling_columns(order: int):
@@ -264,7 +273,7 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     """Every generating function agrees with the direct integer route."""
     from fubini import registry, series
 
-    _require_range(order, "order")
+    order = _require_range(order, "order")
 
     def agreement():
         for s in registry.SEQUENCES.values():
@@ -319,4 +328,4 @@ def verify_all(n_max: int, order: int) -> list[VerificationReport]:
     """Every identity: the seven integer ones in one pass over n = 1..n_max,
     then the EGF checks at ``order``. The reports come in the order of
     ``VERIFY_TARGETS``; the aggregate passes only if each report passes."""
-    return _sweep_integers(n_max, _INTEGER_CHECKS) + verify_egf_agreement(order)
+    return _sweep_integers(n_max, sum(_TARGET_IDS.values(), ())) + verify_egf_agreement(order)

@@ -23,8 +23,9 @@ class Sequence:
         self.name, self.first, self.route = name, first, route
         self.egf, self.oeis_id, self.row = egf, oeis_id, row
 
-    def terms(self, last: int) -> list[int]:
-        """a(first..last); a triangle is read by rows n >= first, each from k = first."""
+    def terms(self, n_max: int, name: str = "n_max") -> list[int]:
+        """a(first..n_max); a triangle is read by rows n >= first, each from k = first."""
+        last = sequences._require_at_least(n_max, self.first, name)
         if not self.row:
             return [self.route(n) for n in range(self.first, last + 1)]
         values, n = [], self.first

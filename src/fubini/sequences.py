@@ -32,6 +32,9 @@ triangle from its own recurrence, for the sweep only.
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
 against an independent route.
+
+``_require_at_least`` is the package's one check of an index, order, column
+or limit argument; every module calls it, and the CLI relays its message.
 """
 
 import sys
@@ -39,6 +42,7 @@ import threading
 from collections import OrderedDict
 from functools import lru_cache
 from math import factorial
+from operator import index
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -118,6 +122,17 @@ class SequenceTable(_FrozenRecord):
 
     def __init__(self, name: str, offset: int, values: tuple[int, ...]):
         self._set(name, offset, tuple(values))
+
+
+def _require_at_least(value, minimum: int, name: str = "n") -> int:
+    """``value`` as an int >= ``minimum``: the one check of an index, order, column or limit."""
+    try:
+        value = index(value)  # a bool counts as its int; a float or str raises
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _next_stirling_row(prev: list[int]) -> list[int]:
@@ -234,15 +249,13 @@ class StirlingTriangle:
 
     def row(self, n: int) -> list[int]:
         """Return ``[S(n,0), ..., S(n,n)]`` as a fresh list."""
-        if n < 0:
-            raise ValueError(f"row index must be >= 0, got {n}")
+        n = _require_at_least(n, 0, "row index")
         with self._lock:
             return list(self._get(n))
 
     def entry(self, n: int, k: int) -> int:
         """Return ``S(n, k)``; zero for ``k > n``."""
-        if n < 0 or k < 0:
-            raise ValueError(f"indices must be >= 0, got ({n}, {k})")
+        n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
         if k > n:
             return 0
         with self._lock:
@@ -250,11 +263,6 @@ class StirlingTriangle:
 
 
 _shared_triangle = StirlingTriangle()
-
-
-def _require_at_least(n: int, minimum: int, name: str = "n") -> None:
-    if n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {n}")
 
 
 def stirling2(n: int, k: int) -> int:
@@ -319,8 +327,7 @@ def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) 
 
 def ordered_bell(n: int) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
-    _require_at_least(n, 0)
-    return _weighted_row_sum(n, "ordered_bell")
+    return _weighted_row_sum(_require_at_least(n, 0), "ordered_bell")
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -328,7 +335,7 @@ def ordered_bell_parity(n: int, parity: str) -> int:
 
     ``sum(k! * S(n,k))`` restricted to even or odd ``k``; defined for n >= 1.
     """
-    _require_at_least(n, 1)
+    n = _require_at_least(n, 1)
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return _weighted_row_sum(n, f"ordered_bell_{parity}")
@@ -336,26 +343,22 @@ def ordered_bell_parity(n: int, parity: str) -> int:
 
 def cyclic_ordered_bell(n: int) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
-    _require_at_least(n, 1)
-    return _weighted_row_sum(n, "cyclic_ordered_bell")
+    return _weighted_row_sum(_require_at_least(n, 1), "cyclic_ordered_bell")
 
 
 def cyclic_ordered_bell_even(n: int) -> int:
     """Cyclic arrangements with an even number of blocks: sum of (k-1)!*S(n,k), k even."""
-    _require_at_least(n, 1)
-    return _weighted_row_sum(n, "cyclic_ordered_bell_even")
+    return _weighted_row_sum(_require_at_least(n, 1), "cyclic_ordered_bell_even")
 
 
 def cyclic_ordered_bell_odd(n: int) -> int:
     """Cyclic arrangements with an odd number of blocks: sum of (k-1)!*S(n,k), k odd."""
-    _require_at_least(n, 1)
-    return _weighted_row_sum(n, "cyclic_ordered_bell_odd")
+    return _weighted_row_sum(_require_at_least(n, 1), "cyclic_ordered_bell_odd")
 
 
 def worpitzky(n: int, k: int) -> int:
     """The Worpitzky number ``k! * S(n+1, k+1)``."""
-    _require_at_least(n, 0)
-    _require_at_least(k, 0, "k")
+    n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
     return factorial(k) * stirling2(n + 1, k + 1)
 
 
@@ -364,7 +367,7 @@ def worpitzky_row(n: int) -> list[int]:
 
     ``k!`` is carried along the row as a running product.
     """
-    _require_at_least(n, 0)
+    n = _require_at_least(n, 0)
     row = stirling2_row(n + 1)
     values = []
     weight = 1
@@ -394,8 +397,7 @@ def _worpitzky_rows():
 
 def alternating_factorial_sum(n: int) -> int:
     """``sum((-1)^k * k! * S(n,k))``; equals (-1)^n for every n >= 1."""
-    _require_at_least(n, 1)
-    return _weighted_row_sum(n, "alternating_factorial_sum")
+    return _weighted_row_sum(_require_at_least(n, 1), "alternating_factorial_sum")
 
 
 def alternating_cyclic_sum(n: int) -> int:
@@ -404,8 +406,7 @@ def alternating_cyclic_sum(n: int) -> int:
     Equals the even-block cyclic count minus the odd-block one: -1 at n=1
     and 0 for all n >= 2.
     """
-    _require_at_least(n, 1)
-    return _weighted_row_sum(n, "alternating_cyclic_sum")
+    return _weighted_row_sum(_require_at_least(n, 1), "alternating_cyclic_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +421,7 @@ def set_partitions(n: int):
     an existing block or opens the next new one, so each partition is
     produced exactly once, blocks ordered by their smallest element.
     """
-    _require_at_least(n, 0)
+    n = _require_at_least(n, 0)
     if n == 0:
         yield ()
         return
@@ -448,8 +449,7 @@ def count_partitions_exhaustive(n: int, k: int) -> int:
     Independent of :func:`stirling2`; capped at ``n <= MAX_ENUMERATION_N``
     to keep the enumeration at desk scale.
     """
-    _require_at_least(n, 0)
-    _require_at_least(k, 0, "k")
+    n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
     if n > MAX_ENUMERATION_N:
         raise ValueError(
             f"exhaustive enumeration is capped at n <= {MAX_ENUMERATION_N}, got {n}"
@@ -473,7 +473,7 @@ def ordered_set_partitions(n: int):
     subsets (as bitmasks) of the remaining elements, then the rest is
     partitioned recursively, so every ordered partition appears once.
     """
-    _require_at_least(n, 0)
+    n = _require_at_least(n, 0)
 
     def elements(mask):
         return tuple(i for i in range(n) if mask >> i & 1)
@@ -500,7 +500,7 @@ def count_ordered_partitions_exhaustive(n: int) -> int:
     Independent of :func:`ordered_bell`; capped at
     ``n <= MAX_ORDERED_ENUMERATION_N``.
     """
-    _require_at_least(n, 0)
+    n = _require_at_least(n, 0)
     if n > MAX_ORDERED_ENUMERATION_N:
         raise ValueError(
             "exhaustive enumeration is capped at "

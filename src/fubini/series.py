@@ -52,6 +52,8 @@ from math import factorial, gcd, lcm
 from numbers import Rational
 from operator import add, mul
 
+from fubini.sequences import _require_at_least
+
 __all__ = [
     "TruncatedSeries",
     "cyclic_ordered_bell_egf",
@@ -135,8 +137,7 @@ class TruncatedSeries:
             _exact(coeffs)  # raises, naming the type
         cs = [_exact(c) for c in coeffs]
         if order is not None:
-            if order < 0:
-                raise ValueError(f"order must be >= 0, got {order}")
+            order = _require_at_least(order, 0, "order")
             cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
@@ -242,8 +243,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"series power needs a nonnegative integer, got {exponent}")
+        exponent = _require_at_least(exponent, 0, "exponent")
         # binary powering: one squaring per bit and one product per set bit
         result, base = TruncatedSeries.constant(1, self.order), self
         while exponent:
@@ -353,9 +353,7 @@ class TruncatedSeries:
 
 def exp_series(order: int) -> TruncatedSeries:
     """``e^x``: coefficients ``1/n!`` (the EGF of the all-ones sequence)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    return _series([1] * (order + 1), 1)
+    return _series([1] * (_require_at_least(order, 0, "order") + 1), 1)
 
 
 def ordered_bell_egf(order: int) -> TruncatedSeries:
@@ -365,8 +363,7 @@ def ordered_bell_egf(order: int) -> TruncatedSeries:
 
 def stirling_column_egf(k: int, order: int) -> TruncatedSeries:
     """``(e^x - 1)^k / k!``; extracts the k-block partition counts S(n, k)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _require_at_least(k, 0, "k")
     return (exp_series(order) - 1) ** k * Fraction(1, factorial(k))
 
 

@@ -26,6 +26,25 @@ from fubini.sequences import SequenceTable
 # -- parsing ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_bfile(None), "text must be str or bytes, got NoneType"),
+        (lambda: emit_bfile(None), "table must be SequenceTable, got NoneType"),
+        (lambda: crosscheck(None, None, 3), "computed must be SequenceTable, got NoneType"),
+        (
+            lambda: crosscheck(SequenceTable("x", 0, (1,)), None, 3),
+            "reference must be BFile, got NoneType",
+        ),
+        (lambda: load_fixture(None), "sequence_id must be str, got NoneType"),
+    ],
+    ids=["parse_bfile", "emit_bfile", "crosscheck", "crosscheck-reference", "load_fixture"],
+)
+def test_bfile_api_names_the_expected_type(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
 def test_parse_basic():
     bfile = parse_bfile("0 1\n1 1\n2 3\n", "A000670")
     assert bfile.sequence_id == "A000670"

@@ -63,6 +63,21 @@ def test_compute_bfile_format_roundtrips(capsys):
     assert [v for _, v in parsed.entries] == [sequences.ordered_bell(n) for n in range(7)]
 
 
+#: Per command, argvs with an argument below its bound, and the library's
+#: message naming that argument, which the CLI prints after ``error: ``.
+BELOW_BOUND = {
+    "compute": [
+        (("compute", "cyclic", "--max", "0"), "n_max must be >= 1, got 0"),
+        (("compute", "stirling-row", "--n", "-1"), "row index must be >= 0, got -1"),
+        (("compute", "worpitzky-row", "--n", "-1"), "n must be >= 0, got -1"),
+    ],
+    "egf": [
+        (("egf", "bell", "--order", "-1"), "order must be >= 0, got -1"),
+        (("egf", "stirling-col", "--order", "8", "--k", "-1"), "k must be >= 0, got -1"),
+    ],
+}
+
+
 def test_compute_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["compute", "bell", "--max", "0x"])
@@ -81,6 +96,9 @@ def test_compute_usage_errors(capsys):
 
     code, _, err = run_cli(capsys, "compute", "cyclic", "--max", "0")
     assert code == 2  # cyclic sequences start at n=1
+
+    for argv, message in BELOW_BOUND["compute"]:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize(
@@ -254,6 +272,9 @@ def test_egf_usage_errors(capsys):
 
     code, _, _ = run_cli(capsys, "egf", "bell", "--order", "-1")
     assert code == 2
+
+    for argv, message in BELOW_BOUND["egf"]:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 # -- bfile -------------------------------------------------------------------

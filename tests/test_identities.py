@@ -52,6 +52,16 @@ def test_registry_matches_report_ids():
     assert len(reports) == len(IDENTITY_IDS)
 
 
+def test_target_table_orders_every_integer_identity_once():
+    ids = [i for target_ids in identities._TARGET_IDS.values() for i in target_ids]
+    assert sorted(ids) == sorted(identities._INTEGER_CHECKS)
+    assert [*identities._TARGET_IDS, "egf"] == list(identities.VERIFY_TARGETS)
+    assert [r.identity_id for r in verify_all(3, 2)][: len(ids)] == ids
+    for target, target_ids in identities._TARGET_IDS.items():
+        reports = identities.VERIFY_TARGETS[target](3, 2)
+        assert tuple(r.identity_id for r in reports) == target_ids
+
+
 def test_reports_are_deterministic():
     assert verify_all(12, 8) == verify_all(12, 8)
 
