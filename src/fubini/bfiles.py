@@ -23,7 +23,7 @@ from pathlib import Path
 
 from fubini.identities import VerificationReport
 from fubini.registry import BY_OEIS_ID
-from fubini.sequences import SequenceTable, _FrozenRecord, _require_at_least
+from fubini.sequences import SequenceTable, _FrozenRecord, _require_at_least, _require_int
 
 __all__ = [
     "BFile",
@@ -76,6 +76,7 @@ class BFile(_FrozenRecord):
 
     def value(self, index: int) -> int:
         """The entry at ``index``; ``ValueError`` outside the stored range."""
+        index = _require_int(index, "index")
         if not self.first_index <= index <= self.last_index:
             raise ValueError(
                 f"index {index} is outside {self.first_index}..{self.last_index}"

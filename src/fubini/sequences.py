@@ -26,8 +26,13 @@ the sweep streams rows through ``_stirling_rows`` without holding the
 triangle, and the memo, ``StirlingTriangle``, steps with it too. The memo
 is bounded: it keeps every 16th row (a checkpoint) and the other rows read
 most recently up to a byte budget, and recomputes any other row from the
-nearest held row below it. ``_worpitzky_rows`` builds the Worpitzky
-triangle from its own recurrence, for the sweep only.
+nearest held row below it. It also keeps the weighted sums of the rows it
+holds, each computed on first read and dropped with its row. A public sum
+still reads its row through ``stirling2_row``, and a row that differs from
+the held row is summed directly, so a patched or corrupted row reaches
+every sum. The identity sweep streams its rows and never touches this
+memo. ``_worpitzky_rows`` builds the Worpitzky triangle from its own
+recurrence, for the sweep only.
 
 Brute-force enumeration counters (restricted growth strings and ordered
 block sequences) live alongside so the closed-form routines can be tested
@@ -35,6 +40,8 @@ against an independent route.
 
 ``_require_at_least`` is the package's one check of an index, order, column
 or limit argument; every module calls it, and the CLI relays its message.
+Its type half, ``_require_int``, also checks an index that has no lower
+bound: a b-file index and a table offset.
 """
 
 import sys
@@ -121,15 +128,20 @@ class SequenceTable(_FrozenRecord):
     __slots__ = ("name", "offset", "values")
 
     def __init__(self, name: str, offset: int, values: tuple[int, ...]):
-        self._set(name, offset, tuple(values))
+        self._set(name, _require_int(offset, "offset"), tuple(values))
+
+
+def _require_int(value, name: str) -> int:
+    """``value`` as an int, or a ``TypeError`` naming ``name``: the type half of the check."""
+    try:
+        return index(value)  # a bool counts as its int; a float or str raises
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def _require_at_least(value, minimum: int, name: str = "n") -> int:
     """``value`` as an int >= ``minimum``: the one check of an index, order, column or limit."""
-    try:
-        value = index(value)  # a bool counts as its int; a float or str raises
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    value = _require_int(value, name)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
@@ -202,9 +214,16 @@ class StirlingTriangle:
     at most ``_CHECKPOINT_EVERY - 1`` steps below :attr:`max_n`, and above it
     the walk appends the checkpoints it passes. So the memo holds the
     checkpoints, a sixteenth of the triangle, plus about ``_RECENT_BYTES``,
-    where keeping every row would hold the whole triangle. Lookups,
-    extensions and recomputations are serialized with one lock, so a
-    shared instance is safe to use from several threads; held rows are
+    where keeping every row would hold the whole triangle.
+
+    For each held row the memo also keeps the weighted sums of
+    :data:`_ROW_SUMS` read so far, at most 8 ints, each computed on first
+    read. A recent row's sums go when the row is evicted; a checkpoint
+    keeps its sums. A sum is served from the memo only for a row equal to
+    the held one: a row that differs from the held row is summed directly.
+
+    Lookups, extensions and recomputations are serialized with one lock, so
+    a shared instance is safe to use from several threads; held rows are
     never mutated, and accessors hand out copies.
     """
 
@@ -212,6 +231,7 @@ class StirlingTriangle:
         self._checkpoints: list[list[int]] = [[1]]
         self._recent: OrderedDict[int, list[int]] = OrderedDict()
         self._recent_bytes = 0
+        self._sums: dict[int, dict[str, int]] = {}
         self._max_n = 0
         self._lock = threading.Lock()
 
@@ -220,16 +240,21 @@ class StirlingTriangle:
         """Index of the highest row computed so far."""
         return self._max_n
 
-    def _get(self, n: int) -> list[int]:
+    def _held(self, n: int) -> list[int] | None:
         # caller holds the lock
         checkpoint, offset = divmod(n, _CHECKPOINT_EVERY)
-        if not offset and checkpoint < len(self._checkpoints):
-            return self._checkpoints[checkpoint]
-        row = self._recent.get(n)
+        if not offset:
+            return self._checkpoints[checkpoint] if checkpoint < len(self._checkpoints) else None
+        return self._recent.get(n)
+
+    def _get(self, n: int) -> list[int]:
+        # caller holds the lock
+        row = self._held(n)
         if row is not None:
-            self._recent.move_to_end(n)
+            if n % _CHECKPOINT_EVERY:
+                self._recent.move_to_end(n)
             return row
-        start = min(checkpoint, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
+        start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
         row = self._checkpoints[start // _CHECKPOINT_EVERY]
         for m in range(n - 1, start, -1):
             if m in self._recent:
@@ -244,7 +269,9 @@ class StirlingTriangle:
             self._recent[n] = row
             self._recent_bytes += _row_bytes(row)
             while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
-                self._recent_bytes -= _row_bytes(self._recent.popitem(last=False)[1])
+                evicted, old = self._recent.popitem(last=False)
+                self._recent_bytes -= _row_bytes(old)
+                self._sums.pop(evicted, None)
         return row
 
     def row(self, n: int) -> list[int]:
@@ -260,6 +287,26 @@ class StirlingTriangle:
             return 0
         with self._lock:
             return self._get(n)[k]
+
+    def _sum(self, n: int, row: list[int], name: str) -> int:
+        """The sum ``name`` of :data:`_ROW_SUMS` over ``row``, which the caller read as row n.
+
+        The memoized sum is served only while row n is held and ``row`` equals
+        it; any other row is summed directly and nothing is stored. The held
+        row and a copy of it share their ``int`` objects, so the comparison
+        costs one pointer compare per entry.
+        """
+        with self._lock:
+            held = self._held(n)
+            total = self._sums.get(n, {}).get(name)
+        if held is None or held != row:
+            return _row_sum(row, *_ROW_SUMS[name])
+        if total is None:
+            total = _row_sum(row, *_ROW_SUMS[name])
+            with self._lock:
+                if self._held(n) is held:  # not evicted meanwhile
+                    self._sums.setdefault(n, {})[name] = total
+        return total
 
 
 _shared_triangle = StirlingTriangle()
@@ -294,9 +341,11 @@ def _weighted_row_sum(n: int, name: str) -> int:
     """The sum ``name`` of :data:`_ROW_SUMS` over row n.
 
     The row is looked up through the module global at call time, so a
-    patched ``stirling2_row`` reaches every sum.
+    patched ``stirling2_row`` reaches every sum: the triangle serves its
+    memoized sum only for a row equal to the one it holds, and sums a row
+    that differs from the held row directly.
     """
-    return _row_sum(stirling2_row(n), *_ROW_SUMS[name])
+    return _shared_triangle._sum(n, stirling2_row(n), name)
 
 
 def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) -> int:

@@ -151,18 +151,21 @@ class TruncatedSeries:
 
     # -- construction -------------------------------------------------
 
+    # These check ``order`` themselves: the constructor reads ``order=None``
+    # as "keep the coefficients given", which would make ``x(None)`` order 1.
+
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order=order)
+        return cls([], order=_require_at_least(order, 0, "order"))
 
     @classmethod
     def constant(cls, value: Coefficient, order: int) -> "TruncatedSeries":
-        return cls([value], order=order)
+        return cls([value], order=_require_at_least(order, 0, "order"))
 
     @classmethod
     def x(cls, order: int) -> "TruncatedSeries":
         """The identity series ``x`` (truncated to ``[0]`` at order 0)."""
-        return cls([0, 1], order=order)
+        return cls([0, 1], order=_require_at_least(order, 0, "order"))
 
     # -- basic protocol ------------------------------------------------
 

@@ -145,6 +145,17 @@ def test_value_rejects_index_outside_range():
             bfile.value(index)
 
 
+def test_value_and_offset_require_an_integer():
+    bfile = parse_bfile("5 50\n6 60\n7 70\n")
+    with pytest.raises(TypeError, match="^index must be an integer, got float$"):
+        bfile.value(6.0)
+    with pytest.raises(TypeError, match="^offset must be an integer, got float$"):
+        SequenceTable("x", 1.5, (1, 2))
+    assert parse_bfile("-2 4\n-1 5\n").value(-1) == 5
+    assert emit_bfile(SequenceTable("x", -2, (1, 2))) == "-2 1\n-1 2\n"
+    assert emit_bfile(SequenceTable("x", True, (7,))) == "1 7\n"
+
+
 @pytest.mark.parametrize(
     "entries, message",
     [

@@ -1,5 +1,6 @@
 """Exact-sequence kernels against enumeration oracles and frozen values."""
 
+import collections
 import itertools
 import math
 import random
@@ -404,3 +405,111 @@ def test_weighted_sums_read_the_patched_row(monkeypatch, func, shift, parity, al
     monkeypatch.setattr(sequences, "stirling2_row", fake_row)
     for n in range(1, 12):
         assert func(n) == _reference_sum(fake_row(n), shift, parity, alternating), n
+
+
+# -- the memoized row sums ---------------------------------------------------
+
+
+def test_repeated_sums_sum_each_row_once(monkeypatch):
+    calls = collections.Counter()  # (row index, weights) -> calls of _row_sum
+    row_sum = sequences._row_sum
+
+    def counting(row, *weights):
+        calls[len(row) - 1, weights] += 1
+        return row_sum(row, *weights)
+
+    monkeypatch.setattr(sequences, "_row_sum", counting)
+    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    ns = (1, 5, 16, 40, 200)
+    for _ in range(3):
+        for param in WEIGHTED_SUMS:
+            func, *weights = param.values
+            for n in ns:
+                assert func(n) == _reference_sum(stirling2_row(n), *weights), (n, param.id)
+    assert len(calls) == len(WEIGHTED_SUMS) * len(ns)
+    assert set(calls.values()) == {1}
+
+
+def test_a_memoized_sum_never_hides_a_changed_row(monkeypatch):
+    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    genuine = ordered_bell(7)
+    reader = sequences.stirling2_row
+
+    def corrupted(n):
+        row = reader(n)
+        if n == 7:
+            row[3] += 1  # S(7,3) is weighted by 3!
+        return row
+
+    monkeypatch.setattr(sequences, "stirling2_row", corrupted)
+    assert ordered_bell(7) == genuine + 6
+    monkeypatch.setattr(sequences, "stirling2_row", reader)
+    assert ordered_bell(7) == genuine == 47293
+
+
+def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
+    # Each held row keeps at most 8 sums, none larger than ordered_bell(n),
+    # plus their dict: under 10% of the row's own bytes from n = 140 on, and
+    # under 10% of the checkpoints and the recent rows together here. Rows
+    # 0..300 take 5 MB, so a 1 MiB budget evicts most of them; tracing
+    # makes the sums 13 times slower, which rules out rows 0..600.
+    top, every, budget = 300, sequences._CHECKPOINT_EVERY, 1 << 20
+    checkpoint_bytes = sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+        for n, row in enumerate(itertools.islice(sequences._stirling_rows(), top + 1))
+        if n % every == 0
+    )
+    triangle = StirlingTriangle()
+    monkeypatch.setattr(sequences, "_shared_triangle", triangle)
+    monkeypatch.setattr(sequences, "_RECENT_BYTES", budget)
+    tracemalloc.start()
+    try:
+        ordered_bell(0)
+        for n in range(1, top + 1):
+            for param in WEIGHTED_SUMS:
+                param.values[0](n)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    held = set(range(0, top + 1, every)) | set(triangle._recent)
+    assert len(held) < top // 3  # rows were evicted, and their sums with them
+    assert set(triangle._sums) <= held
+    assert all(len(sums) == len(WEIGHTED_SUMS) for n, sums in triangle._sums.items() if n)
+    assert retained < 1.1 * (checkpoint_bytes + budget)
+
+
+def test_threaded_sums_match_the_reference(monkeypatch):
+    # a small budget makes the readers evict rows, with their sums, while
+    # other readers compute and store sums of the same rows
+    top = 120
+    rows = list(itertools.islice(sequences._stirling_rows(), top + 1))
+    triangle = StirlingTriangle()
+    monkeypatch.setattr(sequences, "_shared_triangle", triangle)
+    monkeypatch.setattr(sequences, "_RECENT_BYTES", 16 << 10)
+    failures = []
+
+    def worker(indices):
+        try:
+            for n in indices:
+                for param in WEIGHTED_SUMS:
+                    func, *weights = param.values
+                    assert func(n) == _reference_sum(rows[n], *weights), (n, param.id)
+        except AssertionError as exc:  # pragma: no cover - only on bug
+            failures.append(exc)
+
+    # the sums other than ordered_bell start at n = 1
+    orders = [[n for n in order if n] for order in _read_orders(top).values()] * 2
+    threads = [threading.Thread(target=worker, args=(indices,)) for indices in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    held = set(range(0, top + 1, sequences._CHECKPOINT_EVERY)) | set(triangle._recent)
+    assert set(triangle._sums) <= held

@@ -55,6 +55,20 @@ def test_constructor_rejects_bad_input():
         TruncatedSeries([])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [TruncatedSeries.zero, functools.partial(TruncatedSeries.constant, 3), TruncatedSeries.x],
+    ids=["zero", "constant", "x"],
+)
+def test_named_constructors_require_an_integer_order(build):
+    # order=None means "no truncation" to the constructor, not to these
+    with pytest.raises(TypeError, match="^order must be an integer, got NoneType$"):
+        build(None)
+    with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):
+        build(-1)
+    assert build(True) == build(1)
+
+
 @pytest.mark.parametrize("inexact", [0.1, 1.0, 1j, complex(1, 0)])
 def test_constructor_rejects_float_and_complex(inexact):
     with pytest.raises(TypeError, match="exact"):
