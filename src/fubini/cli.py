@@ -15,7 +15,6 @@ when it runs, so a short command does not pay for the others' imports.
 
 import argparse
 import sys
-from math import factorial
 
 from fubini import identities, sequences
 from fubini.registry import SEQUENCES
@@ -163,12 +162,8 @@ def _cmd_egf(args) -> int:
         gf = series.stirling_column_egf(args.k, args.order)
     else:
         gf = SEQUENCES[args.gf].egf(args.order)
-    for n, coeff in enumerate(gf.coeffs):
-        scaled = factorial(n) * coeff
-        if scaled.denominator == 1:
-            print(n, coeff, scaled)
-        else:
-            print(n, coeff)
+    for n, (coeff, value) in enumerate(zip(gf.coeffs, gf.to_sequence())):
+        print(n, coeff, value)
     return EXIT_OK
 
 

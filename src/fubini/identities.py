@@ -6,18 +6,19 @@ side, rational series coefficient extraction on the other where that
 applies) and reporting the first counterexample instead of raising: a
 violated identity means a code bug, and the report carries the evidence.
 
-The seven integer identities are checks on a window of three dicts of
-weighted row sums, for n-1, n and n+1, that slides forward over n in one
-pass. The Stirling rows are streamed from the triangle recurrence
-(``sequences._stirling_rows``), not read from the shared memo: each row
-is summed once, for every sum that the identities being checked read,
-and is not kept. The Worpitzky side of ``worpitzky.parity-rows`` comes
-from the Worpitzky recurrence (``sequences._worpitzky_rows``), not from
-the Stirling rows, so its two sides are built independently. The four
-integer verifiers run their own identities through the same pass, and
-``verify_all`` runs all seven in one. ``ordered_bell`` keeps its own
-accumulator: it is never rebuilt as even plus odd, which would reduce
-``bell.parity-split`` to ``alternating.factorial``.
+The seven integer identities are checks on a window of three Stirling
+rows with their weighted sums (``sequences._RowSums``), for n-1, n and
+n+1, that slides forward over n in one pass. The Stirling rows are
+streamed from the triangle recurrence (``sequences._stirling_rows``), not
+read from the shared memo: a sum is computed when an identity first reads
+it, once per row, and a row is dropped when the window leaves it. The
+Worpitzky side of ``worpitzky.parity-rows`` comes from the Worpitzky
+recurrence (``sequences._worpitzky_rows``), not from the Stirling rows,
+so its two sides are built independently. The four integer verifiers run
+their own identities through the same pass, and ``verify_all`` runs all
+seven in one. ``ordered_bell`` keeps its own accumulator: it is never
+rebuilt as even plus odd, which would reduce ``bell.parity-split`` to
+``alternating.factorial``.
 
 The full registry of identity ids:
 
@@ -131,7 +132,8 @@ def _require_range(n_max, name: str = "n_max") -> int:
 
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
 # yields ``(expected, actual)`` pairs in order, from the row sums of n-1, n and
-# n+1 (``prev`` is None at n = 1) and Worpitzky row n.
+# n+1 (``_RowSums``, each sum computed when first read; ``prev`` is None at
+# n = 1) and Worpitzky row n.
 
 
 def _bell_parity_split(n, prev, cur, nxt, worpitzky):
@@ -170,18 +172,15 @@ def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
     yield cur["ordered_bell"], sum(worpitzky[1::2])
 
 
-_BELL, _BELL_PARITY = ("ordered_bell",), ("ordered_bell_even", "ordered_bell_odd")
-_CYCLIC_PARITY = ("cyclic_ordered_bell_even", "cyclic_ordered_bell_odd")
-
-#: Integer identity id -> (its checks at one n, the row sums they read).
+#: Integer identity id -> its checks at one n.
 _INTEGER_CHECKS = {
-    "bell.parity-split": (_bell_parity_split, _BELL + _BELL_PARITY),
-    "bell.shifted-cyclic": (_bell_shifted_cyclic, _BELL + _CYCLIC_PARITY),
-    "cyclic.doubling": (_cyclic_doubling, _BELL + ("cyclic_ordered_bell",)),
-    "alternating.factorial": (_alternating_factorial, ("alternating_factorial_sum",)),
-    "alternating.cyclic": (_alternating_cyclic, ("alternating_cyclic_sum",) + _CYCLIC_PARITY),
-    "cyclic.parity-equal": (_cyclic_parity_equal, _BELL + _CYCLIC_PARITY),
-    "worpitzky.parity-rows": (_worpitzky_parity_rows, _BELL),
+    "bell.parity-split": _bell_parity_split,
+    "bell.shifted-cyclic": _bell_shifted_cyclic,
+    "cyclic.doubling": _cyclic_doubling,
+    "alternating.factorial": _alternating_factorial,
+    "alternating.cyclic": _alternating_cyclic,
+    "cyclic.parity-equal": _cyclic_parity_equal,
+    "worpitzky.parity-rows": _worpitzky_parity_rows,
 }
 
 #: Verify target -> the integer identities its verifier sweeps, in report order.
@@ -200,26 +199,22 @@ def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
 
     Stirling rows come from ``sequences._stirling_rows`` and Worpitzky rows
     from ``sequences._worpitzky_rows``, both looked up here, not from the
-    shared memo. Only the sums of rows n-1, n and n+1 are live, and an
-    identity stops being checked at its first failure. Worpitzky rows are
-    built only while ``worpitzky.parity-rows`` is still being checked.
+    shared memo. Only rows n-1, n and n+1 are live, each with the sums read
+    from it so far: a sum is computed when an identity first reads it, once
+    per row. An identity stops being checked at its first failure.
+    Worpitzky rows are built only while ``worpitzky.parity-rows`` is still
+    being checked.
     """
     n_max = _require_range(n_max)
-    pending = {i: _INTEGER_CHECKS[i][0] for i in identity_ids}
-    names = {name for i in identity_ids for name in _INTEGER_CHECKS[i][1]}
+    pending = {i: _INTEGER_CHECKS[i] for i in identity_ids}
     failures = {}
     stirling_rows, worpitzky_rows = sequences._stirling_rows(), sequences._worpitzky_rows()
     next(stirling_rows), next(worpitzky_rows)  # row 0
-
-    def row_sums():
-        row = next(stirling_rows)
-        return {s: sequences._row_sum(row, *sequences._ROW_SUMS[s]) for s in names}
-
-    prev, cur = None, row_sums()
+    prev, cur = None, sequences._RowSums(next(stirling_rows))
     for n in range(1, n_max + 1):
         if not pending:
             break
-        nxt = row_sums()
+        nxt = sequences._RowSums(next(stirling_rows))
         worpitzky = next(worpitzky_rows) if "worpitzky.parity-rows" in pending else None
         for identity_id, check in list(pending.items()):
             for expected, actual in check(n, prev, cur, nxt, worpitzky):

@@ -20,17 +20,18 @@ optional parity filter on k and an optional sign, so all seven share one
 reduction over a row. It evaluates the sum in Horner form, from the top
 of the row down, so each step multiplies the accumulator by a small
 integer instead of multiplying a factorial by a row entry. ``_row_sum``
-takes the row itself, so the identity sweep reads each row once for all
-of its sums. ``_next_stirling_row`` is the one Stirling recurrence step:
-the sweep streams rows through ``_stirling_rows`` without holding the
-triangle, and the memo, ``StirlingTriangle``, steps with it too. The memo
-is bounded: it keeps every 16th row (a checkpoint) and the other rows read
-most recently up to a byte budget, and recomputes any other row from the
-nearest held row below it. It also keeps the weighted sums of the rows it
-holds, each computed on first read and dropped with its row. A public sum
-still reads its row through ``stirling2_row``, and a row that differs from
-the held row is summed directly, so a patched or corrupted row reaches
-every sum. The identity sweep streams its rows and never touches this
+takes the row itself, and ``_RowSums`` pairs a row with its sums, each
+computed when first read and then kept: the one memo of a row's sums.
+``_next_stirling_row`` is the one Stirling recurrence step: the identity
+sweep streams rows through ``_stirling_rows`` without holding the
+triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
+``StirlingTriangle``, steps with it too. The memo is bounded: it keeps
+every 16th row (a checkpoint) and the other rows read most recently up to
+a byte budget, and recomputes any other row from the nearest held row
+below it. It holds each row as a ``_RowSums``, so a row's sums go when
+the row goes. A public sum still reads its row through ``stirling2_row``,
+and a row that differs from the held row is summed directly, so a patched
+or corrupted row reaches every sum. The identity sweep never touches this
 memo. ``_worpitzky_rows`` builds the Worpitzky triangle from its own
 recurrence, for the sweep only.
 
@@ -40,8 +41,8 @@ against an independent route.
 
 ``_require_at_least`` is the package's one check of an index, order, column
 or limit argument; every module calls it, and the CLI relays its message.
-Its type half, ``_require_int``, also checks an index that has no lower
-bound: a b-file index and a table offset.
+Its type half, ``_require_int``, also checks an integer that has no lower
+bound: a b-file index, a table offset or value, and a series index.
 """
 
 import sys
@@ -128,7 +129,8 @@ class SequenceTable(_FrozenRecord):
     __slots__ = ("name", "offset", "values")
 
     def __init__(self, name: str, offset: int, values: tuple[int, ...]):
-        self._set(name, _require_int(offset, "offset"), tuple(values))
+        values = tuple(_require_int(value, "value") for value in values)
+        self._set(name, _require_int(offset, "offset"), values)
 
 
 def _require_int(value, name: str) -> int:
@@ -183,6 +185,25 @@ def _row_bytes(row: list[int]) -> int:
     return sys.getsizeof(row) + 8 * sum(map(sys.getsizeof, row[::8]))
 
 
+class _RowSums(dict):
+    """One Stirling row and its weighted sums, each computed when first read.
+
+    ``sums[name]`` is the sum ``name`` of :data:`_ROW_SUMS` over ``sums.row``:
+    a miss runs :func:`_row_sum` once and stores the result. The row is never
+    mutated, so a stored sum stays right. The memo holds its rows this way,
+    and the identity sweep wraps each streamed row in one.
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: list[int]):
+        self.row = row
+
+    def __missing__(self, name: str) -> int:
+        total = self[name] = _row_sum(self.row, *_ROW_SUMS[name])
+        return total
+
+
 #: The triangle keeps row n for good when n is a multiple of
 #: ``_CHECKPOINT_EVERY``, and the other rows read most recently up to
 #: ``_RECENT_BYTES`` in all. Chosen on perfbench lookup's seed-3 job, run in
@@ -216,22 +237,23 @@ class StirlingTriangle:
     checkpoints, a sixteenth of the triangle, plus about ``_RECENT_BYTES``,
     where keeping every row would hold the whole triangle.
 
-    For each held row the memo also keeps the weighted sums of
-    :data:`_ROW_SUMS` read so far, at most 8 ints, each computed on first
-    read. A recent row's sums go when the row is evicted; a checkpoint
-    keeps its sums. A sum is served from the memo only for a row equal to
-    the held one: a row that differs from the held row is summed directly.
+    Each row is held as a :class:`_RowSums`, which also keeps the weighted
+    sums of :data:`_ROW_SUMS` read so far, at most 8 ints, so a recent
+    row's sums go when the row is evicted and a checkpoint keeps its sums.
+    A sum is served from the memo only for a row equal to the held one: a
+    row that differs from the held row is summed directly.
 
     Lookups, extensions and recomputations are serialized with one lock, so
     a shared instance is safe to use from several threads; held rows are
-    never mutated, and accessors hand out copies.
+    never mutated, and accessors hand out copies. A sum is computed outside
+    the lock: two readers who miss the same sum at once both compute it and
+    store the same value.
     """
 
     def __init__(self):
-        self._checkpoints: list[list[int]] = [[1]]
-        self._recent: OrderedDict[int, list[int]] = OrderedDict()
+        self._checkpoints: list[_RowSums] = [_RowSums([1])]
+        self._recent: OrderedDict[int, _RowSums] = OrderedDict()
         self._recent_bytes = 0
-        self._sums: dict[int, dict[str, int]] = {}
         self._max_n = 0
         self._lock = threading.Lock()
 
@@ -240,7 +262,7 @@ class StirlingTriangle:
         """Index of the highest row computed so far."""
         return self._max_n
 
-    def _held(self, n: int) -> list[int] | None:
+    def _held(self, n: int) -> _RowSums | None:
         # caller holds the lock
         checkpoint, offset = divmod(n, _CHECKPOINT_EVERY)
         if not offset:
@@ -249,29 +271,28 @@ class StirlingTriangle:
 
     def _get(self, n: int) -> list[int]:
         # caller holds the lock
-        row = self._held(n)
-        if row is not None:
+        held = self._held(n)
+        if held is not None:
             if n % _CHECKPOINT_EVERY:
                 self._recent.move_to_end(n)
-            return row
+            return held.row
         start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
-        row = self._checkpoints[start // _CHECKPOINT_EVERY]
+        row = self._checkpoints[start // _CHECKPOINT_EVERY].row
         for m in range(n - 1, start, -1):
             if m in self._recent:
-                start, row = m, self._recent[m]
+                start, row = m, self._recent[m].row
                 break
         for m in range(start + 1, n + 1):  # crosses a checkpoint only above the held ones
             row = _next_stirling_row(row)
             if m % _CHECKPOINT_EVERY == 0:
-                self._checkpoints.append(row)
+                self._checkpoints.append(_RowSums(row))
         self._max_n = max(self._max_n, n)
         if n % _CHECKPOINT_EVERY:
-            self._recent[n] = row
+            self._recent[n] = _RowSums(row)
             self._recent_bytes += _row_bytes(row)
             while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
-                evicted, old = self._recent.popitem(last=False)
-                self._recent_bytes -= _row_bytes(old)
-                self._sums.pop(evicted, None)
+                _, old = self._recent.popitem(last=False)
+                self._recent_bytes -= _row_bytes(old.row)
         return row
 
     def row(self, n: int) -> list[int]:
@@ -294,19 +315,14 @@ class StirlingTriangle:
         The memoized sum is served only while row n is held and ``row`` equals
         it; any other row is summed directly and nothing is stored. The held
         row and a copy of it share their ``int`` objects, so the comparison
-        costs one pointer compare per entry.
+        costs one pointer compare per entry. A sum stored in an entry evicted
+        meanwhile goes with the entry.
         """
         with self._lock:
             held = self._held(n)
-            total = self._sums.get(n, {}).get(name)
-        if held is None or held != row:
+        if held is None or held.row != row:
             return _row_sum(row, *_ROW_SUMS[name])
-        if total is None:
-            total = _row_sum(row, *_ROW_SUMS[name])
-            with self._lock:
-                if self._held(n) is held:  # not evicted meanwhile
-                    self._sums.setdefault(n, {})[name] = total
-        return total
+        return held[name]
 
 
 _shared_triangle = StirlingTriangle()

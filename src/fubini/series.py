@@ -52,7 +52,7 @@ from math import factorial, gcd, lcm
 from numbers import Rational
 from operator import add, mul
 
-from fubini.sequences import _require_at_least
+from fubini.sequences import _require_at_least, _require_int
 
 __all__ = [
     "TruncatedSeries",
@@ -151,8 +151,9 @@ class TruncatedSeries:
 
     # -- construction -------------------------------------------------
 
-    # These check ``order`` themselves: the constructor reads ``order=None``
-    # as "keep the coefficients given", which would make ``x(None)`` order 1.
+    # These and ``truncate`` check ``order`` themselves: the constructor reads
+    # ``order=None`` as "keep the coefficients given", which would make
+    # ``x(None)`` order 1.
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -182,7 +183,10 @@ class TruncatedSeries:
         return tuple(out)
 
     def __getitem__(self, i: int) -> Fraction:
-        n = range(len(self._num))[i]
+        i, size = _require_int(i, "index"), len(self._num)
+        if not -size <= i < size:
+            raise IndexError(f"index {i} is out of range {-size}..{size - 1}")
+        n = i % size  # a negative index counts from the end
         return Fraction(self._num[n], self._den * factorial(n))
 
     def __iter__(self):
@@ -201,7 +205,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Copy of this series cut (or zero-padded) to the given order."""
-        return TruncatedSeries(self.coeffs, order=order)
+        return TruncatedSeries(self.coeffs, order=_require_at_least(order, 0, "order"))
 
     # -- ring operations -----------------------------------------------
 

@@ -156,6 +156,14 @@ def test_value_and_offset_require_an_integer():
     assert emit_bfile(SequenceTable("x", True, (7,))) == "1 7\n"
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+def test_table_values_must_be_integers(value):
+    # emit_bfile would write "0 1.5", which parse_bfile rejects
+    with pytest.raises(TypeError, match=f"^value must be an integer, got {type(value).__name__}$"):
+        SequenceTable("x", 0, (1, value))
+    assert SequenceTable("x", 0, (True, 2)).values == (1, 2)
+
+
 @pytest.mark.parametrize(
     "entries, message",
     [

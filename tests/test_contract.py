@@ -31,6 +31,10 @@ _CASES = {
     "StirlingTriangle.row": (lambda n: fubini.StirlingTriangle().row(n), ("row index",)),
     "StirlingTriangle.entry": (lambda n, k: fubini.StirlingTriangle().entry(n, k), ("n", "k")),
     "TruncatedSeries": (lambda order: fubini.TruncatedSeries([1, 2], order=order), ("order",)),
+    "TruncatedSeries.truncate": (
+        lambda order: fubini.TruncatedSeries([1, 2]).truncate(order),
+        ("order",),
+    ),
     "alternating_cyclic_sum": (fubini.alternating_cyclic_sum, ("n",)),
     "alternating_factorial_sum": (fubini.alternating_factorial_sum, ("n",)),
     "computed_table": (lambda limit: fubini.computed_table("A008277", limit), ("limit",)),
@@ -111,6 +115,7 @@ def test_the_cases_cover_every_integer_parameter():
 @example(call=("set_partitions", (2.0,)))
 @example(call=("exp_series", (2.5,)))
 @example(call=("ordered_bell", (True,)))
+@example(call=("TruncatedSeries.truncate", (None,)))
 def test_integer_arguments_follow_one_contract(call):
     name, args = call
     function, names = _CASES[name]

@@ -199,8 +199,10 @@ def test_corrupted_rows_give_the_frozen_reports(monkeypatch):
 
 
 def test_sweep_reads_each_stirling_row_once(monkeypatch):
-    memo_reads, taken = Counter(), Counter()
-    real_row, real_rows = sequences.stirling2_row, sequences._stirling_rows
+    memo_reads, taken, summed = Counter(), Counter(), Counter()
+    real_row, real_rows, real_sum = (
+        sequences.stirling2_row, sequences._stirling_rows, sequences._row_sum
+    )
 
     def counted_row(n):
         memo_reads[n] += 1
@@ -211,13 +213,22 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
             taken[n] += 1
             yield row
 
+    def counted_sum(row, *weights):
+        summed[len(row) - 1, weights] += 1
+        return real_sum(row, *weights)
+
     monkeypatch.setattr(sequences, "_shared_triangle", sequences.StirlingTriangle())
     monkeypatch.setattr(sequences, "stirling2_row", counted_row)
     monkeypatch.setattr(sequences, "_stirling_rows", counted_rows)
+    monkeypatch.setattr(sequences, "_row_sum", counted_sum)
     identities._sweep_integers(30, identities._INTEGER_CHECKS)
     assert memo_reads == Counter()
     # bell.shifted-cyclic reads the cyclic sums at n_max + 1
     assert taken == Counter(range(32))
+    # every sum read is computed once per row, though checks at n-1, n and
+    # n+1 read it: every row's eight sums, and the cyclic parity sums of 31
+    assert set(summed.values()) == {1}
+    assert len(summed) == 30 * len(sequences._ROW_SUMS) + 2
     # the sweep ran past the memo's last row without extending it
     assert sequences._shared_triangle.max_n == 0
 

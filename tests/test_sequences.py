@@ -447,6 +447,13 @@ def test_a_memoized_sum_never_hides_a_changed_row(monkeypatch):
     assert ordered_bell(7) == genuine == 47293
 
 
+def _held_entries(triangle):
+    """Row index -> the triangle's held entry (the row and its sums read so far)."""
+    every = sequences._CHECKPOINT_EVERY
+    checkpoints = {n * every: sums for n, sums in enumerate(triangle._checkpoints)}
+    return checkpoints | dict(triangle._recent)
+
+
 def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
     # Each held row keeps at most 8 sums, none larger than ordered_bell(n),
     # plus their dict: under 10% of the row's own bytes from n = 140 on, and
@@ -471,10 +478,9 @@ def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    held = set(range(0, top + 1, every)) | set(triangle._recent)
+    held = _held_entries(triangle)
     assert len(held) < top // 3  # rows were evicted, and their sums with them
-    assert set(triangle._sums) <= held
-    assert all(len(sums) == len(WEIGHTED_SUMS) for n, sums in triangle._sums.items() if n)
+    assert all(len(sums) == len(WEIGHTED_SUMS) for n, sums in held.items() if n)
     assert retained < 1.1 * (checkpoint_bytes + budget)
 
 
@@ -511,5 +517,7 @@ def test_threaded_sums_match_the_reference(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    held = set(range(0, top + 1, sequences._CHECKPOINT_EVERY)) | set(triangle._recent)
-    assert set(triangle._sums) <= held
+    for n, sums in _held_entries(triangle).items():
+        assert sums.row == rows[n], n
+        for name, total in sums.items():
+            assert total == _reference_sum(rows[n], *sequences._ROW_SUMS[name]), (n, name)

@@ -69,6 +69,35 @@ def test_named_constructors_require_an_integer_order(build):
     assert build(True) == build(1)
 
 
+def test_truncate_requires_an_integer_order():
+    s = S(1, 2, 3)
+    with pytest.raises(TypeError, match="^order must be an integer, got NoneType$"):
+        s.truncate(None)
+    with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):
+        s.truncate(-1)
+    assert s.truncate(True) == S(1, 2)
+    assert s.truncate(4) == S(1, 2, 3, 0, 0)
+
+
+def test_indexing_counts_from_either_end():
+    s = S(1, F(1, 2), 3)
+    assert [s[i] for i in range(3)] == [1, F(1, 2), 3]
+    assert [s[i] for i in range(-3, 0)] == [1, F(1, 2), 3]
+    assert s[True] == F(1, 2)
+
+
+@pytest.mark.parametrize("index", [3, 5, -4])
+def test_an_index_out_of_range_is_named(index):
+    with pytest.raises(IndexError, match=rf"^index {index} is out of range -3\.\.2$"):
+        S(1, 2, 3)[index]
+
+
+@pytest.mark.parametrize("index", [slice(0, 2), 1.0, "1", None])
+def test_an_index_must_be_an_integer(index):
+    with pytest.raises(TypeError, match=f"^index must be an integer, got {type(index).__name__}$"):
+        S(1, 2, 3)[index]
+
+
 @pytest.mark.parametrize("inexact", [0.1, 1.0, 1j, complex(1, 0)])
 def test_constructor_rejects_float_and_complex(inexact):
     with pytest.raises(TypeError, match="exact"):
