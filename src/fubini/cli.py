@@ -5,15 +5,17 @@ the identity suite, ``egf`` prints exact generating-function
 coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure,
-2 usage error, 3 environment error (network disabled or transport failure). A
-usage error is an abbreviated flag, a flag above :data:`MAX_INDEX` or
-:data:`MAX_ORDER`, or a ``ValueError`` from the library, whose message is printed.
+2 usage error, 3 environment error (network disabled or transport failure, or
+stdout closed early). A usage error is an abbreviated flag, a flag above
+:data:`MAX_INDEX` or :data:`MAX_ORDER`, or a ``ValueError`` from the library,
+whose message is printed.
 
 Each command imports what only it needs (``series``, ``bfiles``, ``json``)
 when it runs, so a short command does not pay for the others' imports.
 """
 
 import argparse
+import os
 import sys
 
 from fubini import identities, sequences
@@ -209,9 +211,16 @@ def main(argv=None) -> int:
         if value is not None and value > cap:
             return _usage_error(f"{flag} must be <= {cap}, got {value}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:  # the library's argument checks
         return _usage_error(str(exc))
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so the
+        # interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ENV
 
 
 if __name__ == "__main__":

@@ -20,6 +20,12 @@ seven in one. ``ordered_bell`` keeps its own accumulator: it is never
 rebuilt as even plus odd, which would reduce ``bell.parity-split`` to
 ``alternating.factorial``.
 
+The three EGF identities are checked by ``verify_egf_agreement``, which
+builds each registry EGF once, on first use, and shares it between the
+checks; reads each Stirling row once, for the columns' direct side; and
+compares two series with ``==`` (exact, since their storage is canonical)
+before walking their coefficients to name the first failure.
+
 The full registry of identity ids:
 
 * ``bell.parity-split``     ordered_bell(n) == (-1)^(n+1) + 2 * (even-block
@@ -246,6 +252,10 @@ def verify_parity_split(n_max: int) -> list[VerificationReport]:
     return _sweep_integers(n_max, _TARGET_IDS["parity"])
 
 
+#: The Stirling columns k = 0.._STIRLING_COLUMNS - 1 that ``egf.agreement`` checks.
+_STIRLING_COLUMNS = 11
+
+
 def _stirling_columns(order: int):
     """Yield the Stirling column EGFs ``(e^x - 1)^k / k!`` for k = 0..10.
 
@@ -258,51 +268,71 @@ def _stirling_columns(order: int):
 
     z = series.exp_series(order) - 1
     column = series.TruncatedSeries.constant(1, order)
-    for k in range(11):
+    for k in range(_STIRLING_COLUMNS):
         if k:
             column = column * z * Fraction(1, k)
         yield column
 
 
+def _unless_equal(expected, actual, size: int):
+    """``(n, expected[n], actual[n])`` for n < size, or nothing when the two
+    series are equal. The storage is canonical, so ``==`` is exact, and the
+    walk only finds the first failure of series that differ."""
+    if expected == actual:
+        return ()
+    return ((n, expected[n], actual[n]) for n in range(size))
+
+
 def verify_egf_agreement(order: int) -> list[VerificationReport]:
-    """Every generating function agrees with the direct integer route."""
+    """Every generating function agrees with the direct integer route.
+
+    Each registry EGF is built once, on first use, and shared by the three
+    checks; building on first use keeps a broken builder's error the first
+    one raised. The derivative's right side is the ordered-Bell EGF cut to
+    ``order - 1``. Each Stirling row is read once, through
+    ``sequences.stirling2_row``, for the columns' direct side. Two series are
+    compared with ``==`` before their coefficients are walked, and an EGF's
+    terms ``n! * coefficient`` are compared as they are, so a non-integral
+    term is a failed report rather than an error.
+    """
     from fubini import registry, series
 
     order = _require_range(order, "order")
+    built = {}
+
+    def egf(name):
+        if name not in built:
+            built[name] = registry.SEQUENCES[name].egf(order)
+        return built[name]
 
     def agreement():
         for s in registry.SEQUENCES.values():
             if s.route and s.egf:
-                extracted = s.egf(order).to_sequence()
+                extracted = series._egf_terms(egf(s.name))
                 for n in range(order + 1):  # the EGF's coefficients below first are 0
                     yield n, s.route(n) if n >= s.first else 0, extracted[n]
+        rows = [sequences.stirling2_row(n)[:_STIRLING_COLUMNS] for n in range(order + 1)]
         for k, column in enumerate(_stirling_columns(order)):
-            values = column.to_sequence()
+            values = series._egf_terms(column)
             for n in range(order + 1):
-                yield n, sequences.stirling2(n, k), values[n]
+                yield n, rows[n][k] if k <= n else 0, values[n]
 
     def parity_split():
-        total = series.cyclic_ordered_bell_egf(order)
-        even = series.cyclic_ordered_bell_even_egf(order)
-        odd = series.cyclic_ordered_bell_odd_egf(order)
-        recombined = even + odd
-        for n in range(order + 1):
-            yield n, total[n], recombined[n]
-        difference = (even - odd).to_sequence()
+        total, even, odd = egf("cyclic"), egf("cyclic-even"), egf("cyclic-odd")
+        yield from _unless_equal(total, even + odd, order + 1)
+        difference = series._egf_terms(even - odd)
         yield 0, 0, difference[0]
         for n in range(1, order + 1):
             yield n, sequences.alternating_cyclic_sum(n), difference[n]
 
     def derivative():
         lhs = series.double_shifted_bell_egf(order).derivative()
-        rhs = 2 * series.ordered_bell_egf(max(order - 1, 0))
-        for n in range(lhs.order + 1):
-            yield n, rhs[n], lhs[n]
+        yield from _unless_equal(2 * egf("bell").truncate(order - 1), lhs, lhs.order + 1)
 
     return [
         _sweep("egf.agreement", 0, order, agreement()),
         _sweep("egf.parity-split", 0, order, parity_split()),
-        _sweep("egf.derivative", 0, max(order - 1, 0), derivative()),
+        _sweep("egf.derivative", 0, order - 1, derivative()),
     ]
 
 

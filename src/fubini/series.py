@@ -32,6 +32,14 @@ by powers of ``d`` and of the constant term's numerator, so they stay in
 integers.  Every recurrence is O(N^2) multiply-adds; no attempt is made
 at asymptotically fast multiplication (orders stay small here).
 
+The binomial coefficients of those recurrences come from one Pascal table
+per process (``_pascal``), grown on demand and shared by every operation,
+so a run of series operations builds each row once. It keeps rows up to
+order 256, ``cli.MAX_ORDER``: 0.54 MiB at order 160 and 1.6 MiB at 256. A
+larger order builds its rows for the one call, since at order 1024 the
+table would hold 50 MiB while the rows are only 11% of an ``inverse`` at
+order 512.
+
 The module also builds the exponential generating functions of the
 package's sequences.  Under the EGF convention a series encodes the
 integer sequence ``a(n) = n! * coeffs[n]``, recovered by
@@ -48,6 +56,7 @@ integer sequence ``a(n) = n! * coeffs[n]``, recovered by
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from numbers import Rational
 from operator import add, mul
@@ -80,12 +89,34 @@ def _exact(value) -> Coefficient:
     )
 
 
+#: Largest order whose Pascal rows are kept in :data:`_pascal`; it is
+#: ``cli.MAX_ORDER``.
+_PASCAL_CAP = 256
+#: Pascal's rows ``(C(m, 0), ..., C(m, m))`` for m = 0..len - 1, shared by
+#: every operation in the process. It is replaced by a longer tuple when it
+#: grows and never mutated, so threads read it without a lock.
+_pascal = ((1,),)
+
+
+def _next_pascal_row(row, _=None):
+    """The row after ``row`` in Pascal's triangle; the step of ``accumulate``."""
+    return (1, *map(add, row, row[1:]), 1)
+
+
 def _binomial_rows(n: int):
-    """Yield the rows ``[C(m, 0), ..., C(m, m)]`` for m = 0..n, by Pascal's rule."""
-    row = [1]
-    for m in range(n + 1):
-        yield row
-        row = [1, *map(add, row, row[1:]), 1]
+    """The rows ``(C(m, 0), ..., C(m, m))`` for m = 0..n.
+
+    Up to :data:`_PASCAL_CAP` they are a prefix of :data:`_pascal`, grown on
+    demand; past it they are built for the call and dropped after it.
+    """
+    global _pascal
+    if n > _PASCAL_CAP:
+        return accumulate(range(n), _next_pascal_row, initial=(1,))
+    table = _pascal
+    if n >= len(table):
+        grown = accumulate(range(n + 1 - len(table)), _next_pascal_row, initial=table[-1])
+        _pascal = table = table[:-1] + tuple(grown)
+    return table[: n + 1]
 
 
 def _convolve(row, a, b_reversed) -> int:
@@ -205,7 +236,9 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Copy of this series cut (or zero-padded) to the given order."""
-        return TruncatedSeries(self.coeffs, order=_require_at_least(order, 0, "order"))
+        size = _require_at_least(order, 0, "order") + 1
+        num = self._num[:size]
+        return _series(num + (0,) * (size - len(num)), self._den)
 
     # -- ring operations -----------------------------------------------
 
@@ -342,15 +375,24 @@ class TruncatedSeries:
         """Integer sequence under the EGF convention: ``a(n) = n! * coeffs[n]``.
 
         Raises if any scaled coefficient is not an integer, which signals
-        a series construction bug rather than bad input.
+        a series construction bug rather than bad input. The storage is
+        canonical, so the sequence is integral exactly when ``d == 1``.
         """
         d = self._den
-        for n, c in enumerate(self._num):
-            if c % d:
-                raise ValueError(
-                    f"not an integer EGF: {n}! * coefficient {n} = {Fraction(c, d)}"
-                )
-        return [c // d for c in self._num]
+        if d != 1:
+            n, c = next((n, c) for n, c in enumerate(self._num) if c % d)
+            raise ValueError(f"not an integer EGF: {n}! * coefficient {n} = {Fraction(c, d)}")
+        return list(self._num)
+
+
+def _egf_terms(s: TruncatedSeries) -> list:
+    """``n! * s.coeffs[n]`` for each n, an ``int`` where it is integral and a
+    ``Fraction`` elsewhere; unlike ``to_sequence`` it never raises, so a
+    verifier can report a non-integral term as a failed comparison."""
+    d = s._den
+    if d == 1:
+        return list(s._num)
+    return [c // d if c % d == 0 else Fraction(c, d) for c in s._num]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import json
 import subprocess
 import sys
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import bfiles, sequences
+from fubini import bfiles, sequences, series
 from fubini.cli import MAX_INDEX, MAX_ORDER, main
 from fubini.identities import VERIFY_TARGETS
 from fubini.registry import SEQUENCES
@@ -198,6 +199,21 @@ def test_verify_all_output_is_frozen(capsys, fmt, digest):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_egf_reports_a_non_integral_egf(capsys, monkeypatch):
+    real = series.ordered_bell_egf
+    monkeypatch.setattr(
+        series,
+        "ordered_bell_egf",
+        lambda order: real(order) + series.TruncatedSeries([0, 0, 0, Fraction(1, 7)], order=order),
+    )
+    code, out, err = run_cli(capsys, "verify", "egf", "--order", "6")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "egf.agreement n=0..6 fail first_failure: n=3 expected=13 actual=97/7"
+    )
+    assert err == ""
 
 
 # -- egf ---------------------------------------------------------------------
@@ -447,6 +463,22 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert result.stdout == "0 1\n1 1\n2 3\n3 13\n"
+
+
+def test_closed_stdout_exits_quietly_with_the_environment_code():
+    # the output (1.4 MB) outgrows the pipe's buffer, so a write after the
+    # reader has gone finds the pipe closed
+    with subprocess.Popen(
+        [sys.executable, "-m", "fubini", "compute", "bell", "--max", "1000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"0 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_cli_import_defers_the_http_client():

@@ -1,7 +1,9 @@
 """Verifier behavior: passing sweeps, registry completeness, fault injection."""
 
 import json
+import sys
 from collections import Counter
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -243,3 +245,104 @@ def test_verify_all_aggregates_failures(monkeypatch):
     _corrupt_stirling_row(monkeypatch, target_n=9, target_k=4, delta=1)
     reports = verify_all(15, 8)
     assert any(not r.passed for r in reports)
+
+
+# -- the EGF checks --------------------------------------------------------------
+
+#: The builders that ``verify_egf_agreement`` calls, directly or through the registry.
+EGF_BUILDERS = (
+    "ordered_bell_egf",
+    "cyclic_ordered_bell_egf",
+    "cyclic_ordered_bell_even_egf",
+    "cyclic_ordered_bell_odd_egf",
+    "double_shifted_bell_egf",
+)
+
+
+def _add_to_builder(patch, name, n, value):
+    """Make ``series.<name>`` add ``value * x^n`` to what it builds."""
+    real = getattr(series, name)
+
+    def corrupted(order):
+        return real(order) + series.TruncatedSeries([0] * n + [value], order=order)
+
+    patch.setattr(series, name, corrupted)
+
+
+def test_each_egf_is_built_once(monkeypatch):
+    calls = Counter()
+    for name in EGF_BUILDERS:
+        real = getattr(series, name)
+        monkeypatch.setattr(
+            series, name, lambda order, real=real, name=name: calls.update([name]) or real(order)
+        )
+    assert all(r.passed for r in verify_egf_agreement(12))
+    # the cyclic EGF is built once more inside double_shifted_bell_egf, the builder under test
+    assert calls == {
+        "ordered_bell_egf": 1,
+        "cyclic_ordered_bell_egf": 2,
+        "cyclic_ordered_bell_even_egf": 1,
+        "cyclic_ordered_bell_odd_egf": 1,
+        "double_shifted_bell_egf": 1,
+    }
+
+
+def test_egf_columns_read_each_stirling_row_once(monkeypatch):
+    # count the reads made by the verifier itself, not by the direct routes' sums
+    rows, entries = Counter(), Counter()
+    real_row, real_entry = sequences.stirling2_row, sequences.stirling2
+
+    def counted_row(n):
+        if sys._getframe(1).f_globals["__name__"] == identities.__name__:
+            rows[n] += 1
+        return real_row(n)
+
+    def counted_entry(n, k):
+        entries[n, k] += 1
+        return real_entry(n, k)
+
+    monkeypatch.setattr(sequences, "stirling2_row", counted_row)
+    monkeypatch.setattr(sequences, "stirling2", counted_entry)
+    assert all(r.passed for r in verify_egf_agreement(12))
+    assert rows == Counter(range(13))
+    assert entries == Counter()
+
+
+def test_a_non_integral_egf_is_a_failed_report(monkeypatch):
+    # 3! * (13/6 + 1/7) = 97/7: the EGF no longer extracts integers
+    _add_to_builder(monkeypatch, "ordered_bell_egf", 3, Fraction(1, 7))
+    reports = {r.identity_id: r for r in verify_egf_agreement(6)}
+    assert reports["egf.agreement"].first_failure == (3, 13, Fraction(97, 7))
+    assert reports["egf.agreement"].format_line() == (
+        "egf.agreement n=0..6 fail first_failure: n=3 expected=13 actual=97/7"
+    )
+    assert reports["egf.parity-split"].passed
+    assert not reports["egf.derivative"].passed
+
+
+def test_a_non_integral_difference_is_a_failed_report(monkeypatch):
+    # even + odd is unchanged, and even - odd has 2! * coefficient 2 = 0 + 4/7
+    _add_to_builder(monkeypatch, "cyclic_ordered_bell_even_egf", 2, Fraction(1, 7))
+    _add_to_builder(monkeypatch, "cyclic_ordered_bell_odd_egf", 2, Fraction(-1, 7))
+    reports = {r.identity_id: r for r in verify_egf_agreement(6)}
+    assert reports["egf.agreement"].first_failure == (2, 1, Fraction(9, 7))
+    assert reports["egf.parity-split"].first_failure == (2, 0, Fraction(4, 7))
+    assert reports["egf.derivative"].passed
+
+
+FROZEN_EGF_REPORTS = Path(__file__).parent / "data" / "corrupted_egf_reports.json"
+
+
+def test_corrupted_builders_give_the_frozen_reports(monkeypatch):
+    """``verify_egf_agreement`` at orders 1, 5 and 12 with each builder adding
+    ``x^n / n!`` (one term of its sequence shifted by 1), for n in 0, 3 and 7,
+    against the reports captured at commit 2dccc35, before each EGF was built
+    once per run."""
+    cases = json.loads(FROZEN_EGF_REPORTS.read_text())
+    assert len(cases) == len(EGF_BUILDERS) * 3 * 3
+    for case in cases:
+        with monkeypatch.context() as patch:
+            n = case["n"]
+            _add_to_builder(patch, case["builder"], n, Fraction(1, factorial(n)))
+            reports = [r.to_dict() for r in verify_egf_agreement(case["order"])]
+        assert reports == case["reports"], case

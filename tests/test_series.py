@@ -1,15 +1,16 @@
 """Truncated rational series engine: frozen values, contracts, properties."""
 
 import functools
+import threading
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import sequences
+from fubini import sequences, series
 from fubini.series import (
     TruncatedSeries,
     cyclic_ordered_bell_egf,
@@ -20,6 +21,7 @@ from fubini.series import (
     ordered_bell_egf,
     stirling_column_egf,
 )
+from fubini.series import _egf_terms
 
 F = Fraction
 
@@ -77,6 +79,21 @@ def test_truncate_requires_an_integer_order():
         s.truncate(-1)
     assert s.truncate(True) == S(1, 2)
     assert s.truncate(4) == S(1, 2, 3, 0, 0)
+
+
+@given(series_of_order(5), st.integers(min_value=0, max_value=8))
+@settings(max_examples=80)
+def test_truncate_matches_rebuilding_from_the_coefficients(s, order):
+    # orders below, equal to and above the series order; a cut can drop the
+    # term that carried the common denominator, so the result is re-reduced
+    assert s.truncate(order) == TruncatedSeries(s.coeffs, order=order)
+
+
+def test_truncate_re_reduces_the_storage():
+    s = S(1, F(1, 3), F(1, 2))
+    assert s.truncate(1) == S(1, F(1, 3))
+    assert s.truncate(0)._den == 1
+    assert ordered_bell_egf(12).truncate(7) == ordered_bell_egf(7)
 
 
 def test_indexing_counts_from_either_end():
@@ -395,6 +412,15 @@ def test_to_sequence_examples():
     assert ordered_bell_egf(3).to_sequence() == [1, 1, 3, 13]
     with pytest.raises(ValueError, match="not an integer EGF"):
         S(0, F(1, 2)).to_sequence()
+    with pytest.raises(ValueError, match=r"^not an integer EGF: 2! \* coefficient 2 = 1/3$"):
+        S(1, 1, F(1, 6), 1).to_sequence()
+
+
+def test_egf_terms_keep_a_non_integral_term():
+    assert _egf_terms(ordered_bell_egf(3)) == [1, 1, 3, 13]
+    terms = _egf_terms(S(1, 1, F(1, 6), 1))
+    assert terms == [1, 1, F(1, 3), 6]
+    assert [type(t) for t in terms] == [int, int, F, int]
 
 
 # -- generating-function builders -------------------------------------------
@@ -571,3 +597,63 @@ EGF_BUILDERS = {
 @pytest.mark.parametrize("name", EGF_BUILDERS)
 def test_egf_builder_matches_fraction_reference_at_order_64(name):
     assert same_coefficients(EGF_BUILDERS[name](64), ref_egfs(64)[name])
+
+
+# -- the shared Pascal table ---------------------------------------------------
+
+
+def test_pascal_rows_are_binomial_coefficients():
+    rows = series._binomial_rows(series._PASCAL_CAP)
+    assert [list(row) for row in rows] == [
+        [comb(m, i) for i in range(m + 1)] for m in range(series._PASCAL_CAP + 1)
+    ]
+    assert list(series._binomial_rows(3)) == [(1,), (1, 1), (1, 2, 1), (1, 3, 3, 1)]
+    assert list(series._binomial_rows(-1)) == []
+    # past the cap the rows are built for the call, from the same rule
+    beyond = list(series._binomial_rows(series._PASCAL_CAP + 2))
+    assert beyond[: series._PASCAL_CAP + 1] == list(rows)
+    assert beyond[-1] == tuple(comb(258, i) for i in range(259))
+
+
+def test_pascal_table_stays_capped(monkeypatch):
+    monkeypatch.setattr(series, "_pascal", ((1,),))
+    stirling_column_egf(2, 40)
+    assert len(series._pascal) == 41
+    big = exp_series(300)
+    assert big * big == _series_of_terms([2**n for n in range(301)])
+    assert len(series._pascal) == 41
+    ordered_bell_egf(256)
+    assert len(series._pascal) == series._PASCAL_CAP + 1
+
+
+def _series_of_terms(terms):
+    return TruncatedSeries([F(t, factorial(n)) for n, t in enumerate(terms)])
+
+
+def test_threads_growing_the_pascal_table_get_single_thread_results(monkeypatch):
+    column = functools.partial(stirling_column_egf, 3)
+    jobs = [
+        (ordered_bell_egf, 60),
+        (cyclic_ordered_bell_egf, 120),
+        (column, 300),
+        (ordered_bell_egf, 150),
+        (cyclic_ordered_bell_odd_egf, 90),
+        (column, 256),
+    ]
+    expected = [build(order) for build, order in jobs]
+    monkeypatch.setattr(series, "_pascal", ((1,),))
+    results, start = [None] * len(jobs), threading.Barrier(len(jobs))
+
+    def work(i):
+        build, order = jobs[i]
+        start.wait()
+        results[i] = build(order)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == expected
+    assert len(series._pascal) == series._PASCAL_CAP + 1
+    assert series._pascal[-1] == tuple(comb(256, i) for i in range(257))
