@@ -41,6 +41,7 @@ _EXPORTS = {
         "verify_parity_split",
     ),
     "sequences": (
+        "ArgumentError",
         "SequenceTable",
         "StirlingTriangle",
         "alternating_cyclic_sum",

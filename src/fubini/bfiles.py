@@ -21,9 +21,15 @@ import re
 import sys
 from pathlib import Path
 
-from fubini.identities import VerificationReport
+from fubini.identities import VerificationReport, _sweep
 from fubini.registry import BY_OEIS_ID
-from fubini.sequences import SequenceTable, _FrozenRecord, _require_at_least, _require_int
+from fubini.sequences import (
+    ArgumentError,
+    SequenceTable,
+    _FrozenRecord,
+    _require_at_least,
+    _require_int,
+)
 
 __all__ = [
     "BFile",
@@ -45,7 +51,7 @@ _OEIS_URL = "https://oeis.org/{sequence_id}/{filename}"
 _USER_AGENT = "fubini/0.1 (+https://oeis.org)"
 
 
-class BFileParseError(ValueError):
+class BFileParseError(ArgumentError):
     """Raised on malformed b-file input; the message carries the line number."""
 
 
@@ -54,16 +60,16 @@ class OfflineError(RuntimeError):
 
 
 class BFile(_FrozenRecord):
-    """Parsed b-file content: consecutive ``(index, value)`` entries, or ``ValueError``."""
+    """Parsed b-file content: consecutive ``(index, value)`` entries, or ``ArgumentError``."""
 
     __slots__ = ("sequence_id", "entries")
 
     def __init__(self, sequence_id: str, entries: tuple[tuple[int, int], ...]):
         if not entries:
-            raise ValueError("a b-file needs at least one entry")
+            raise ArgumentError("a b-file needs at least one entry")
         for (index, _), (following, _) in zip(entries, entries[1:]):
             if following != index + 1:
-                raise ValueError(f"index {following} not consecutive (gap after {index})")
+                raise ArgumentError(f"index {following} not consecutive (gap after {index})")
         self._set(sequence_id, entries)
 
     @property
@@ -75,10 +81,10 @@ class BFile(_FrozenRecord):
         return self.entries[-1][0]
 
     def value(self, index: int) -> int:
-        """The entry at ``index``; ``ValueError`` outside the stored range."""
+        """The entry at ``index``; ``ArgumentError`` outside the stored range."""
         index = _require_int(index, "index")
         if not self.first_index <= index <= self.last_index:
-            raise ValueError(
+            raise ArgumentError(
                 f"index {index} is outside {self.first_index}..{self.last_index}"
             )
         return self.entries[index - self.first_index][1]
@@ -93,7 +99,7 @@ def _require_type(value, expected, name: str) -> None:
 def _check_sequence_id(sequence_id: str) -> str:
     _require_type(sequence_id, (str,), "sequence_id")
     if not _SEQUENCE_ID_RE.match(sequence_id):
-        raise ValueError(
+        raise ArgumentError(
             f"invalid OEIS sequence id {sequence_id!r} (expected 'A' + 6 digits)"
         )
     return sequence_id
@@ -155,7 +161,7 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
 def emit_bfile(table: SequenceTable) -> str:
     """Render a table in b-file format: ``index value`` lines, trailing newline.
 
-    A value longer than ``sys.get_int_max_str_digits()`` raises ``ValueError``
+    A value longer than ``sys.get_int_max_str_digits()`` raises ``ArgumentError``
     naming its index.
     """
     _require_type(table, (SequenceTable,), "table")
@@ -164,7 +170,7 @@ def emit_bfile(table: SequenceTable) -> str:
         try:
             lines.append(f"{index} {value}\n")
         except ValueError:  # int-to-str conversion refuses it
-            raise ValueError(
+            raise ArgumentError(
                 f"index {index}: the value exceeds the "
                 f"{sys.get_int_max_str_digits()}-digit limit of int-to-str conversion"
             ) from None
@@ -179,7 +185,7 @@ def fixture_ids() -> tuple[str, ...]:
 def load_fixture(sequence_id: str) -> BFile:
     """Load a bundled reference b-file."""
     if _check_sequence_id(sequence_id) not in BY_OEIS_ID:
-        raise ValueError(f"no bundled fixture for {sequence_id}")
+        raise ArgumentError(f"no bundled fixture for {sequence_id}")
     from importlib import resources  # deferred: only load_fixture needs it
 
     path = resources.files("fubini").joinpath("data", _filename(sequence_id))
@@ -194,7 +200,7 @@ def computed_table(sequence_id: str, limit: int) -> SequenceTable:
     """
     sequence = BY_OEIS_ID.get(_check_sequence_id(sequence_id))
     if sequence is None:
-        raise ValueError(f"no computable sequence registered for {sequence_id}")
+        raise ArgumentError(f"no computable sequence registered for {sequence_id}")
     return SequenceTable(sequence_id, sequence.first, tuple(sequence.terms(limit, "limit")))
 
 
@@ -210,16 +216,12 @@ def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> Verific
     lo = max(computed.offset, reference.first_index)
     hi = min(computed.offset + len(computed.values) - 1, reference.last_index, limit)
     if lo > hi:
-        raise ValueError("no overlapping indices to compare")
-    identity_id = f"oeis.{reference.sequence_id or computed.name}"
-    for index in range(lo, hi + 1):
-        expected = reference.value(index)
-        actual = computed.values[index - computed.offset]
-        if expected != actual:
-            return VerificationReport(
-                identity_id, (lo, hi), "fail", (index, expected, actual)
-            )
-    return VerificationReport(identity_id, (lo, hi), "pass")
+        raise ArgumentError("no overlapping indices to compare")
+    pairs = (
+        (index, reference.value(index), computed.values[index - computed.offset])
+        for index in range(lo, hi + 1)
+    )
+    return _sweep(f"oeis.{reference.sequence_id or computed.name}", lo, hi, pairs)
 
 
 def _default_cache_dir() -> Path:

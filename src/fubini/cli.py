@@ -4,11 +4,13 @@ Four subcommands: ``compute`` prints sequence values, ``verify`` sweeps
 the identity suite, ``egf`` prints exact generating-function
 coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
-Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure,
-2 usage error, 3 environment error (network disabled or transport failure, or
-stdout closed early). A usage error is an abbreviated flag, a flag above
-:data:`MAX_INDEX` or :data:`MAX_ORDER`, or a ``ValueError`` from the library,
-whose message is printed.
+Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
+or a library fault, 2 usage error, 3 environment error (network disabled or
+transport failure, or stdout closed early). A usage error is an abbreviated
+flag, a flag above :data:`MAX_INDEX` or :data:`MAX_ORDER`, or an argument the
+library refuses with ``sequences.ArgumentError``. A library fault is any other
+``ValueError``: the arguments were valid and the library failed. Either
+prints its message.
 
 Each command imports what only it needs (``series``, ``bfiles``, ``json``)
 when it runs, so a short command does not pay for the others' imports.
@@ -30,17 +32,13 @@ EXIT_ENV = 3
 
 #: Largest index or row for ``--max``, ``--n`` and ``--limit``. Every value
 #: printed stays below the 4300-digit int-to-str limit (the ordered Bell
-#: number at 1000 has about 2,700 digits). On a 2-vCPU host, with the
-#: bounded Stirling memo, ``compute stirling-row --n 1000`` takes 0.16 s and
-#: peaks at 27 MB, ``compute bell --max 1000`` 0.30 s and 43 MB, and
-#: ``verify all --max 1000 --order 64`` 1.2 s and 18 MB (keeping every row,
-#: the two ``compute`` runs peaked at 210 MB).
+#: number at 1000 has about 2,700 digits), and the slowest command at the
+#: cap, ``verify all --max 1000 --order 64``, takes seconds, not minutes.
 MAX_INDEX = 1000
 #: Largest series order for ``--order``, and column for ``--k`` (columns past
-#: the order are zero). On a 2-vCPU host ``egf cyclic-odd --order 256`` takes
-#: 0.15 s (its builder alone takes 0.13 s at order 512), ``verify egf --order
-#: 256`` 0.6 s and ``egf stirling-col --order 256 --k 256`` 0.18 s, all under
-#: 21 MB.
+#: the order are zero). It bounds the time of the O(order^2) series
+#: recurrences: every ``egf`` and ``verify egf`` command at the cap takes
+#: well under a second.
 MAX_ORDER = 256
 #: Parsed argument name -> (flag, cap), checked before any command runs.
 _CAPS = {
@@ -214,8 +212,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except ValueError as exc:  # the library's argument checks
-        return _usage_error(str(exc))
+    except ValueError as exc:  # the library refused an argument, or failed on valid ones
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, sequences.ArgumentError) else EXIT_FAIL
     except BrokenPipeError:
         # the reader went away: send what is still buffered to devnull, so the
         # interpreter's final flush stays quiet

@@ -132,8 +132,8 @@ def _sweep(identity_id, lo, hi, checks) -> VerificationReport:
 def _require_range(n_max, name: str = "n_max") -> int:
     try:
         return sequences._require_at_least(n_max, 1, name)
-    except ValueError as exc:
-        raise ValueError(f"empty range: {exc}") from None
+    except sequences.ArgumentError as exc:
+        raise sequences.ArgumentError(f"empty range: {exc}") from None
 
 
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``

@@ -35,26 +35,32 @@ or corrupted row reaches every sum. The identity sweep never touches this
 memo. ``_worpitzky_rows`` builds the Worpitzky triangle from its own
 recurrence, for the sweep only.
 
-Brute-force enumeration counters (restricted growth strings and ordered
-block sequences) live alongside so the closed-form routines can be tested
-against an independent route.
+One brute-force enumerator lives alongside, so the closed-form routines
+can be tested against an independent route: ``set_partitions`` walks
+restricted growth strings, and ``ordered_set_partitions`` yields each of
+those partitions with its blocks in every order. The exhaustive counters
+count what they yield.
 
 ``_require_at_least`` is the package's one check of an index, order, column
 or limit argument; every module calls it, and the CLI relays its message.
-Its type half, ``_require_int``, also checks an integer that has no lower
-bound: a b-file index, a table offset or value, and a series index.
+A value out of range raises :class:`ArgumentError`, the ``ValueError`` of
+every argument the package refuses, which the CLI reports as a usage
+error. Its type half, ``_require_int``, also checks an integer that has no
+lower bound: a b-file index, a table offset or value, and a series index.
 """
 
 import sys
 import threading
 from collections import OrderedDict
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 from operator import index
 
 __all__ = [
     "MAX_ENUMERATION_N",
     "MAX_ORDERED_ENUMERATION_N",
+    "ArgumentError",
     "SequenceTable",
     "StirlingTriangle",
     "alternating_cyclic_sum",
@@ -133,6 +139,10 @@ class SequenceTable(_FrozenRecord):
         self._set(name, _require_int(offset, "offset"), values)
 
 
+class ArgumentError(ValueError):
+    """An argument the package refuses: out of range, or naming nothing it has."""
+
+
 def _require_int(value, name: str) -> int:
     """``value`` as an int, or a ``TypeError`` naming ``name``: the type half of the check."""
     try:
@@ -145,7 +155,7 @@ def _require_at_least(value, minimum: int, name: str = "n") -> int:
     """``value`` as an int >= ``minimum``: the one check of an index, order, column or limit."""
     value = _require_int(value, name)
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ArgumentError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -402,7 +412,7 @@ def ordered_bell_parity(n: int, parity: str) -> int:
     """
     n = _require_at_least(n, 1)
     if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        raise ArgumentError(f"parity must be 'even' or 'odd', got {parity!r}")
     return _weighted_row_sum(n, f"ordered_bell_{parity}")
 
 
@@ -422,9 +432,9 @@ def cyclic_ordered_bell_odd(n: int) -> int:
 
 
 def worpitzky(n: int, k: int) -> int:
-    """The Worpitzky number ``k! * S(n+1, k+1)``."""
+    """The Worpitzky number ``k! * S(n+1, k+1)``; zero for ``k > n``."""
     n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
-    return factorial(k) * stirling2(n + 1, k + 1)
+    return factorial(k) * stirling2(n + 1, k + 1) if k <= n else 0
 
 
 def worpitzky_row(n: int) -> list[int]:
@@ -516,7 +526,7 @@ def count_partitions_exhaustive(n: int, k: int) -> int:
     """
     n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
     if n > MAX_ENUMERATION_N:
-        raise ValueError(
+        raise ArgumentError(
             f"exhaustive enumeration is capped at n <= {MAX_ENUMERATION_N}, got {n}"
         )
     return _block_count_histogram(n)[k] if k <= n else 0
@@ -534,40 +544,23 @@ def _block_count_histogram(n: int) -> tuple[int, ...]:
 def ordered_set_partitions(n: int):
     """Yield every sequence of disjoint nonempty blocks covering {0,..,n-1}.
 
-    Blocks are element tuples; the first block ranges over all nonempty
-    subsets (as bitmasks) of the remaining elements, then the rest is
-    partitioned recursively, so every ordered partition appears once.
+    Each partition of :func:`set_partitions` is yielded with its k blocks in
+    all k! orders, so every ordered partition appears once. Blocks are
+    sorted element tuples.
     """
-    n = _require_at_least(n, 0)
-
-    def elements(mask):
-        return tuple(i for i in range(n) if mask >> i & 1)
-
-    chosen: list[tuple[int, ...]] = []
-
-    def extend(remaining):
-        if not remaining:
-            yield tuple(chosen)
-            return
-        submask = remaining
-        while submask:
-            chosen.append(elements(submask))
-            yield from extend(remaining ^ submask)
-            chosen.pop()
-            submask = (submask - 1) & remaining
-
-    yield from extend((1 << n) - 1)
+    for blocks in set_partitions(n):
+        yield from permutations(blocks)
 
 
 def count_ordered_partitions_exhaustive(n: int) -> int:
     """Count ordered set partitions of an n-element set by explicit enumeration.
 
-    Independent of :func:`ordered_bell`; capped at
-    ``n <= MAX_ORDERED_ENUMERATION_N``.
+    Counts what :func:`ordered_set_partitions` yields, independent of
+    :func:`ordered_bell`; capped at ``n <= MAX_ORDERED_ENUMERATION_N``.
     """
     n = _require_at_least(n, 0)
     if n > MAX_ORDERED_ENUMERATION_N:
-        raise ValueError(
+        raise ArgumentError(
             "exhaustive enumeration is capped at "
             f"n <= {MAX_ORDERED_ENUMERATION_N}, got {n}"
         )

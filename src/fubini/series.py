@@ -411,8 +411,13 @@ def ordered_bell_egf(order: int) -> TruncatedSeries:
 
 
 def stirling_column_egf(k: int, order: int) -> TruncatedSeries:
-    """``(e^x - 1)^k / k!``; extracts the k-block partition counts S(n, k)."""
-    k = _require_at_least(k, 0, "k")
+    """``(e^x - 1)^k / k!``; extracts the k-block partition counts S(n, k).
+
+    It has no term below ``x^k``, so a column past the order is zero.
+    """
+    k, order = _require_at_least(k, 0, "k"), _require_at_least(order, 0, "order")
+    if k > order:
+        return TruncatedSeries.zero(order)
     return (exp_series(order) - 1) ** k * Fraction(1, factorial(k))
 
 

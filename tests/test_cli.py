@@ -216,6 +216,33 @@ def test_verify_egf_reports_a_non_integral_egf(capsys, monkeypatch):
     assert err == ""
 
 
+#: A builder patched to fail on valid arguments -> the argv that reaches it and
+#: the start of the message the CLI prints.
+LIBRARY_FAULTS = {
+    "exp_series": (
+        lambda real: lambda order: real(order) + Fraction(1, 6),
+        ("verify", "egf", "--order", "6"),
+        "error: series log needs constant term 1\n",
+    ),
+    "ordered_bell_egf": (
+        lambda real: lambda order: real(order)
+        + series.TruncatedSeries([0, 0, Fraction(1, 7)], order=order),
+        ("egf", "bell", "--order", "4"),
+        "error: not an integer EGF: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", LIBRARY_FAULTS)
+def test_a_library_fault_exits_1_with_its_message(capsys, monkeypatch, builder):
+    # the arguments are valid, so the error is not a usage error (exit 2)
+    corrupt, argv, message = LIBRARY_FAULTS[builder]
+    monkeypatch.setattr(series, builder, corrupt(getattr(series, builder)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
 # -- egf ---------------------------------------------------------------------
 
 

@@ -3,11 +3,13 @@
 Every index, order, column and limit argument is an integer at least some
 bound. A ``bool`` counts as its int; any other type raises ``TypeError``
 naming the argument and its type, and a value below the bound raises
-``ValueError`` naming the argument. No call hands the caller a bare
-internal error, and none answers a float as if it were an int.
+``ArgumentError``, a ``ValueError``, naming the argument. No call hands the
+caller a bare internal error, and none answers a float as if it were an int.
 """
 
 import inspect
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,7 +125,7 @@ def test_integer_arguments_follow_one_contract(call):
         outcome = _outcome(function, args)
         assert outcome == _outcome(function, [int(a) for a in args])
         if outcome[0] != "returns":
-            assert outcome[0] is ValueError
+            assert outcome[0] is fubini.ArgumentError
             assert any(f"{n} must be >= " in outcome[1] for n in names), outcome
         return
     with pytest.raises((TypeError, ValueError)) as info:
@@ -149,3 +151,62 @@ def test_a_bool_is_held_under_its_int():
 def test_terms_reject_an_index_below_first(name):
     with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
         SEQUENCES[name].terms(0)
+
+
+#: Each kind of argument the library refuses -> a call refusing it, and the message.
+_REFUSED = {
+    "parity": (
+        lambda: fubini.ordered_bell_parity(3, "both"),
+        "parity must be 'even' or 'odd', got 'both'",
+    ),
+    "set enumeration cap": (
+        lambda: fubini.count_partitions_exhaustive(13, 2),
+        "exhaustive enumeration is capped at n <= 12, got 13",
+    ),
+    "ordered enumeration cap": (
+        lambda: fubini.count_ordered_partitions_exhaustive(10),
+        "exhaustive enumeration is capped at n <= 9, got 10",
+    ),
+    "empty range": (lambda: fubini.verify_bell_forms(0), "empty range: n_max must be >= 1, got 0"),
+    "sequence id": (
+        lambda: fubini.load_fixture("X123"),
+        "invalid OEIS sequence id 'X123' (expected 'A' + 6 digits)",
+    ),
+    "no fixture": (lambda: fubini.load_fixture("A000001"), "no bundled fixture for A000001"),
+    "no sequence": (
+        lambda: fubini.computed_table("A000001", 3),
+        "no computable sequence registered for A000001",
+    ),
+    "no overlap": (
+        lambda: fubini.crosscheck(
+            fubini.SequenceTable("x", 0, (1, 1, 3)), fubini.parse_bfile("5 541"), 2
+        ),
+        "no overlapping indices to compare",
+    ),
+    "b-file text": (lambda: fubini.parse_bfile("x"), "line 1: expected 'index value', got 'x'"),
+    "b-file index": (lambda: fubini.parse_bfile("5 541").value(7), "index 7 is outside 5..5"),
+    "b-file entries": (
+        lambda: fubini.BFile("A000670", ((0, 1), (2, 3))),
+        "index 2 not consecutive (gap after 0)",
+    ),
+    "b-file value": (
+        lambda: fubini.emit_bfile(fubini.SequenceTable("x", 0, (10**5000,))),
+        f"index 0: the value exceeds the {sys.get_int_max_str_digits()}-digit limit "
+        "of int-to-str conversion",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _REFUSED)
+def test_refused_arguments_raise_argument_error(kind):
+    call, message = _REFUSED[kind]
+    with pytest.raises(fubini.ArgumentError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert isinstance(info.value, ValueError)  # what a library caller catches
+
+
+def test_a_library_fault_is_not_an_argument_error():
+    with pytest.raises(ValueError, match="^series log needs constant term 1$") as info:
+        fubini.TruncatedSeries.constant(2, 3).log()
+    assert not isinstance(info.value, fubini.ArgumentError)
+    assert issubclass(fubini.BFileParseError, fubini.ArgumentError)

@@ -204,6 +204,17 @@ def test_ordered_partition_enumeration_small():
     assert ((1,), (0,)) in arrangements
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_ordered_set_partitions_yield_each_ordered_partition_once(n):
+    arrangements = list(ordered_set_partitions(n))
+    assert len(arrangements) == len(set(arrangements)) == ordered_bell(n)
+    for blocks in arrangements:
+        assert all(type(block) is tuple and block for block in blocks), blocks
+        assert all(list(block) == sorted(block) for block in blocks), blocks
+        # disjoint and covering: the elements are 0..n-1, each once
+        assert sorted(itertools.chain.from_iterable(blocks)) == list(range(n)), blocks
+
+
 def test_ordered_bell_matches_enumeration():
     for n in range(7):
         assert ordered_bell(n) == count_ordered_partitions_exhaustive(n), n
@@ -288,6 +299,15 @@ def test_worpitzky_definition():
     for n in range(12):
         for k in range(n + 2):
             assert worpitzky(n, k) == math.factorial(k) * stirling2(n + 1, k + 1)
+
+
+def test_worpitzky_past_the_row_is_zero_without_its_factorial(monkeypatch):
+    def no_factorial(k):
+        raise AssertionError(f"factorial({k}) was computed")
+
+    monkeypatch.setattr(sequences, "factorial", no_factorial)
+    assert worpitzky(3, 10**6) == 0
+    assert worpitzky(3, 4) == 0
 
 
 def test_worpitzky_rejects_negative():

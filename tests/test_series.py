@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import sequences, series
+from fubini import cli, sequences, series
 from fubini.series import (
     TruncatedSeries,
     cyclic_ordered_bell_egf,
@@ -448,6 +448,18 @@ def test_stirling_column_egf():
         stirling_column_egf(-1, 4)
 
 
+def test_a_column_past_the_order_is_zero_without_its_factorial(monkeypatch):
+    # (e^x - 1)^k has no term below x^k
+    assert (exp_series(4) - 1) ** 5 * F(1, 120) == TruncatedSeries.zero(4)
+
+    def no_factorial(k):
+        raise AssertionError(f"factorial({k}) was computed")
+
+    monkeypatch.setattr(series, "factorial", no_factorial)
+    assert stirling_column_egf(10**6, 4) == TruncatedSeries.zero(4)
+    assert stirling_column_egf(5, 4) == TruncatedSeries.zero(4)
+
+
 def test_cyclic_egf_frozen_and_direct():
     assert cyclic_ordered_bell_egf(1).to_sequence() == [0, 1]
     extracted = cyclic_ordered_bell_egf(16).to_sequence()
@@ -613,6 +625,11 @@ def test_pascal_rows_are_binomial_coefficients():
     beyond = list(series._binomial_rows(series._PASCAL_CAP + 2))
     assert beyond[: series._PASCAL_CAP + 1] == list(rows)
     assert beyond[-1] == tuple(comb(258, i) for i in range(259))
+
+
+def test_pascal_cap_is_the_cli_order_cap():
+    # the table holds every order the CLI accepts, and no more
+    assert series._PASCAL_CAP == cli.MAX_ORDER
 
 
 def test_pascal_table_stays_capped(monkeypatch):
