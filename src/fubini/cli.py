@@ -7,8 +7,9 @@ coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
 or a library fault, 2 usage error, 3 environment error (network disabled or
 transport failure, or stdout closed early). A usage error is an abbreviated
-flag, a flag above :data:`MAX_INDEX` or :data:`MAX_ORDER`, or an argument the
-library refuses with ``sequences.ArgumentError``. A library fault is any other
+flag, a flag above :data:`MAX_INDEX` or :data:`MAX_ORDER`, a flag the chosen
+sequence needs and lacks or does not take, or an argument the library
+refuses with ``sequences.ArgumentError``. A library fault is any other
 ``ValueError``: the arguments were valid and the library failed. Either
 prints its message.
 
@@ -130,10 +131,14 @@ def _cmd_compute(args) -> int:
     if sequence.row:
         if args.row_n is None:
             return _usage_error(f"sequence {name!r} needs --n ROW")
+        if args.n_max is not None:
+            return _usage_error(f"sequence {name!r} does not take --max")
         table = sequences.SequenceTable(name, 0, tuple(sequence.route(args.row_n)))
     else:
         if args.n_max is None:
             return _usage_error(f"sequence {name!r} needs --max N")
+        if args.row_n is not None:
+            return _usage_error(f"sequence {name!r} does not take --n")
         table = sequences.SequenceTable(name, sequence.first, tuple(sequence.terms(args.n_max)))
     _print_table(table, args.format)
     return EXIT_OK
@@ -160,6 +165,8 @@ def _cmd_egf(args) -> int:
         from fubini import series
 
         gf = series.stirling_column_egf(args.k, args.order)
+    elif args.k is not None:
+        return _usage_error(f"gf {args.gf!r} does not take --k")
     else:
         gf = SEQUENCES[args.gf].egf(args.order)
     for n, (coeff, value) in enumerate(zip(gf.coeffs, gf.to_sequence())):

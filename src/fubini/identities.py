@@ -22,7 +22,9 @@ rebuilt as even plus odd, which would reduce ``bell.parity-split`` to
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
 builds each registry EGF once, on first use, and shares it between the
-checks; reads each Stirling row once, for the columns' direct side; and
+checks; reads each Stirling row once from the shared memo, through
+``sequences._read_row`` (the seam for memo rows; ``stirling2_row`` is its
+copying reader), for the columns' direct side; and
 compares two series with ``==`` (exact, since their storage is canonical)
 before walking their coefficients to name the first failure.
 
@@ -290,7 +292,9 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     checks; building on first use keeps a broken builder's error the first
     one raised. The derivative's right side is the ordered-Bell EGF cut to
     ``order - 1``. Each Stirling row is read once, through
-    ``sequences.stirling2_row``, for the columns' direct side. Two series are
+    ``sequences._read_row``, the seam for memo rows, for the columns' direct
+    side; only its first 11 entries are copied, where ``stirling2_row`` would
+    copy the whole row. Two series are
     compared with ``==`` before their coefficients are walked, and an EGF's
     terms ``n! * coefficient`` are compared as they are, so a non-integral
     term is a failed report rather than an error.
@@ -311,7 +315,7 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
                 extracted = series._egf_terms(egf(s.name))
                 for n in range(order + 1):  # the EGF's coefficients below first are 0
                     yield n, s.route(n) if n >= s.first else 0, extracted[n]
-        rows = [sequences.stirling2_row(n)[:_STIRLING_COLUMNS] for n in range(order + 1)]
+        rows = [sequences._read_row(n).row[:_STIRLING_COLUMNS] for n in range(order + 1)]
         for k, column in enumerate(_stirling_columns(order)):
             values = series._egf_terms(column)
             for n in range(order + 1):

@@ -3,6 +3,9 @@
 Adding a sequence is one :class:`Sequence` entry. Each route looks up its
 ``sequences`` or ``series`` function when called, so a patched or wrapped
 one is used; the registry holds no arithmetic, so the routes stay independent.
+The memo-row routes read through ``sequences._read_row``, the seam for memo
+rows (``stirling-row`` through its copying reader ``stirling2_row``), so a
+row fed in there reaches them all.
 ``series`` is imported by the first EGF built, not with the registry.
 """
 

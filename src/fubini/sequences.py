@@ -29,10 +29,12 @@ triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
 every 16th row (a checkpoint) and the other rows read most recently up to
 a byte budget, and recomputes any other row from the nearest held row
 below it. It holds each row as a ``_RowSums``, so a row's sums go when
-the row goes. A public sum still reads its row through ``stirling2_row``,
-and a row that differs from the held row is summed directly, so a patched
-or corrupted row reaches every sum. The identity sweep never touches this
-memo. ``_worpitzky_rows`` builds the Worpitzky triangle from its own
+the row goes. ``_read_row`` hands out the held entry, uncopied: every
+public sum is one read of it, and ``stirling2_row`` is its copying
+reader. It is the one seam for memo rows, so a patched ``_read_row``
+returning a ``_RowSums`` of a corrupted row reaches every sum, the row
+readers and the EGF check's columns. The identity sweep never touches
+this memo. ``_worpitzky_rows`` builds the Worpitzky triangle from its own
 recurrence, for the sweep only.
 
 One brute-force enumerator lives alongside, so the closed-form routines
@@ -250,14 +252,14 @@ class StirlingTriangle:
     Each row is held as a :class:`_RowSums`, which also keeps the weighted
     sums of :data:`_ROW_SUMS` read so far, at most 8 ints, so a recent
     row's sums go when the row is evicted and a checkpoint keeps its sums.
-    A sum is served from the memo only for a row equal to the held one: a
-    row that differs from the held row is summed directly.
+    For the shared instance, :func:`_read_row` hands out that held entry and
+    is the seam for memo rows; :func:`stirling2_row` is its copying reader.
 
     Lookups, extensions and recomputations are serialized with one lock, so
     a shared instance is safe to use from several threads; held rows are
-    never mutated, and accessors hand out copies. A sum is computed outside
-    the lock: two readers who miss the same sum at once both compute it and
-    store the same value.
+    never mutated, and the public accessors hand out copies. A sum is
+    computed outside the lock: two readers who miss the same sum at once
+    both compute it and store the same value.
     """
 
     def __init__(self):
@@ -279,13 +281,13 @@ class StirlingTriangle:
             return self._checkpoints[checkpoint] if checkpoint < len(self._checkpoints) else None
         return self._recent.get(n)
 
-    def _get(self, n: int) -> list[int]:
+    def _get(self, n: int) -> _RowSums:
         # caller holds the lock
         held = self._held(n)
         if held is not None:
             if n % _CHECKPOINT_EVERY:
                 self._recent.move_to_end(n)
-            return held.row
+            return held
         start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
         row = self._checkpoints[start // _CHECKPOINT_EVERY].row
         for m in range(n - 1, start, -1):
@@ -297,19 +299,20 @@ class StirlingTriangle:
             if m % _CHECKPOINT_EVERY == 0:
                 self._checkpoints.append(_RowSums(row))
         self._max_n = max(self._max_n, n)
-        if n % _CHECKPOINT_EVERY:
-            self._recent[n] = _RowSums(row)
-            self._recent_bytes += _row_bytes(row)
-            while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
-                _, old = self._recent.popitem(last=False)
-                self._recent_bytes -= _row_bytes(old.row)
-        return row
+        if not n % _CHECKPOINT_EVERY:
+            return self._checkpoints[-1]  # row n, appended last by the walk
+        held = self._recent[n] = _RowSums(row)
+        self._recent_bytes += _row_bytes(row)
+        while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
+            _, old = self._recent.popitem(last=False)
+            self._recent_bytes -= _row_bytes(old.row)
+        return held
 
     def row(self, n: int) -> list[int]:
         """Return ``[S(n,0), ..., S(n,n)]`` as a fresh list."""
         n = _require_at_least(n, 0, "row index")
         with self._lock:
-            return list(self._get(n))
+            return list(self._get(n).row)
 
     def entry(self, n: int, k: int) -> int:
         """Return ``S(n, k)``; zero for ``k > n``."""
@@ -317,22 +320,7 @@ class StirlingTriangle:
         if k > n:
             return 0
         with self._lock:
-            return self._get(n)[k]
-
-    def _sum(self, n: int, row: list[int], name: str) -> int:
-        """The sum ``name`` of :data:`_ROW_SUMS` over ``row``, which the caller read as row n.
-
-        The memoized sum is served only while row n is held and ``row`` equals
-        it; any other row is summed directly and nothing is stored. The held
-        row and a copy of it share their ``int`` objects, so the comparison
-        costs one pointer compare per entry. A sum stored in an entry evicted
-        meanwhile goes with the entry.
-        """
-        with self._lock:
-            held = self._held(n)
-        if held is None or held.row != row:
-            return _row_sum(row, *_ROW_SUMS[name])
-        return held[name]
+            return self._get(n).row[k]
 
 
 _shared_triangle = StirlingTriangle()
@@ -343,9 +331,25 @@ def stirling2(n: int, k: int) -> int:
     return _shared_triangle.entry(n, k)
 
 
+def _read_row(n: int) -> _RowSums:
+    """Row n of the shared memo as its held entry: the row and its weighted sums.
+
+    The one reader of memo rows, and so the one seam where a test feeds in
+    a corrupted row: a patched ``_read_row`` returns a :class:`_RowSums` of
+    its own, whose sums are computed over that row, so the corrupted row
+    reaches :func:`stirling2_row`, every weighted sum, :func:`worpitzky_row`
+    and the columns of ``identities.verify_egf_agreement``. The entry is
+    handed out, not copied: callers have checked ``n`` and must not mutate
+    ``.row``. The global ``_shared_triangle`` is looked up at call time.
+    """
+    triangle = _shared_triangle
+    with triangle._lock:
+        return triangle._get(n)
+
+
 def stirling2_row(n: int) -> list[int]:
-    """The full row ``[S(n,0), ..., S(n,n)]``."""
-    return _shared_triangle.row(n)
+    """The full row ``[S(n,0), ..., S(n,n)]`` as a fresh list: the copying reader of the memo."""
+    return list(_read_row(_require_at_least(n, 0, "row index")).row)
 
 
 #: The weighted row sums by name, as ``(shift, parity, alternating)`` of
@@ -361,17 +365,6 @@ _ROW_SUMS = {
     "alternating_factorial_sum": (0, None, True),
     "alternating_cyclic_sum": (1, None, True),
 }
-
-
-def _weighted_row_sum(n: int, name: str) -> int:
-    """The sum ``name`` of :data:`_ROW_SUMS` over row n.
-
-    The row is looked up through the module global at call time, so a
-    patched ``stirling2_row`` reaches every sum: the triangle serves its
-    memoized sum only for a row equal to the one it holds, and sums a row
-    that differs from the held row directly.
-    """
-    return _shared_triangle._sum(n, stirling2_row(n), name)
 
 
 def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) -> int:
@@ -402,7 +395,7 @@ def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) 
 
 def ordered_bell(n: int) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
-    return _weighted_row_sum(_require_at_least(n, 0), "ordered_bell")
+    return _read_row(_require_at_least(n, 0))["ordered_bell"]
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -413,22 +406,22 @@ def ordered_bell_parity(n: int, parity: str) -> int:
     n = _require_at_least(n, 1)
     if parity not in ("even", "odd"):
         raise ArgumentError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return _weighted_row_sum(n, f"ordered_bell_{parity}")
+    return _read_row(n)[f"ordered_bell_{parity}"]
 
 
 def cyclic_ordered_bell(n: int) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
-    return _weighted_row_sum(_require_at_least(n, 1), "cyclic_ordered_bell")
+    return _read_row(_require_at_least(n, 1))["cyclic_ordered_bell"]
 
 
 def cyclic_ordered_bell_even(n: int) -> int:
     """Cyclic arrangements with an even number of blocks: sum of (k-1)!*S(n,k), k even."""
-    return _weighted_row_sum(_require_at_least(n, 1), "cyclic_ordered_bell_even")
+    return _read_row(_require_at_least(n, 1))["cyclic_ordered_bell_even"]
 
 
 def cyclic_ordered_bell_odd(n: int) -> int:
     """Cyclic arrangements with an odd number of blocks: sum of (k-1)!*S(n,k), k odd."""
-    return _weighted_row_sum(_require_at_least(n, 1), "cyclic_ordered_bell_odd")
+    return _read_row(_require_at_least(n, 1))["cyclic_ordered_bell_odd"]
 
 
 def worpitzky(n: int, k: int) -> int:
@@ -443,7 +436,7 @@ def worpitzky_row(n: int) -> list[int]:
     ``k!`` is carried along the row as a running product.
     """
     n = _require_at_least(n, 0)
-    row = stirling2_row(n + 1)
+    row = _read_row(n + 1).row
     values = []
     weight = 1
     for k in range(n + 1):
@@ -472,7 +465,7 @@ def _worpitzky_rows():
 
 def alternating_factorial_sum(n: int) -> int:
     """``sum((-1)^k * k! * S(n,k))``; equals (-1)^n for every n >= 1."""
-    return _weighted_row_sum(_require_at_least(n, 1), "alternating_factorial_sum")
+    return _read_row(_require_at_least(n, 1))["alternating_factorial_sum"]
 
 
 def alternating_cyclic_sum(n: int) -> int:
@@ -481,7 +474,7 @@ def alternating_cyclic_sum(n: int) -> int:
     Equals the even-block cyclic count minus the odd-block one: -1 at n=1
     and 0 for all n >= 2.
     """
-    return _weighted_row_sum(_require_at_least(n, 1), "alternating_cyclic_sum")
+    return _read_row(_require_at_least(n, 1))["alternating_cyclic_sum"]
 
 
 # ---------------------------------------------------------------------------

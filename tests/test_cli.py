@@ -103,6 +103,21 @@ def test_compute_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compute", "bell", "--max", "3", "--n", "2"), "sequence 'bell' does not take --n"),
+        (
+            ("compute", "stirling-row", "--n", "2", "--max", "3"),
+            "sequence 'stirling-row' does not take --max",
+        ),
+        (("egf", "bell", "--order", "2", "--k", "1"), "gf 'bell' does not take --k"),
+    ],
+)
+def test_a_flag_the_sequence_ignores_is_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, flag, cap",
     [
         (("compute", "bell", "--max"), "--max", MAX_INDEX),
@@ -150,15 +165,17 @@ def test_verify_target_structured(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    real_row, real_rows = sequences.stirling2_row, sequences._stirling_rows
+    real_read, real_rows = sequences._read_row, sequences._stirling_rows
 
     def corrupted(n, row):
         if n == 6:
-            row = list(row)  # a copy: the stream builds the next row from this one
+            row = list(row)  # a copy: the memo holds this row, and the stream steps from it
             row[2] += 1
         return row
 
-    monkeypatch.setattr(sequences, "stirling2_row", lambda n: corrupted(n, real_row(n)))
+    monkeypatch.setattr(
+        sequences, "_read_row", lambda n: sequences._RowSums(corrupted(n, real_read(n).row))
+    )
     monkeypatch.setattr(
         sequences,
         "_stirling_rows",

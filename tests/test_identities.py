@@ -102,17 +102,19 @@ def test_report_serialization_roundtrip():
 
 
 def _corrupt_stirling_row(monkeypatch, target_n, target_k, delta):
-    """Corrupt S(target_n, target_k) on both Stirling routes: the memo's
-    ``stirling2_row`` and the stream ``_stirling_rows`` that the sweep reads."""
-    real_row, real_rows = sequences.stirling2_row, sequences._stirling_rows
+    """Corrupt S(target_n, target_k) on both Stirling routes: the memo's seam
+    ``_read_row`` and the stream ``_stirling_rows`` that the sweep reads."""
+    real_read, real_rows = sequences._read_row, sequences._stirling_rows
 
     def corrupt(n, row):
         if n == target_n and target_k < len(row):
-            row = list(row)  # a copy: the stream builds the next row from this one
+            row = list(row)  # a copy: the memo holds this row, and the stream steps from it
             row[target_k] += delta
         return row
 
-    monkeypatch.setattr(sequences, "stirling2_row", lambda n: corrupt(n, real_row(n)))
+    monkeypatch.setattr(
+        sequences, "_read_row", lambda n: sequences._RowSums(corrupt(n, real_read(n).row))
+    )
     monkeypatch.setattr(
         sequences, "_stirling_rows", lambda: (corrupt(n, row) for n, row in enumerate(real_rows()))
     )
@@ -202,13 +204,13 @@ def test_corrupted_rows_give_the_frozen_reports(monkeypatch):
 
 def test_sweep_reads_each_stirling_row_once(monkeypatch):
     memo_reads, taken, summed = Counter(), Counter(), Counter()
-    real_row, real_rows, real_sum = (
-        sequences.stirling2_row, sequences._stirling_rows, sequences._row_sum
+    real_read, real_rows, real_sum = (
+        sequences._read_row, sequences._stirling_rows, sequences._row_sum
     )
 
-    def counted_row(n):
+    def counted_read(n):
         memo_reads[n] += 1
-        return real_row(n)
+        return real_read(n)
 
     def counted_rows():
         for n, row in enumerate(real_rows()):
@@ -220,7 +222,7 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
         return real_sum(row, *weights)
 
     monkeypatch.setattr(sequences, "_shared_triangle", sequences.StirlingTriangle())
-    monkeypatch.setattr(sequences, "stirling2_row", counted_row)
+    monkeypatch.setattr(sequences, "_read_row", counted_read)
     monkeypatch.setattr(sequences, "_stirling_rows", counted_rows)
     monkeypatch.setattr(sequences, "_row_sum", counted_sum)
     identities._sweep_integers(30, identities._INTEGER_CHECKS)
@@ -233,6 +235,40 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
     assert len(summed) == 30 * len(sequences._ROW_SUMS) + 2
     # the sweep ran past the memo's last row without extending it
     assert sequences._shared_triangle.max_n == 0
+
+
+#: Sum perturbed at row 9 -> the (identity, first failing n) pairs of the sweep to 12.
+PERTURBED_SUM_FAILURES = {
+    "ordered_bell": {
+        ("bell.parity-split", 9), ("bell.shifted-cyclic", 9), ("cyclic.doubling", 10),
+        ("cyclic.parity-equal", 10), ("worpitzky.parity-rows", 9),
+    },
+    "ordered_bell_even": {("bell.parity-split", 9)},
+    "ordered_bell_odd": {("bell.parity-split", 9)},
+    "cyclic_ordered_bell": {("cyclic.doubling", 9)},
+    "cyclic_ordered_bell_even": {
+        ("bell.shifted-cyclic", 8), ("alternating.cyclic", 9), ("cyclic.parity-equal", 9),
+    },
+    "cyclic_ordered_bell_odd": {
+        ("bell.shifted-cyclic", 8), ("alternating.cyclic", 9), ("cyclic.parity-equal", 9),
+    },
+    "alternating_factorial_sum": {("alternating.factorial", 9)},
+    "alternating_cyclic_sum": {("alternating.cyclic", 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_SUM_FAILURES))
+def test_each_sum_perturbed_alone_is_caught(monkeypatch, name):
+    # one sum is off by one at row 9, whichever route the sweep reads it by
+    real_sum, weights = sequences._row_sum, sequences._ROW_SUMS[name]
+
+    def perturbed(row, *given):
+        return real_sum(row, *given) + (len(row) == 10 and given == weights)
+
+    monkeypatch.setattr(sequences, "_row_sum", perturbed)
+    reports = identities._sweep_integers(12, identities._INTEGER_CHECKS)
+    failed = {(r.identity_id, r.first_failure[0]) for r in reports if not r.passed}
+    assert failed == PERTURBED_SUM_FAILURES[name]
 
 
 def test_chained_stirling_columns_match_powers():
@@ -290,18 +326,18 @@ def test_each_egf_is_built_once(monkeypatch):
 def test_egf_columns_read_each_stirling_row_once(monkeypatch):
     # count the reads made by the verifier itself, not by the direct routes' sums
     rows, entries = Counter(), Counter()
-    real_row, real_entry = sequences.stirling2_row, sequences.stirling2
+    real_read, real_entry = sequences._read_row, sequences.stirling2
 
-    def counted_row(n):
+    def counted_read(n):
         if sys._getframe(1).f_globals["__name__"] == identities.__name__:
             rows[n] += 1
-        return real_row(n)
+        return real_read(n)
 
     def counted_entry(n, k):
         entries[n, k] += 1
         return real_entry(n, k)
 
-    monkeypatch.setattr(sequences, "stirling2_row", counted_row)
+    monkeypatch.setattr(sequences, "_read_row", counted_read)
     monkeypatch.setattr(sequences, "stirling2", counted_entry)
     assert all(r.passed for r in verify_egf_agreement(12))
     assert rows == Counter(range(13))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import sequences
+from fubini import identities, sequences
 from fubini.sequences import (
     StirlingTriangle,
     alternating_cyclic_sum,
@@ -83,10 +83,15 @@ def test_triangle_recurrence_full_sweep():
         prev = row
 
 
-def test_row_copies_are_independent():
+def test_row_copies_are_independent(monkeypatch):
+    # a fresh memo, so ordered_bell(6) is first summed after the change
+    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
     row = stirling2_row(6)
     row[2] = -999
+    row.append(7)
     assert stirling2_row(6)[2] == stirling2(6, 2)
+    assert stirling2_row(6) == [0, 1, 31, 90, 65, 15, 1]
+    assert ordered_bell(6) == 4683
 
 
 def test_triangle_concurrent_extension():
@@ -340,7 +345,7 @@ def test_worpitzky_row_reads_the_patched_row(monkeypatch):
     def fake_row(n):
         return [k + 1 for k in range(n + 1)]
 
-    monkeypatch.setattr(sequences, "stirling2_row", fake_row)
+    monkeypatch.setattr(sequences, "_read_row", lambda n: sequences._RowSums(fake_row(n)))
     for n in range(12):
         assert worpitzky_row(n) == [math.factorial(k) * (k + 2) for k in range(n + 1)], n
 
@@ -422,7 +427,7 @@ def test_weighted_sums_read_the_patched_row(monkeypatch, func, shift, parity, al
     def fake_row(n):
         return [k + 1 for k in range(n + 1)]
 
-    monkeypatch.setattr(sequences, "stirling2_row", fake_row)
+    monkeypatch.setattr(sequences, "_read_row", lambda n: sequences._RowSums(fake_row(n)))
     for n in range(1, 12):
         assert func(n) == _reference_sum(fake_row(n), shift, parity, alternating), n
 
@@ -453,18 +458,34 @@ def test_repeated_sums_sum_each_row_once(monkeypatch):
 def test_a_memoized_sum_never_hides_a_changed_row(monkeypatch):
     monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
     genuine = ordered_bell(7)
-    reader = sequences.stirling2_row
+    reader = sequences._read_row
 
     def corrupted(n):
-        row = reader(n)
+        row = list(reader(n).row)  # a copy: the held row is never mutated
         if n == 7:
             row[3] += 1  # S(7,3) is weighted by 3!
-        return row
+        return sequences._RowSums(row)
 
-    monkeypatch.setattr(sequences, "stirling2_row", corrupted)
+    monkeypatch.setattr(sequences, "_read_row", corrupted)
     assert ordered_bell(7) == genuine + 6
-    monkeypatch.setattr(sequences, "stirling2_row", reader)
+    monkeypatch.setattr(sequences, "_read_row", reader)
     assert ordered_bell(7) == genuine == 47293
+
+
+def test_no_sum_copies_a_row(monkeypatch):
+    def no_copy(n):
+        raise AssertionError(f"stirling2_row({n}) copied a row")
+
+    rows = list(itertools.islice(sequences._stirling_rows(), 41))
+    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    monkeypatch.setattr(sequences, "stirling2_row", no_copy)
+    for param in WEIGHTED_SUMS:
+        func, *weights = param.values
+        for n in range(1, 40):
+            assert func(n) == _reference_sum(rows[n], *weights), (n, param.id)
+    for n in range(40):
+        assert worpitzky_row(n) == [math.factorial(k) * rows[n + 1][k + 1] for k in range(n + 1)]
+    assert all(r.passed for r in identities.verify_egf_agreement(12))
 
 
 def _held_entries(triangle):
