@@ -21,15 +21,10 @@ import re
 import sys
 from pathlib import Path
 
+from fubini._args import ArgumentError, _require_at_least, _require_int
 from fubini.identities import VerificationReport, _sweep
 from fubini.registry import BY_OEIS_ID
-from fubini.sequences import (
-    ArgumentError,
-    SequenceTable,
-    _FrozenRecord,
-    _require_at_least,
-    _require_int,
-)
+from fubini.sequences import SequenceTable, _FrozenRecord
 
 __all__ = [
     "BFile",

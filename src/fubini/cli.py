@@ -8,21 +8,24 @@ Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
 or a library fault, 2 usage error, 3 environment error (network disabled or
 transport failure, or stdout closed early). A usage error is an abbreviated
 flag, a flag above :data:`MAX_INDEX` or :data:`MAX_ORDER`, a flag the chosen
-sequence needs and lacks or does not take, or an argument the library
-refuses with ``sequences.ArgumentError``. A library fault is any other
+sequence or b-file action needs and lacks or does not take, or an argument
+the library refuses with ``fubini.ArgumentError``. A library fault is any other
 ``ValueError``: the arguments were valid and the library failed. Either
 prints its message.
 
-Each command imports what only it needs (``series``, ``bfiles``, ``json``)
-when it runs, so a short command does not pay for the others' imports.
+At import the CLI loads only ``registry`` and ``_args`` of the package.
+Each command imports what only it needs (``sequences``, ``series``,
+``identities``, ``bfiles``, ``json``) when it runs, so a short command
+does not pay for the others' imports: ``egf`` loads neither ``sequences``
+nor ``identities``, and ``compute`` does not load ``identities``.
 """
 
 import argparse
 import os
 import sys
 
-from fubini import identities, sequences
-from fubini.registry import SEQUENCES
+from fubini._args import ArgumentError
+from fubini.registry import SEQUENCES, VERIFY_TARGETS
 
 __all__ = ["MAX_INDEX", "MAX_ORDER", "build_parser", "main"]
 
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=_cmd_compute)
 
     verify = sub.add_parser("verify", help="sweep the identity suite", allow_abbrev=False)
-    verify.add_argument("target", choices=["all", *identities.VERIFY_TARGETS])
+    verify.add_argument("target", choices=["all", *VERIFY_TARGETS])
     verify.add_argument("--max", type=int, dest="n_max", default=200)
     verify.add_argument("--order", type=int, default=64)
     verify.add_argument("--format", choices=("plain", "structured"), default="plain")
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_table(table: sequences.SequenceTable, fmt: str) -> None:
+def _print_table(table: "sequences.SequenceTable", fmt: str) -> None:
     # plain and b-file output share the "index value" line shape; the
     # bfile path goes through the emitter so round trips are exercised.
     if fmt == "bfile":
@@ -126,6 +129,8 @@ def _print_table(table: sequences.SequenceTable, fmt: str) -> None:
 
 
 def _cmd_compute(args) -> int:
+    from fubini import sequences
+
     name = args.sequence
     sequence = SEQUENCES[name]
     if sequence.row:
@@ -145,8 +150,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from fubini import identities
+
     # every choice but "all" is a key of VERIFY_TARGETS
-    run = identities.VERIFY_TARGETS.get(args.target, identities.verify_all)
+    run = VERIFY_TARGETS.get(args.target, identities.verify_all)
     reports = run(args.n_max, args.order)
     if args.format == "structured":
         import json
@@ -179,17 +186,22 @@ def _cmd_bfile(args) -> int:
 
     from fubini import bfiles
 
-    sequence_id = args.sequence_id
+    action, sequence_id = args.action, args.sequence_id
+    if action == "export" and args.limit is None:
+        return _usage_error("bfile export needs --limit N")
+    if action != "fetch":  # only fetch reads the network or the cache
+        if args.network:
+            return _usage_error(f"bfile {action} does not take --network")
+        if args.cache_dir is not None:
+            return _usage_error(f"bfile {action} does not take --cache-dir")
     try:
-        if args.action == "fetch":
+        if action == "fetch":
             bfile = bfiles.fetch_bfile(
                 sequence_id, network=args.network, cache_dir=args.cache_dir
             )
             print(f"fetched {sequence_id}: {len(bfile.entries)} entries")
             return EXIT_OK
-        if args.action == "export":
-            if args.limit is None:
-                return _usage_error("bfile export needs --limit N")
+        if action == "export":
             table = bfiles.computed_table(sequence_id, args.limit)
             sys.stdout.write(bfiles.emit_bfile(table))
             return EXIT_OK
@@ -221,7 +233,7 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:  # the library refused an argument, or failed on valid ones
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, sequences.ArgumentError) else EXIT_FAIL
+        return EXIT_USAGE if isinstance(exc, ArgumentError) else EXIT_FAIL
     except BrokenPipeError:
         # the reader went away: send what is still buffered to devnull, so the
         # interpreter's final flush stays quiet

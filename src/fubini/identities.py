@@ -52,7 +52,7 @@ The full registry of identity ids:
   ordered-Bell EGF, coefficientwise
 """
 
-from fubini import sequences
+from fubini import registry, sequences
 
 __all__ = [
     "IDENTITY_IDS",
@@ -299,7 +299,7 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     terms ``n! * coefficient`` are compared as they are, so a non-integral
     term is a failed report rather than an error.
     """
-    from fubini import registry, series
+    from fubini import series
 
     order = _require_range(order, "order")
     built = {}
@@ -340,17 +340,10 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     ]
 
 
-#: Verify target -> its sweeps, as a function of ``(n_max, order)``. The
-#: verifiers are looked up when called, so a patched or wrapped one is run
-#: by ``fubini verify TARGET``; ``verify_all`` sweeps the integer identities
-#: itself, in one pass.
-VERIFY_TARGETS = {
-    "bell": lambda n_max, order: verify_bell_forms(n_max),
-    "cyclic": lambda n_max, order: verify_cyclic_doubling(n_max),
-    "alternating": lambda n_max, order: verify_alternating_sums(n_max),
-    "parity": lambda n_max, order: verify_parity_split(n_max),
-    "egf": lambda n_max, order: verify_egf_agreement(order),
-}
+#: Verify target -> its sweeps, as a function of ``(n_max, order)``: the
+#: registry's table itself. Its verifiers are looked up when called, so a
+#: patched or wrapped one is run by ``fubini verify TARGET``.
+VERIFY_TARGETS = registry.VERIFY_TARGETS
 
 
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:

@@ -43,12 +43,10 @@ restricted growth strings, and ``ordered_set_partitions`` yields each of
 those partitions with its blocks in every order. The exhaustive counters
 count what they yield.
 
-``_require_at_least`` is the package's one check of an index, order, column
-or limit argument; every module calls it, and the CLI relays its message.
-A value out of range raises :class:`ArgumentError`, the ``ValueError`` of
-every argument the package refuses, which the CLI reports as a usage
-error. Its type half, ``_require_int``, also checks an integer that has no
-lower bound: a b-file index, a table offset or value, and a series index.
+The package's one argument rule, ``_require_at_least`` with its type half
+``_require_int`` and the :class:`ArgumentError` they raise, lives in the
+leaf module ``fubini._args``; this module binds all three names, so
+``fubini.ArgumentError`` is ``sequences.ArgumentError``.
 """
 
 import sys
@@ -57,7 +55,8 @@ from collections import OrderedDict
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from operator import index
+
+from fubini._args import ArgumentError, _require_at_least, _require_int
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -139,26 +138,6 @@ class SequenceTable(_FrozenRecord):
     def __init__(self, name: str, offset: int, values: tuple[int, ...]):
         values = tuple(_require_int(value, "value") for value in values)
         self._set(name, _require_int(offset, "offset"), values)
-
-
-class ArgumentError(ValueError):
-    """An argument the package refuses: out of range, or naming nothing it has."""
-
-
-def _require_int(value, name: str) -> int:
-    """``value`` as an int, or a ``TypeError`` naming ``name``: the type half of the check."""
-    try:
-        return index(value)  # a bool counts as its int; a float or str raises
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
-
-
-def _require_at_least(value, minimum: int, name: str = "n") -> int:
-    """``value`` as an int >= ``minimum``: the one check of an index, order, column or limit."""
-    value = _require_int(value, name)
-    if value < minimum:
-        raise ArgumentError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def _next_stirling_row(prev: list[int]) -> list[int]:

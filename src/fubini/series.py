@@ -61,7 +61,7 @@ from math import factorial, gcd, lcm
 from numbers import Rational
 from operator import add, mul
 
-from fubini.sequences import _require_at_least, _require_int
+from fubini._args import _require_at_least, _require_int
 
 __all__ = [
     "TruncatedSeries",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import bfiles, sequences, series
+from fubini import bfiles, identities, registry, sequences, series
 from fubini.cli import MAX_INDEX, MAX_ORDER, main
 from fubini.identities import VERIFY_TARGETS
 from fubini.registry import SEQUENCES
@@ -111,6 +111,17 @@ def test_compute_usage_errors(capsys):
             "sequence 'stirling-row' does not take --max",
         ),
         (("egf", "bell", "--order", "2", "--k", "1"), "gf 'bell' does not take --k"),
+        # only fetch reads the network or the fetch cache
+        (
+            ("bfile", "export", "A000670", "--limit", "3", "--network", "--cache-dir", "/x"),
+            "bfile export does not take --network",
+        ),
+        (
+            ("bfile", "export", "A000670", "--limit", "3", "--cache-dir", ""),
+            "bfile export does not take --cache-dir",
+        ),
+        (("bfile", "check", "A000670", "--network"), "bfile check does not take --network"),
+        (("bfile", "check", "A000670", "--cache-dir", "x"), "bfile check does not take --cache-dir"),
     ],
 )
 def test_a_flag_the_sequence_ignores_is_a_usage_error(capsys, argv, message):
@@ -185,6 +196,15 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "fail" in out
     assert "first_failure" in out
+
+
+def test_verify_target_runs_the_patched_verifier(capsys, monkeypatch):
+    # each target looks its verifier up when it runs, not when the table is built
+    report = identities.VerificationReport("cyclic.parity-equal", (1, 5), "fail", (3, 7, 8))
+    monkeypatch.setattr(identities, "verify_parity_split", lambda n_max: [report])
+    assert registry.VERIFY_TARGETS is identities.VERIFY_TARGETS
+    code, out, err = run_cli(capsys, "verify", "parity", "--max", "5")
+    assert (code, out, err) == (1, report.format_line() + "\n", "")
 
 
 def test_verify_usage_errors(capsys):

@@ -65,18 +65,33 @@ def test_compute_loads_only_its_path():
     modules = _loaded_by(["compute", "bell", "--max", "3"])
     assert _fubini_modules(modules) == {
         "fubini",
+        "fubini._args",
         "fubini.cli",
-        "fubini.identities",
         "fubini.registry",
         "fubini.sequences",
     }
     assert not modules & {"fubini.series", "fubini.bfiles", "fractions", "json", "dataclasses"}
 
 
-def test_egf_loads_no_bfile_code():
+def test_egf_loads_only_its_path():
     modules = _loaded_by(["egf", "bell", "--order", "6"])
-    assert "fubini.series" in modules
-    assert "fubini.bfiles" not in modules
+    assert _fubini_modules(modules) == {
+        "fubini",
+        "fubini._args",
+        "fubini.cli",
+        "fubini.registry",
+        "fubini.series",
+    }
+
+
+def test_verify_loads_only_its_path():
+    modules = _loaded_by(["verify", "parity", "--max", "6"])
+    assert "fubini.identities" in modules
+    assert not modules & {"fubini.series", "fubini.bfiles"}
+
+
+def test_the_argument_rule_is_a_leaf():
+    assert _fubini_modules(_loaded("import fubini._args")) == {"fubini", "fubini._args"}
 
 
 ARGVS = [
