@@ -43,7 +43,6 @@ _EXPORTS = {
     "sequences": (
         "ArgumentError",
         "SequenceTable",
-        "StirlingTriangle",
         "alternating_cyclic_sum",
         "alternating_factorial_sum",
         "count_ordered_partitions_exhaustive",

@@ -17,7 +17,9 @@ At import the CLI loads only ``registry`` and ``_args`` of the package.
 Each command imports what only it needs (``sequences``, ``series``,
 ``identities``, ``bfiles``, ``json``) when it runs, so a short command
 does not pay for the others' imports: ``egf`` loads neither ``sequences``
-nor ``identities``, and ``compute`` does not load ``identities``.
+nor ``identities``, and ``compute``, in either format, loads neither
+``identities`` nor ``bfiles``. ``verify TARGET`` runs the verifier of
+``registry.VERIFY_TARGETS[TARGET]`` with the parsed flags it names.
 """
 
 import argparse
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=_cmd_compute)
 
     verify = sub.add_parser("verify", help="sweep the identity suite", allow_abbrev=False)
-    verify.add_argument("target", choices=["all", *VERIFY_TARGETS])
+    verify.add_argument("target", choices=list(VERIFY_TARGETS))
     verify.add_argument("--max", type=int, dest="n_max", default=200)
     verify.add_argument("--order", type=int, default=64)
     verify.add_argument("--format", choices=("plain", "structured"), default="plain")
@@ -116,21 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_table(table: "sequences.SequenceTable", fmt: str) -> None:
-    # plain and b-file output share the "index value" line shape; the
-    # bfile path goes through the emitter so round trips are exercised.
-    if fmt == "bfile":
-        from fubini import bfiles
-
-        sys.stdout.write(bfiles.emit_bfile(table))
-    else:
-        for i, value in enumerate(table.values):
-            print(table.offset + i, value)
-
-
 def _cmd_compute(args) -> int:
-    from fubini import sequences
-
     name = args.sequence
     sequence = SEQUENCES[name]
     if sequence.row:
@@ -138,23 +126,22 @@ def _cmd_compute(args) -> int:
             return _usage_error(f"sequence {name!r} needs --n ROW")
         if args.n_max is not None:
             return _usage_error(f"sequence {name!r} does not take --max")
-        table = sequences.SequenceTable(name, 0, tuple(sequence.route(args.row_n)))
+        offset, values = 0, sequence.route(args.row_n)
     else:
         if args.n_max is None:
             return _usage_error(f"sequence {name!r} needs --max N")
         if args.row_n is not None:
             return _usage_error(f"sequence {name!r} does not take --n")
-        table = sequences.SequenceTable(name, sequence.first, tuple(sequence.terms(args.n_max)))
-    _print_table(table, args.format)
+        offset, values = sequence.first, sequence.terms(args.n_max)
+    # plain and b-file output are the same "index value" lines
+    for index, value in enumerate(values, start=offset):
+        print(index, value)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from fubini import identities
-
-    # every choice but "all" is a key of VERIFY_TARGETS
-    run = VERIFY_TARGETS.get(args.target, identities.verify_all)
-    reports = run(args.n_max, args.order)
+    run, flags = VERIFY_TARGETS[args.target]
+    reports = run(*(getattr(args, flag) for flag in flags))
     if args.format == "structured":
         import json
 
@@ -189,7 +176,10 @@ def _cmd_bfile(args) -> int:
     action, sequence_id = args.action, args.sequence_id
     if action == "export" and args.limit is None:
         return _usage_error("bfile export needs --limit N")
-    if action != "fetch":  # only fetch reads the network or the cache
+    if action == "fetch":
+        if args.limit is not None:
+            return _usage_error("bfile fetch does not take --limit")
+    else:  # only fetch reads the network or the cache
         if args.network:
             return _usage_error(f"bfile {action} does not take --network")
         if args.cache_dir is not None:

@@ -56,7 +56,6 @@ from fubini import registry, sequences
 
 __all__ = [
     "IDENTITY_IDS",
-    "VERIFY_TARGETS",
     "VerificationReport",
     "verify_all",
     "verify_alternating_sums",
@@ -340,14 +339,9 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     ]
 
 
-#: Verify target -> its sweeps, as a function of ``(n_max, order)``: the
-#: registry's table itself. Its verifiers are looked up when called, so a
-#: patched or wrapped one is run by ``fubini verify TARGET``.
-VERIFY_TARGETS = registry.VERIFY_TARGETS
-
-
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:
     """Every identity: the seven integer ones in one pass over n = 1..n_max,
-    then the EGF checks at ``order``. The reports come in the order of
-    ``VERIFY_TARGETS``; the aggregate passes only if each report passes."""
+    then the EGF checks at ``order``. The reports come in the order of the
+    other targets of ``registry.VERIFY_TARGETS``; the aggregate passes only
+    if each report passes."""
     return _sweep_integers(n_max, sum(_TARGET_IDS.values(), ())) + verify_egf_agreement(order)

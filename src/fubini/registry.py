@@ -1,13 +1,15 @@
 """One record per named sequence, read by the CLI, the b-file tools and the EGF checks.
 
-Adding a sequence is one :class:`Sequence` entry. Each route looks up its
-``sequences`` or ``series`` function when called, so a patched or wrapped
-one is used; the registry holds no arithmetic, so the routes stay independent.
-The memo-row routes read through ``sequences._read_row``, the seam for memo
-rows (``stirling-row`` through its copying reader ``stirling2_row``), so a
-row fed in there reaches them all. :data:`VERIFY_TARGETS` names the
-``identities`` verifier of each ``fubini verify TARGET``, looked up the same
-way.
+Adding a sequence is one :class:`Sequence` entry. Every route, EGF builder
+and verifier in the tables is a ``_late(module, name)`` call: it imports
+``fubini.<module>`` and looks ``name`` up each time it is called, so a
+patched or traced function runs. The registry holds no arithmetic, so the
+routes stay independent. The memo-row routes read through
+``sequences._read_row``, the seam for memo rows (``stirling-row`` through
+its copying reader ``stirling2_row``), so a row fed in there reaches them
+all. :data:`VERIFY_TARGETS` maps each ``fubini verify`` choice, ``"all"``
+first, to ``(verifier, flags)``, where ``flags`` names the parsed
+arguments the verifier takes.
 
 Loading the registry loads no arithmetic: ``sequences`` is imported by the
 first direct route called, ``series`` by the first EGF built and
@@ -15,6 +17,8 @@ first direct route called, ``series`` by the first EGF built and
 loads ``sequences`` or ``identities``, and ``fubini compute`` never loads
 ``series`` or ``identities``.
 """
+
+from importlib import import_module
 
 from fubini._args import _require_at_least
 
@@ -45,67 +49,44 @@ class Sequence:
         return values[: last - self.first + 1]
 
 
-def _route(function: str):
-    """The route ``n -> sequences.<function>(n)``, importing ``sequences`` when called."""
+def _late(module: str, name: str):
+    """A call of ``fubini.<module>.<name>`` that imports the module and looks
+    ``name`` up each time it is called, so a patched or traced function runs."""
 
-    def route(n):
-        from fubini import sequences
+    def call(*args):
+        return getattr(import_module(f"fubini.{module}"), name)(*args)
 
-        return getattr(sequences, function)(n)
-
-    return route
-
-
-def _egf(builder: str):
-    """The route ``order -> series.<builder>(order)``, importing ``series`` when called."""
-
-    def egf(order):
-        from fubini import series
-
-        return getattr(series, builder)(order)
-
-    return egf
-
-
-def _target(verifier: str, by_order: bool = False):
-    """The verify target ``(n_max, order) -> identities.<verifier>(n_max)``, or
-    ``(order)`` if ``by_order``, importing ``identities`` when called."""
-
-    def target(n_max, order):
-        from fubini import identities
-
-        return getattr(identities, verifier)(order if by_order else n_max)
-
-    return target
+    return call
 
 
 #: Every named sequence by CLI name, in the order the CLI lists them.
 SEQUENCES = {s.name: s for s in (
-    Sequence("bell", 0, _route("ordered_bell"),
-             _egf("ordered_bell_egf"), "A000670"),
-    Sequence("cyclic", 1, _route("cyclic_ordered_bell"),
-             _egf("cyclic_ordered_bell_egf")),
-    Sequence("cyclic-even", 1, _route("cyclic_ordered_bell_even"),
-             _egf("cyclic_ordered_bell_even_egf")),
-    Sequence("cyclic-odd", 1, _route("cyclic_ordered_bell_odd"),
-             _egf("cyclic_ordered_bell_odd_egf")),
-    Sequence("double-shifted-bell", 1, egf=_egf("double_shifted_bell_egf")),
-    Sequence("stirling-row", 1, _route("stirling2_row"),
+    Sequence("bell", 0, _late("sequences", "ordered_bell"),
+             _late("series", "ordered_bell_egf"), "A000670"),
+    Sequence("cyclic", 1, _late("sequences", "cyclic_ordered_bell"),
+             _late("series", "cyclic_ordered_bell_egf")),
+    Sequence("cyclic-even", 1, _late("sequences", "cyclic_ordered_bell_even"),
+             _late("series", "cyclic_ordered_bell_even_egf")),
+    Sequence("cyclic-odd", 1, _late("sequences", "cyclic_ordered_bell_odd"),
+             _late("series", "cyclic_ordered_bell_odd_egf")),
+    Sequence("double-shifted-bell", 1, egf=_late("series", "double_shifted_bell_egf")),
+    Sequence("stirling-row", 1, _late("sequences", "stirling2_row"),
              oeis_id="A008277", row=True),
-    Sequence("worpitzky-row", 0, _route("worpitzky_row"),
+    Sequence("worpitzky-row", 0, _late("sequences", "worpitzky_row"),
              oeis_id="A130850", row=True),
 )}
 
 #: The sequences with an OEIS id; each ships the b-file ``data/b<id digits>.txt``.
 BY_OEIS_ID = {s.oeis_id: s for s in SEQUENCES.values() if s.oeis_id}
 
-#: Verify target -> its sweeps, as a function of ``(n_max, order)``, in the
-#: order the CLI lists them. ``verify_all`` sweeps the integer identities
-#: itself, in one pass.
+#: ``fubini verify`` choice -> ``(verifier, flags)``, in the order the CLI
+#: lists them: ``flags`` names the parsed arguments the verifier takes, in
+#: order. ``verify_all`` sweeps the integer identities itself, in one pass.
 VERIFY_TARGETS = {
-    "bell": _target("verify_bell_forms"),
-    "cyclic": _target("verify_cyclic_doubling"),
-    "alternating": _target("verify_alternating_sums"),
-    "parity": _target("verify_parity_split"),
-    "egf": _target("verify_egf_agreement", by_order=True),
+    "all": (_late("identities", "verify_all"), ("n_max", "order")),
+    "bell": (_late("identities", "verify_bell_forms"), ("n_max",)),
+    "cyclic": (_late("identities", "verify_cyclic_doubling"), ("n_max",)),
+    "alternating": (_late("identities", "verify_alternating_sums"), ("n_max",)),
+    "parity": (_late("identities", "verify_parity_split"), ("n_max",)),
+    "egf": (_late("identities", "verify_egf_agreement"), ("order",)),
 }

@@ -25,17 +25,18 @@ computed when first read and then kept: the one memo of a row's sums.
 ``_next_stirling_row`` is the one Stirling recurrence step: the identity
 sweep streams rows through ``_stirling_rows`` without holding the
 triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
-``StirlingTriangle``, steps with it too. The memo is bounded: it keeps
+``_StirlingTriangle``, steps with it too. The memo is bounded: it keeps
 every 16th row (a checkpoint) and the other rows read most recently up to
 a byte budget, and recomputes any other row from the nearest held row
 below it. It holds each row as a ``_RowSums``, so a row's sums go when
-the row goes. ``_read_row`` hands out the held entry, uncopied: every
-public sum is one read of it, and ``stirling2_row`` is its copying
-reader. It is the one seam for memo rows, so a patched ``_read_row``
-returning a ``_RowSums`` of a corrupted row reaches every sum, the row
-readers and the EGF check's columns. The identity sweep never touches
-this memo. ``_worpitzky_rows`` builds the Worpitzky triangle from its own
-recurrence, for the sweep only.
+the row goes. ``_read_row`` is the one reader of the memo, and it hands
+out the held entry, uncopied: every public sum and every ``stirling2``
+entry is one read of it, and ``stirling2_row`` is its copying reader. It
+is the one seam for memo rows, so a patched ``_read_row`` returning a
+``_RowSums`` of a corrupted row reaches every entry, every sum, the row
+readers, the Worpitzky numbers and the EGF check's columns. The identity
+sweep never touches this memo. ``_worpitzky_rows`` builds the Worpitzky
+triangle from its own recurrence, for the sweep only.
 
 One brute-force enumerator lives alongside, so the closed-form routines
 can be tested against an independent route: ``set_partitions`` walks
@@ -63,7 +64,6 @@ __all__ = [
     "MAX_ORDERED_ENUMERATION_N",
     "ArgumentError",
     "SequenceTable",
-    "StirlingTriangle",
     "alternating_cyclic_sum",
     "alternating_factorial_sum",
     "count_ordered_partitions_exhaustive",
@@ -144,7 +144,7 @@ def _next_stirling_row(prev: list[int]) -> list[int]:
     """Row n+1 of the triangle from row n, by ``S(n,k) = k*S(n-1,k) + S(n-1,k-1)``.
 
     The one place the recurrence is computed: :func:`_stirling_rows` and
-    :class:`StirlingTriangle` both step with it.
+    :class:`_StirlingTriangle` both step with it.
     """
     m = len(prev)
     row = [0] * (m + 1)  # sized exactly: no list over-allocation in a held row
@@ -210,7 +210,7 @@ _CHECKPOINT_EVERY = 16
 _RECENT_BYTES = 8 << 20
 
 
-class StirlingTriangle:
+class _StirlingTriangle:
     """Rows of second-kind partition counts, with a bounded memo.
 
     Row ``n`` is ``S(n, 0..n)``. The memo keeps two kinds of rows:
@@ -223,35 +223,28 @@ class StirlingTriangle:
 
     A row that is not held is recomputed from the nearest held row below it
     with :func:`_next_stirling_row`, the step :func:`_stirling_rows` takes:
-    at most ``_CHECKPOINT_EVERY - 1`` steps below :attr:`max_n`, and above it
-    the walk appends the checkpoints it passes. So the memo holds the
-    checkpoints, a sixteenth of the triangle, plus about ``_RECENT_BYTES``,
-    where keeping every row would hold the whole triangle.
+    at most ``_CHECKPOINT_EVERY - 1`` steps below the highest row computed,
+    and above it the walk appends the checkpoints it passes. So the memo
+    holds the checkpoints, a sixteenth of the triangle, plus about
+    ``_RECENT_BYTES``, where keeping every row would hold the whole triangle.
 
     Each row is held as a :class:`_RowSums`, which also keeps the weighted
     sums of :data:`_ROW_SUMS` read so far, at most 8 ints, so a recent
     row's sums go when the row is evicted and a checkpoint keeps its sums.
-    For the shared instance, :func:`_read_row` hands out that held entry and
-    is the seam for memo rows; :func:`stirling2_row` is its copying reader.
+    :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
+    instance and hands out the held entry.
 
     Lookups, extensions and recomputations are serialized with one lock, so
-    a shared instance is safe to use from several threads; held rows are
-    never mutated, and the public accessors hand out copies. A sum is
-    computed outside the lock: two readers who miss the same sum at once
-    both compute it and store the same value.
+    an instance is safe to use from several threads; held rows are never
+    mutated. A sum is computed outside the lock: two readers who miss the
+    same sum at once both compute it and store the same value.
     """
 
     def __init__(self):
         self._checkpoints: list[_RowSums] = [_RowSums([1])]
         self._recent: OrderedDict[int, _RowSums] = OrderedDict()
         self._recent_bytes = 0
-        self._max_n = 0
         self._lock = threading.Lock()
-
-    @property
-    def max_n(self) -> int:
-        """Index of the highest row computed so far."""
-        return self._max_n
 
     def _held(self, n: int) -> _RowSums | None:
         # caller holds the lock
@@ -277,7 +270,6 @@ class StirlingTriangle:
             row = _next_stirling_row(row)
             if m % _CHECKPOINT_EVERY == 0:
                 self._checkpoints.append(_RowSums(row))
-        self._max_n = max(self._max_n, n)
         if not n % _CHECKPOINT_EVERY:
             return self._checkpoints[-1]  # row n, appended last by the walk
         held = self._recent[n] = _RowSums(row)
@@ -287,27 +279,13 @@ class StirlingTriangle:
             self._recent_bytes -= _row_bytes(old.row)
         return held
 
-    def row(self, n: int) -> list[int]:
-        """Return ``[S(n,0), ..., S(n,n)]`` as a fresh list."""
-        n = _require_at_least(n, 0, "row index")
+    def read(self, n: int) -> _RowSums:
+        """Row ``n >= 0`` as its held entry, under the lock; the caller has checked ``n``."""
         with self._lock:
-            return list(self._get(n).row)
-
-    def entry(self, n: int, k: int) -> int:
-        """Return ``S(n, k)``; zero for ``k > n``."""
-        n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
-        if k > n:
-            return 0
-        with self._lock:
-            return self._get(n).row[k]
+            return self._get(n)
 
 
-_shared_triangle = StirlingTriangle()
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-element set into exactly k nonempty blocks."""
-    return _shared_triangle.entry(n, k)
+_shared_triangle = _StirlingTriangle()
 
 
 def _read_row(n: int) -> _RowSums:
@@ -316,14 +294,19 @@ def _read_row(n: int) -> _RowSums:
     The one reader of memo rows, and so the one seam where a test feeds in
     a corrupted row: a patched ``_read_row`` returns a :class:`_RowSums` of
     its own, whose sums are computed over that row, so the corrupted row
-    reaches :func:`stirling2_row`, every weighted sum, :func:`worpitzky_row`
-    and the columns of ``identities.verify_egf_agreement``. The entry is
-    handed out, not copied: callers have checked ``n`` and must not mutate
-    ``.row``. The global ``_shared_triangle`` is looked up at call time.
+    reaches :func:`stirling2`, :func:`stirling2_row`, every weighted sum,
+    :func:`worpitzky`, :func:`worpitzky_row` and the columns of
+    ``identities.verify_egf_agreement``. The entry is handed out, not
+    copied: callers have checked ``n`` and must not mutate ``.row``. The
+    global ``_shared_triangle`` is looked up at call time.
     """
-    triangle = _shared_triangle
-    with triangle._lock:
-        return triangle._get(n)
+    return _shared_triangle.read(n)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-element set into exactly k nonempty blocks."""
+    n, k = _require_at_least(n, 0), _require_at_least(k, 0, "k")
+    return _read_row(n).row[k] if k <= n else 0
 
 
 def stirling2_row(n: int) -> list[int]:

@@ -30,8 +30,6 @@ def _crosscheck(limit):
 #: Public callable -> (a call taking only its integer arguments, the names its
 #: errors give them).
 _CASES = {
-    "StirlingTriangle.row": (lambda n: fubini.StirlingTriangle().row(n), ("row index",)),
-    "StirlingTriangle.entry": (lambda n, k: fubini.StirlingTriangle().entry(n, k), ("n", "k")),
     "TruncatedSeries": (lambda order: fubini.TruncatedSeries([1, 2], order=order), ("order",)),
     "TruncatedSeries.truncate": (
         lambda order: fubini.TruncatedSeries([1, 2]).truncate(order),
@@ -141,9 +139,10 @@ def test_integer_arguments_follow_one_contract(call):
         assert any(f"{n} must be >= " in message for n in names), message
 
 
-def test_a_bool_is_held_under_its_int():
-    triangle = fubini.StirlingTriangle()
-    assert triangle.row(True) == [0, 1]
+def test_a_bool_is_held_under_its_int(monkeypatch):
+    triangle = fubini.sequences._StirlingTriangle()
+    monkeypatch.setattr(fubini.sequences, "_shared_triangle", triangle)
+    assert fubini.stirling2_row(True) == [0, 1]
     assert all(type(n) is int for n in triangle._recent)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fubini import identities, sequences, series
+from fubini import identities, registry, sequences, series
 from fubini.identities import (
     IDENTITY_IDS,
     VerificationReport,
@@ -57,10 +57,12 @@ def test_registry_matches_report_ids():
 def test_target_table_orders_every_integer_identity_once():
     ids = [i for target_ids in identities._TARGET_IDS.values() for i in target_ids]
     assert sorted(ids) == sorted(identities._INTEGER_CHECKS)
-    assert [*identities._TARGET_IDS, "egf"] == list(identities.VERIFY_TARGETS)
+    assert ["all", *identities._TARGET_IDS, "egf"] == list(registry.VERIFY_TARGETS)
     assert [r.identity_id for r in verify_all(3, 2)][: len(ids)] == ids
     for target, target_ids in identities._TARGET_IDS.items():
-        reports = identities.VERIFY_TARGETS[target](3, 2)
+        run, flags = registry.VERIFY_TARGETS[target]
+        assert flags == ("n_max",)
+        reports = run(3)
         assert tuple(r.identity_id for r in reports) == target_ids
 
 
@@ -221,7 +223,7 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
         summed[len(row) - 1, weights] += 1
         return real_sum(row, *weights)
 
-    monkeypatch.setattr(sequences, "_shared_triangle", sequences.StirlingTriangle())
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
     monkeypatch.setattr(sequences, "_read_row", counted_read)
     monkeypatch.setattr(sequences, "_stirling_rows", counted_rows)
     monkeypatch.setattr(sequences, "_row_sum", counted_sum)
@@ -234,7 +236,8 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
     assert set(summed.values()) == {1}
     assert len(summed) == 30 * len(sequences._ROW_SUMS) + 2
     # the sweep ran past the memo's last row without extending it
-    assert sequences._shared_triangle.max_n == 0
+    assert len(sequences._shared_triangle._checkpoints) == 1
+    assert not sequences._shared_triangle._recent
 
 
 #: Sum perturbed at row 9 -> the (identity, first failing n) pairs of the sweep to 12.

@@ -73,6 +73,12 @@ def test_compute_loads_only_its_path():
     assert not modules & {"fubini.series", "fubini.bfiles", "fractions", "json", "dataclasses"}
 
 
+def test_compute_loads_the_same_modules_in_either_format():
+    plain = _loaded_by(["compute", "bell", "--max", "3"])
+    bfile = _loaded_by(["compute", "bell", "--max", "3", "--format", "bfile"])
+    assert _fubini_modules(bfile) == _fubini_modules(plain)
+
+
 def test_egf_loads_only_its_path():
     modules = _loaded_by(["egf", "bell", "--order", "6"])
     assert _fubini_modules(modules) == {

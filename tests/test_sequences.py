@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from fubini import identities, sequences
 from fubini.sequences import (
-    StirlingTriangle,
     alternating_cyclic_sum,
     alternating_factorial_sum,
     count_ordered_partitions_exhaustive,
@@ -85,7 +84,7 @@ def test_triangle_recurrence_full_sweep():
 
 def test_row_copies_are_independent(monkeypatch):
     # a fresh memo, so ordered_bell(6) is first summed after the change
-    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
     row = stirling2_row(6)
     row[2] = -999
     row.append(7)
@@ -95,19 +94,20 @@ def test_row_copies_are_independent(monkeypatch):
 
 
 def test_triangle_concurrent_extension():
-    triangle = StirlingTriangle()
+    expected = list(itertools.islice(sequences._stirling_rows(), 121))
+    triangle = sequences._StirlingTriangle()
     failures = []
 
     def worker(indices):
         try:
             for n in indices:
-                assert triangle.row(n) == stirling2_row(n)
+                assert triangle.read(n).row == expected[n]
         except AssertionError as exc:  # pragma: no cover - only on bug
             failures.append(exc)
 
     ascending = range(0, 121, 7)
     # the descending worker extends to the top first, so the others recompute
-    # rows below max_n while it and they read
+    # rows below the highest one computed while it and they read
     orders = [ascending] * 4 + [ascending[::-1]]
     threads = [threading.Thread(target=worker, args=(indices,)) for indices in orders]
     interval = sys.getswitchinterval()
@@ -121,7 +121,7 @@ def test_triangle_concurrent_extension():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    assert triangle.max_n >= 119
+    assert max(_held_entries(triangle)) >= 119
 
 
 def _read_orders(top: int) -> dict[str, list[int]]:
@@ -136,16 +136,18 @@ def _read_orders(top: int) -> dict[str, list[int]]:
 
 
 @pytest.mark.parametrize("order", ["descending", "random", "interleaved"])
-def test_triangle_recomputes_the_streamed_rows(order):
+def test_triangle_recomputes_the_streamed_rows(monkeypatch, order):
     # rows 0..420 hold about 15 MB, so reading them all passes 26
     # checkpoints and evicts recent rows past the byte budget
     top = 420
     expected = list(itertools.islice(sequences._stirling_rows(), top + 1))
-    triangle = StirlingTriangle()
+    triangle = sequences._StirlingTriangle()
+    monkeypatch.setattr(sequences, "_shared_triangle", triangle)
     for n in _read_orders(top)[order]:
-        assert triangle.row(n) == expected[n], n
-        assert triangle.entry(n, n // 3) == expected[n][n // 3], n
-    assert triangle.max_n == top
+        assert stirling2_row(n) == expected[n], n
+        assert stirling2(n, n // 3) == expected[n][n // 3], n
+    # the walk reached the last checkpoint at or below top, and none above it
+    assert len(triangle._checkpoints) == top // sequences._CHECKPOINT_EVERY + 1
     assert triangle._recent_bytes <= sequences._RECENT_BYTES
     assert len(triangle._recent) < top + 1 - len(triangle._checkpoints)
 
@@ -160,12 +162,12 @@ def test_triangle_memory_stays_within_checkpoints_and_budget():
     )
     tracemalloc.start()
     try:
-        triangle = StirlingTriangle()
-        triangle.row(top)
+        triangle = sequences._StirlingTriangle()
+        triangle.read(top)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert triangle.max_n == top
+    assert max(_held_entries(triangle)) == top
     assert retained < checkpoint_bytes + sequences._RECENT_BYTES
 
 
@@ -432,6 +434,20 @@ def test_weighted_sums_read_the_patched_row(monkeypatch, func, shift, parity, al
         assert func(n) == _reference_sum(fake_row(n), shift, parity, alternating), n
 
 
+def test_a_patched_read_row_reaches_every_memo_value(monkeypatch):
+    reader = sequences._read_row
+
+    def corrupted(n):
+        row = list(reader(n).row)  # a copy: the held row is never mutated
+        if n == 6:
+            row[2] += 1  # S(6,2) = 31
+        return sequences._RowSums(row)
+
+    monkeypatch.setattr(sequences, "_read_row", corrupted)
+    assert stirling2(6, 2) == stirling2_row(6)[2] == 32
+    assert worpitzky(5, 1) == worpitzky_row(5)[1] == 32  # 1! * S(6,2)
+
+
 # -- the memoized row sums ---------------------------------------------------
 
 
@@ -444,7 +460,7 @@ def test_repeated_sums_sum_each_row_once(monkeypatch):
         return row_sum(row, *weights)
 
     monkeypatch.setattr(sequences, "_row_sum", counting)
-    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
     ns = (1, 5, 16, 40, 200)
     for _ in range(3):
         for param in WEIGHTED_SUMS:
@@ -456,7 +472,7 @@ def test_repeated_sums_sum_each_row_once(monkeypatch):
 
 
 def test_a_memoized_sum_never_hides_a_changed_row(monkeypatch):
-    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
     genuine = ordered_bell(7)
     reader = sequences._read_row
 
@@ -477,7 +493,7 @@ def test_no_sum_copies_a_row(monkeypatch):
         raise AssertionError(f"stirling2_row({n}) copied a row")
 
     rows = list(itertools.islice(sequences._stirling_rows(), 41))
-    monkeypatch.setattr(sequences, "_shared_triangle", StirlingTriangle())
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
     monkeypatch.setattr(sequences, "stirling2_row", no_copy)
     for param in WEIGHTED_SUMS:
         func, *weights = param.values
@@ -507,7 +523,7 @@ def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
         for n, row in enumerate(itertools.islice(sequences._stirling_rows(), top + 1))
         if n % every == 0
     )
-    triangle = StirlingTriangle()
+    triangle = sequences._StirlingTriangle()
     monkeypatch.setattr(sequences, "_shared_triangle", triangle)
     monkeypatch.setattr(sequences, "_RECENT_BYTES", budget)
     tracemalloc.start()
@@ -530,7 +546,7 @@ def test_threaded_sums_match_the_reference(monkeypatch):
     # other readers compute and store sums of the same rows
     top = 120
     rows = list(itertools.islice(sequences._stirling_rows(), top + 1))
-    triangle = StirlingTriangle()
+    triangle = sequences._StirlingTriangle()
     monkeypatch.setattr(sequences, "_shared_triangle", triangle)
     monkeypatch.setattr(sequences, "_RECENT_BYTES", 16 << 10)
     failures = []
