@@ -6,12 +6,15 @@ coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
 or a library fault, 2 usage error, 3 environment error (network disabled or
-transport failure, or stdout closed early). A usage error is an abbreviated
-flag, a flag above :data:`MAX_INDEX` or :data:`MAX_ORDER`, a flag the chosen
-sequence or b-file action needs and lacks or does not take, or an argument
-the library refuses with ``fubini.ArgumentError``. A library fault is any other
-``ValueError``: the arguments were valid and the library failed. Either
-prints its message.
+transport failure, an unreadable fetch cache, or stdout closed early). A
+usage error is an abbreviated flag, an argument the library refuses with
+``fubini.ArgumentError``, or a breach of the one rule for flags: each
+parsed choice (sequence, verify target, gf or b-file action) names the
+flags it takes and the flags it needs, and :func:`main` checks every flag
+of :data:`_FLAGS` once, before any command runs, against that choice and
+the flag's cap (:data:`MAX_INDEX` or :data:`MAX_ORDER`). A library fault
+is any other ``ValueError``: the arguments were valid and the library
+failed. Either prints its message.
 
 At import the CLI loads only ``registry`` and ``_args`` of the package.
 Each command imports what only it needs (``sequences``, ``series``,
@@ -19,7 +22,8 @@ Each command imports what only it needs (``sequences``, ``series``,
 does not pay for the others' imports: ``egf`` loads neither ``sequences``
 nor ``identities``, and ``compute``, in either format, loads neither
 ``identities`` nor ``bfiles``. ``verify TARGET`` runs the verifier of
-``registry.VERIFY_TARGETS[TARGET]`` with the parsed flags it names.
+``registry.VERIFY_TARGETS[TARGET]`` with the parsed flags it names, the
+only flags the target takes.
 """
 
 import argparse
@@ -46,14 +50,19 @@ MAX_INDEX = 1000
 #: recurrences: every ``egf`` and ``verify egf`` command at the cap takes
 #: well under a second.
 MAX_ORDER = 256
-#: Parsed argument name -> (flag, cap), checked before any command runs.
-_CAPS = {
-    "n_max": ("--max", MAX_INDEX),
-    "row_n": ("--n", MAX_INDEX),
-    "limit": ("--limit", MAX_INDEX),
-    "order": ("--order", MAX_ORDER),
-    "k": ("--k", MAX_ORDER),
+#: Parsed argument name -> (flag, metavar, cap): every flag ``main`` checks
+#: against what the parsed choice takes and needs (:func:`_usage`).
+_FLAGS = {
+    "n_max": ("--max", "N", MAX_INDEX),
+    "row_n": ("--n", "ROW", MAX_INDEX),
+    "limit": ("--limit", "N", MAX_INDEX),
+    "order": ("--order", "ORDER", MAX_ORDER),
+    "k": ("--k", "COLUMN", MAX_ORDER),
+    "network": ("--network", None, None),
+    "cache_dir": ("--cache-dir", "DIR", None),
 }
+#: ``verify``'s value of a flag its target takes and the command line leaves out.
+_VERIFY_DEFAULTS = {"n_max": 200, "order": 64}
 
 
 def _usage_error(message: str) -> int:
@@ -90,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="sweep the identity suite", allow_abbrev=False)
     verify.add_argument("target", choices=list(VERIFY_TARGETS))
-    verify.add_argument("--max", type=int, dest="n_max", default=200)
-    verify.add_argument("--order", type=int, default=64)
+    verify.add_argument("--max", type=int, dest="n_max")
+    verify.add_argument("--order", type=int)
     verify.add_argument("--format", choices=("plain", "structured"), default="plain")
     verify.set_defaults(func=_cmd_verify)
 
@@ -119,19 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    name = args.sequence
-    sequence = SEQUENCES[name]
+    sequence = SEQUENCES[args.sequence]
     if sequence.row:
-        if args.row_n is None:
-            return _usage_error(f"sequence {name!r} needs --n ROW")
-        if args.n_max is not None:
-            return _usage_error(f"sequence {name!r} does not take --max")
         offset, values = 0, sequence.route(args.row_n)
     else:
-        if args.n_max is None:
-            return _usage_error(f"sequence {name!r} needs --max N")
-        if args.row_n is not None:
-            return _usage_error(f"sequence {name!r} does not take --n")
         offset, values = sequence.first, sequence.terms(args.n_max)
     # plain and b-file output are the same "index value" lines
     for index, value in enumerate(values, start=offset):
@@ -141,7 +141,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     run, flags = VERIFY_TARGETS[args.target]
-    reports = run(*(getattr(args, flag) for flag in flags))
+    given = vars(args)
+    reports = run(*(_VERIFY_DEFAULTS[f] if given[f] is None else given[f] for f in flags))
     if args.format == "structured":
         import json
 
@@ -154,13 +155,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_egf(args) -> int:
     if args.gf == "stirling-col":
-        if args.k is None:
-            return _usage_error("gf 'stirling-col' needs --k COLUMN")
         from fubini import series
 
         gf = series.stirling_column_egf(args.k, args.order)
-    elif args.k is not None:
-        return _usage_error(f"gf {args.gf!r} does not take --k")
     else:
         gf = SEQUENCES[args.gf].egf(args.order)
     for n, (coeff, value) in enumerate(zip(gf.coeffs, gf.to_sequence())):
@@ -169,53 +166,63 @@ def _cmd_egf(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
-    import urllib.error
-
     from fubini import bfiles
 
     action, sequence_id = args.action, args.sequence_id
-    if action == "export" and args.limit is None:
-        return _usage_error("bfile export needs --limit N")
     if action == "fetch":
-        if args.limit is not None:
-            return _usage_error("bfile fetch does not take --limit")
-    else:  # only fetch reads the network or the cache
-        if args.network:
-            return _usage_error(f"bfile {action} does not take --network")
-        if args.cache_dir is not None:
-            return _usage_error(f"bfile {action} does not take --cache-dir")
-    try:
-        if action == "fetch":
+        try:
             bfile = bfiles.fetch_bfile(
                 sequence_id, network=args.network, cache_dir=args.cache_dir
             )
-            print(f"fetched {sequence_id}: {len(bfile.entries)} entries")
-            return EXIT_OK
-        if action == "export":
-            table = bfiles.computed_table(sequence_id, args.limit)
-            sys.stdout.write(bfiles.emit_bfile(table))
-            return EXIT_OK
-        # check
-        reference = bfiles.load_fixture(sequence_id)
-        limit = args.limit if args.limit is not None else reference.last_index
-        table = bfiles.computed_table(sequence_id, limit)
-        report = bfiles.crosscheck(table, reference, limit)
-        print(report.format_line())
-        return EXIT_OK if report.passed else EXIT_FAIL
-    except bfiles.OfflineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENV
-    except urllib.error.URLError as exc:
-        print(f"error: transport failure: {exc}", file=sys.stderr)
-        return EXIT_ENV
+        except bfiles.OfflineError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ENV
+        except OSError as exc:  # a URLError, a timeout, an unreadable cache entry
+            print(f"error: transport failure: {exc}", file=sys.stderr)
+            return EXIT_ENV
+        print(f"fetched {sequence_id}: {len(bfile.entries)} entries")
+        return EXIT_OK
+    if action == "export":
+        table = bfiles.computed_table(sequence_id, args.limit)
+        sys.stdout.write(bfiles.emit_bfile(table))
+        return EXIT_OK
+    # check
+    reference = bfiles.load_fixture(sequence_id)
+    limit = args.limit if args.limit is not None else reference.last_index
+    table = bfiles.computed_table(sequence_id, limit)
+    report = bfiles.crosscheck(table, reference, limit)
+    print(report.format_line())
+    return EXIT_OK if report.passed else EXIT_FAIL
+
+
+def _usage(args):
+    """The parsed choice's name in usage messages, the parsed flags it takes,
+    and those it needs."""
+    if args.command == "compute":
+        flag = "row_n" if SEQUENCES[args.sequence].row else "n_max"
+        return f"sequence {args.sequence!r}", {flag}, {flag}
+    if args.command == "egf":
+        column = {"k"} if args.gf == "stirling-col" else set()
+        return f"gf {args.gf!r}", {"order"} | column, column
+    if args.command == "verify":
+        return f"verify {args.target}", set(VERIFY_TARGETS[args.target][1]), set()
+    if args.action == "fetch":  # only fetch reads the network or the fetch cache
+        return "bfile fetch", {"network", "cache_dir"}, set()
+    return f"bfile {args.action}", {"limit"}, {"limit"} if args.action == "export" else set()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, (flag, cap) in _CAPS.items():
+    name, takes, needs = _usage(args)
+    for dest, (flag, metavar, cap) in _FLAGS.items():
         value = getattr(args, dest, None)
-        if value is not None and value > cap:
+        if value is None or value is False:  # not given; --network is False
+            if dest in needs:
+                return _usage_error(f"{name} needs {flag} {metavar}")
+        elif dest not in takes:
+            return _usage_error(f"{name} does not take {flag}")
+        elif cap is not None and value > cap:
             return _usage_error(f"{flag} must be <= {cap}, got {value}")
     try:
         code = args.func(args)

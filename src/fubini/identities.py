@@ -343,5 +343,7 @@ def verify_all(n_max: int, order: int) -> list[VerificationReport]:
     """Every identity: the seven integer ones in one pass over n = 1..n_max,
     then the EGF checks at ``order``. The reports come in the order of the
     other targets of ``registry.VERIFY_TARGETS``; the aggregate passes only
-    if each report passes."""
+    if each report passes. Both arguments are checked before any row is
+    streamed."""
+    n_max, order = _require_range(n_max), _require_range(order, "order")
     return _sweep_integers(n_max, sum(_TARGET_IDS.values(), ())) + verify_egf_agreement(order)

@@ -9,7 +9,8 @@ routes stay independent. The memo-row routes read through
 its copying reader ``stirling2_row``), so a row fed in there reaches them
 all. :data:`VERIFY_TARGETS` maps each ``fubini verify`` choice, ``"all"``
 first, to ``(verifier, flags)``, where ``flags`` names the parsed
-arguments the verifier takes.
+arguments the verifier takes, which are also the only flags ``fubini
+verify`` accepts for that target.
 
 Loading the registry loads no arithmetic: ``sequences`` is imported by the
 first direct route called, ``series`` by the first EGF built and
@@ -81,7 +82,8 @@ BY_OEIS_ID = {s.oeis_id: s for s in SEQUENCES.values() if s.oeis_id}
 
 #: ``fubini verify`` choice -> ``(verifier, flags)``, in the order the CLI
 #: lists them: ``flags`` names the parsed arguments the verifier takes, in
-#: order. ``verify_all`` sweeps the integer identities itself, in one pass.
+#: order, and the CLI refuses any other. ``verify_all`` sweeps the integer
+#: identities itself, in one pass.
 VERIFY_TARGETS = {
     "all": (_late("identities", "verify_all"), ("n_max", "order")),
     "bell": (_late("identities", "verify_bell_forms"), ("n_max",)),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import urllib.request
 from datetime import timedelta
 from fractions import Fraction
 
@@ -125,6 +126,65 @@ def test_compute_usage_errors(capsys):
     ],
 )
 def test_a_flag_the_sequence_ignores_is_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+#: Each subcommand's optional flags; the value a test gives a flag ("3" if
+#: not listed); the metavar a "needs" message names; verify's flag by parsed name.
+_OPTIONAL = {
+    "compute": ("--max", "--n"),
+    "verify": ("--max", "--order"),
+    "egf": ("--k",),
+    "bfile": ("--limit", "--network", "--cache-dir"),
+}
+_VALUES = {"--network": [], "--cache-dir": ["cache"]}
+_METAVARS = {"--max": "N", "--n": "ROW", "--k": "COLUMN", "--limit": "N"}
+_VERIFY_FLAGS = {"n_max": "--max", "order": "--order"}
+
+
+def _choices():
+    """Each parsed choice as ``(argv, name, takes, needs)``, from the parser's
+    own tables: its positional argv, the name its usage errors give it, and
+    the optional flags it takes and needs."""
+    for name, s in SEQUENCES.items():
+        if s.route:
+            flag = {"--n" if s.row else "--max"}
+            yield ["compute", name], f"sequence {name!r}", flag, flag
+    for target, (_, dests) in VERIFY_TARGETS.items():
+        yield ["verify", target], f"verify {target}", {_VERIFY_FLAGS[d] for d in dests}, set()
+    for name in [name for name, s in SEQUENCES.items() if s.egf] + ["stirling-col"]:
+        column = {"--k"} if name == "stirling-col" else set()
+        yield ["egf", name, "--order", "8"], f"gf {name!r}", column, column
+    yield ["bfile", "check", "A000670"], "bfile check", {"--limit"}, set()
+    yield ["bfile", "export", "A000670"], "bfile export", {"--limit"}, {"--limit"}
+    yield ["bfile", "fetch", "A000670"], "bfile fetch", {"--network", "--cache-dir"}, set()
+
+
+def _with(argv, flags):
+    for flag in sorted(flags):
+        argv = [*argv, flag, *_VALUES.get(flag, ["3"])]
+    return argv
+
+
+_REFUSED = [
+    *(
+        (_with(argv, needs | {flag}), f"{name} does not take {flag}")
+        for argv, name, takes, needs in _choices()
+        for flag in _OPTIONAL[argv[0]]
+        if flag not in takes
+    ),
+    *(
+        (_with(argv, needs - {flag}), f"{name} needs {flag} {_METAVARS[flag]}")
+        for argv, name, _, needs in _choices()
+        for flag in needs
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED, ids=[" ".join(a) for a, _ in _REFUSED])
+def test_each_choice_refuses_the_flags_it_does_not_take_and_needs_the_rest(
+    capsys, argv, message
+):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -399,6 +459,34 @@ def test_bfile_fetch_offline(capsys, tmp_path):
     assert "offline" in err
 
 
+def test_bfile_fetch_unreadable_cache_entry_exits_3(capsys, tmp_path):
+    (tmp_path / "b000670.txt").mkdir()  # the cache entry is a directory
+    argv = ("bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: transport failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bfile_fetch_read_timeout_exits_3(capsys, monkeypatch, tmp_path):
+    class TimingOut:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def read(self):
+            raise TimeoutError("The read operation timed out")
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: TimingOut())
+    argv = ("bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: transport failure: The read operation timed out\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -493,8 +581,9 @@ _JUNK = _HOSTILE | st.sampled_from(["-h", "--", "-", "--bogus", "--max", "--k", 
 def _hostile_argv(draw):
     command = draw(st.sampled_from(sorted(_POSITIONALS)))
     argv = [command, *draw(st.sampled_from(_POSITIONALS[command]))]
-    if command == "verify":  # its defaults, --max 200 --order 64, take about a second
-        argv += ["--max", "6", "--order", "6"]
+    if command == "verify" and argv[1] in VERIFY_TARGETS:  # the defaults take about a second
+        for dest in VERIFY_TARGETS[argv[1]][1]:
+            argv += [_VERIFY_FLAGS[dest], "6"]
     for flag, values in _FLAGS[command].items():
         if draw(st.booleans()):
             argv += [flag, draw(values | _HOSTILE)]

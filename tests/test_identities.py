@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fubini import identities, registry, sequences, series
+from fubini import ArgumentError, identities, registry, sequences, series
 from fubini.identities import (
     IDENTITY_IDS,
     VerificationReport,
@@ -46,6 +46,22 @@ def test_degenerate_ranges_pass():
 def test_empty_range_rejected(verifier):
     with pytest.raises(ValueError, match="empty range"):
         verifier(0)
+
+
+def test_verify_all_checks_the_order_before_streaming_a_row(monkeypatch):
+    calls, real_rows = [], sequences._stirling_rows
+
+    def counted_rows():
+        calls.append(1)
+        return real_rows()
+
+    monkeypatch.setattr(sequences, "_stirling_rows", counted_rows)
+    with pytest.raises(ArgumentError, match="^empty range: order must be >= 1, got 0$"):
+        verify_all(5, 0)
+    assert calls == []
+    # n_max is still checked first
+    with pytest.raises(ArgumentError, match="^empty range: n_max must be >= 1, got 0$"):
+        verify_all(0, 0)
 
 
 def test_registry_matches_report_ids():
