@@ -16,7 +16,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: Submodule -> the names the package exports from it.
+#: Submodule -> the names the package exports from it: the one list of
+#: public names. Each of these submodules builds its ``__all__`` from its
+#: entry, so a name is declared here and nowhere else.
 _EXPORTS = {
     "bfiles": (
         "BFile",

@@ -11,9 +11,24 @@ lower bound: a b-file index, a table offset or value, and a series index.
 ``ArgumentError`` from there. The rule lives here, a leaf, so a module
 that needs it (``series``, ``registry``, ``cli``) does not load
 ``sequences`` for it.
+
+The module also holds the CLI's two caps, :data:`MAX_INDEX` and
+:data:`MAX_ORDER`, which ``cli`` checks every flag against and re-exports;
+``series`` keeps its shared Pascal rows up to ``MAX_ORDER``.
 """
 
 from operator import index
+
+#: Largest index or row for ``--max``, ``--n`` and ``--limit``. Every value
+#: printed stays below the 4300-digit int-to-str limit (the ordered Bell
+#: number at 1000 has about 2,700 digits), and the slowest command at the
+#: cap, ``verify all --max 1000 --order 64``, takes seconds, not minutes.
+MAX_INDEX = 1000
+#: Largest series order for ``--order``, and column for ``--k`` (columns past
+#: the order are zero). It bounds the time of the O(order^2) series
+#: recurrences: every ``egf`` and ``verify egf`` command at the cap takes
+#: well under a second.
+MAX_ORDER = 256
 
 
 class ArgumentError(ValueError):

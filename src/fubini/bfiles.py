@@ -13,7 +13,9 @@ partition-count triangle ``S(n,k)``, rows n >= 1, k = 1..n) and
 
 :func:`fetch_bfile` can refresh a b-file from oeis.org, but only when
 networking is explicitly enabled; downloads are cached with an atomic
-temp-file-then-rename write.
+temp-file-then-rename write. It reads at most :data:`MAX_BFILE_BYTES`
+(4 MiB) from the cache or the download, and refuses a larger file with
+:class:`BFileParseError` before parsing any of it.
 """
 
 import os
@@ -21,29 +23,25 @@ import re
 import sys
 from pathlib import Path
 
+from fubini import _EXPORTS
 from fubini._args import ArgumentError, _require_at_least, _require_int
 from fubini.identities import VerificationReport, _sweep
 from fubini.registry import BY_OEIS_ID
 from fubini.sequences import SequenceTable, _FrozenRecord
 
-__all__ = [
-    "BFile",
-    "BFileParseError",
-    "OfflineError",
-    "computed_table",
-    "crosscheck",
-    "emit_bfile",
-    "fetch_bfile",
-    "fixture_ids",
-    "load_fixture",
-    "parse_bfile",
-]
+__all__ = list(_EXPORTS["bfiles"])
 
 _SEQUENCE_ID_RE = re.compile(r"\AA\d{6}\Z")
 _INTEGER_RE = re.compile("-?[0-9]+")  # int() would also take '+5', '1_000' and non-ASCII digits
 _SEPARATOR_RE = re.compile("[ \t]+")  # str.split() would also split on non-ASCII spaces
 _OEIS_URL = "https://oeis.org/{sequence_id}/{filename}"
 _USER_AGENT = "fubini/0.1 (+https://oeis.org)"
+#: Largest b-file, in bytes, that :func:`fetch_bfile` reads from its cache or
+#: a download. The largest file this package writes, ``bfile export A000670
+#: --limit 1000`` (the CLI's index cap), is 1.26 MB, so 4 MiB leaves room for
+#: comments. A genuine OEIS b-file longer than that would be refused; those
+#: files cannot be sized offline, so the margin over them is unverified.
+MAX_BFILE_BYTES = 4 << 20
 
 
 class BFileParseError(ArgumentError):
@@ -219,6 +217,15 @@ def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> Verific
     return _sweep(f"oeis.{reference.sequence_id or computed.name}", lo, hi, pairs)
 
 
+def _read_capped(stream) -> bytes:
+    """All of ``stream``, or ``BFileParseError`` if it holds more than
+    :data:`MAX_BFILE_BYTES`; reading one byte past the cap tells the two apart."""
+    payload = stream.read(MAX_BFILE_BYTES + 1)
+    if len(payload) > MAX_BFILE_BYTES:
+        raise BFileParseError(f"a b-file may hold at most {MAX_BFILE_BYTES} bytes")
+    return payload
+
+
 def _default_cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME", "~/.cache")
     return Path(root).expanduser() / "fubini"
@@ -235,7 +242,8 @@ def fetch_bfile(
 
     Requires ``network=True`` (the default is hermetic). A previously
     cached file short-circuits the download; cache writes go through a
-    temp file and an atomic rename.
+    temp file and an atomic rename. A cached or downloaded file over
+    :data:`MAX_BFILE_BYTES` raises :class:`BFileParseError`.
     """
     _check_sequence_id(sequence_id)
     if not network:
@@ -246,7 +254,8 @@ def fetch_bfile(
     cache = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
     cached_path = cache / filename
     if cached_path.exists():
-        return parse_bfile(cached_path.read_bytes(), sequence_id)
+        with cached_path.open("rb") as cached:
+            return parse_bfile(_read_capped(cached), sequence_id)
 
     import tempfile  # deferred, like urllib.request: only a download needs them
     import urllib.request
@@ -254,7 +263,7 @@ def fetch_bfile(
     url = _OEIS_URL.format(sequence_id=sequence_id, filename=filename)
     request = urllib.request.Request(url, headers={"User-Agent": _USER_AGENT})
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        payload = response.read()
+        payload = _read_capped(response)
     bfile = parse_bfile(payload, sequence_id)  # validate before caching
 
     cache.mkdir(parents=True, exist_ok=True)

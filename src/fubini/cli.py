@@ -6,7 +6,8 @@ coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
 or a library fault, 2 usage error, 3 environment error (network disabled or
-transport failure, an unreadable fetch cache, or stdout closed early). A
+transport failure, an unreadable fetch cache, a corrupt cached or downloaded
+b-file or one over ``bfiles.MAX_BFILE_BYTES``, or stdout closed early). A
 usage error is an abbreviated flag, an argument the library refuses with
 ``fubini.ArgumentError``, or a breach of the one rule for flags: each
 parsed choice (sequence, verify target, gf or b-file action) names the
@@ -30,7 +31,7 @@ import argparse
 import os
 import sys
 
-from fubini._args import ArgumentError
+from fubini._args import MAX_INDEX, MAX_ORDER, ArgumentError
 from fubini.registry import SEQUENCES, VERIFY_TARGETS
 
 __all__ = ["MAX_INDEX", "MAX_ORDER", "build_parser", "main"]
@@ -40,16 +41,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
 
-#: Largest index or row for ``--max``, ``--n`` and ``--limit``. Every value
-#: printed stays below the 4300-digit int-to-str limit (the ordered Bell
-#: number at 1000 has about 2,700 digits), and the slowest command at the
-#: cap, ``verify all --max 1000 --order 64``, takes seconds, not minutes.
-MAX_INDEX = 1000
-#: Largest series order for ``--order``, and column for ``--k`` (columns past
-#: the order are zero). It bounds the time of the O(order^2) series
-#: recurrences: every ``egf`` and ``verify egf`` command at the cap takes
-#: well under a second.
-MAX_ORDER = 256
 #: Parsed argument name -> (flag, metavar, cap): every flag ``main`` checks
 #: against what the parsed choice takes and needs (:func:`_usage`).
 _FLAGS = {
@@ -127,15 +118,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_compute(args) -> int:
-    sequence = SEQUENCES[args.sequence]
-    if sequence.row:
-        offset, values = 0, sequence.route(args.row_n)
-    else:
-        offset, values = sequence.first, sequence.terms(args.n_max)
-    # plain and b-file output are the same "index value" lines
+def _print_lines(offset, values) -> None:
+    """Print one ``index value`` line per value, from index ``offset``: the
+    CLI's one writer of sequence and b-file lines. It prints line by line, so
+    a closed stdout raises ``BrokenPipeError`` at the write that meets it."""
     for index, value in enumerate(values, start=offset):
         print(index, value)
+
+
+def _cmd_compute(args) -> int:
+    sequence = SEQUENCES[args.sequence]
+    # plain and b-file output are the same "index value" lines
+    if sequence.row:
+        _print_lines(0, sequence.route(args.row_n))
+    else:
+        _print_lines(sequence.first, sequence.terms(args.n_max))
     return EXIT_OK
 
 
@@ -180,11 +177,14 @@ def _cmd_bfile(args) -> int:
         except OSError as exc:  # a URLError, a timeout, an unreadable cache entry
             print(f"error: transport failure: {exc}", file=sys.stderr)
             return EXIT_ENV
+        except bfiles.BFileParseError as exc:  # the arguments were valid; the file is not
+            print("error: the cached or downloaded b-file is unusable:", exc, file=sys.stderr)
+            return EXIT_ENV
         print(f"fetched {sequence_id}: {len(bfile.entries)} entries")
         return EXIT_OK
     if action == "export":
         table = bfiles.computed_table(sequence_id, args.limit)
-        sys.stdout.write(bfiles.emit_bfile(table))
+        _print_lines(table.offset, table.values)
         return EXIT_OK
     # check
     reference = bfiles.load_fixture(sequence_id)

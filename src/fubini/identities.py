@@ -52,18 +52,9 @@ The full registry of identity ids:
   ordered-Bell EGF, coefficientwise
 """
 
-from fubini import registry, sequences
+from fubini import _EXPORTS, registry, sequences
 
-__all__ = [
-    "IDENTITY_IDS",
-    "VerificationReport",
-    "verify_all",
-    "verify_alternating_sums",
-    "verify_bell_forms",
-    "verify_cyclic_doubling",
-    "verify_egf_agreement",
-    "verify_parity_split",
-]
+__all__ = list(_EXPORTS["identities"])
 
 class VerificationReport(sequences._FrozenRecord):
     """Outcome of sweeping one identity over a range of indices.

@@ -57,29 +57,11 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
+from fubini import _EXPORTS
 from fubini._args import ArgumentError, _require_at_least, _require_int
 
-__all__ = [
-    "MAX_ENUMERATION_N",
-    "MAX_ORDERED_ENUMERATION_N",
-    "ArgumentError",
-    "SequenceTable",
-    "alternating_cyclic_sum",
-    "alternating_factorial_sum",
-    "count_ordered_partitions_exhaustive",
-    "count_partitions_exhaustive",
-    "cyclic_ordered_bell",
-    "cyclic_ordered_bell_even",
-    "cyclic_ordered_bell_odd",
-    "ordered_bell",
-    "ordered_bell_parity",
-    "ordered_set_partitions",
-    "set_partitions",
-    "stirling2",
-    "stirling2_row",
-    "worpitzky",
-    "worpitzky_row",
-]
+# the enumeration caps are public here but not exported by the package
+__all__ = ["MAX_ENUMERATION_N", "MAX_ORDERED_ENUMERATION_N", *_EXPORTS["sequences"]]
 
 #: Largest n accepted by the exhaustive set-partition counter.
 MAX_ENUMERATION_N = 12

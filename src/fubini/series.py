@@ -35,7 +35,7 @@ at asymptotically fast multiplication (orders stay small here).
 The binomial coefficients of those recurrences come from one Pascal table
 per process (``_pascal``), grown on demand and shared by every operation,
 so a run of series operations builds each row once. It keeps rows up to
-order 256, ``cli.MAX_ORDER``: 0.54 MiB at order 160 and 1.6 MiB at 256. A
+order 256, ``_args.MAX_ORDER``: 0.54 MiB at order 160 and 1.6 MiB at 256. A
 larger order builds its rows for the one call, since at order 1024 the
 table would hold 50 MiB while the rows are only 11% of an ``inverse`` at
 order 512.
@@ -61,18 +61,10 @@ from math import factorial, gcd, lcm
 from numbers import Rational
 from operator import add, mul
 
-from fubini._args import _require_at_least, _require_int
+from fubini import _EXPORTS
+from fubini._args import MAX_ORDER, _require_at_least, _require_int
 
-__all__ = [
-    "TruncatedSeries",
-    "cyclic_ordered_bell_egf",
-    "cyclic_ordered_bell_even_egf",
-    "cyclic_ordered_bell_odd_egf",
-    "double_shifted_bell_egf",
-    "exp_series",
-    "ordered_bell_egf",
-    "stirling_column_egf",
-]
+__all__ = list(_EXPORTS["series"])
 
 Coefficient = int | Fraction
 
@@ -89,9 +81,9 @@ def _exact(value) -> Coefficient:
     )
 
 
-#: Largest order whose Pascal rows are kept in :data:`_pascal`; it is
-#: ``cli.MAX_ORDER``.
-_PASCAL_CAP = 256
+#: Largest order whose Pascal rows are kept in :data:`_pascal`: the CLI's
+#: order cap.
+_PASCAL_CAP = MAX_ORDER
 #: Pascal's rows ``(C(m, 0), ..., C(m, m))`` for m = 0..len - 1, shared by
 #: every operation in the process. It is replaced by a longer tuple when it
 #: grows and never mutated, so threads read it without a lock.

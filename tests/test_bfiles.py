@@ -325,8 +325,8 @@ class _FakeResponse:
     def __init__(self, payload):
         self._payload = payload
 
-    def read(self):
-        return self._payload
+    def read(self, size=-1):
+        return self._payload if size < 0 else self._payload[:size]
 
     def __enter__(self):
         return self
@@ -382,6 +382,35 @@ def test_fetch_rejects_corrupt_cache_naming_the_line(tmp_path):
     (tmp_path / "b000670.txt").write_bytes("0 1\n1 \u00e9\n".encode("utf-8"))
     with pytest.raises(BFileParseError, match="line 2.*non-ASCII"):
         fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+
+
+_SEVENTEEN_BYTES = b"0 1\n1 1\n2 3\n3 13\n"
+
+
+def test_fetch_refuses_a_cache_entry_one_byte_over_the_cap(monkeypatch, tmp_path):
+    (tmp_path / "b000670.txt").write_bytes(_SEVENTEEN_BYTES)
+    monkeypatch.setattr(bfiles, "MAX_BFILE_BYTES", len(_SEVENTEEN_BYTES))
+    assert len(fetch_bfile("A000670", network=True, cache_dir=tmp_path).entries) == 4
+    monkeypatch.setattr(bfiles, "MAX_BFILE_BYTES", len(_SEVENTEEN_BYTES) - 1)
+    with pytest.raises(BFileParseError, match="^a b-file may hold at most 16 bytes$"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+
+
+def test_fetch_refuses_a_download_one_byte_over_the_cap(monkeypatch, tmp_path):
+    sizes = []
+
+    def fake_urlopen(request, timeout=None):
+        response = _FakeResponse(_SEVENTEEN_BYTES)
+        read = response.read
+        response.read = lambda size=-1: sizes.append(size) or read(size)
+        return response
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(bfiles, "MAX_BFILE_BYTES", len(_SEVENTEEN_BYTES) - 1)
+    with pytest.raises(BFileParseError, match="^a b-file may hold at most 16 bytes$"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+    assert sizes == [len(_SEVENTEEN_BYTES)]  # the cap and one byte more, never all of it
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fetch_cache_hit_still_requires_network(monkeypatch, tmp_path):

@@ -459,13 +459,61 @@ def test_bfile_fetch_offline(capsys, tmp_path):
     assert "offline" in err
 
 
-def test_bfile_fetch_unreadable_cache_entry_exits_3(capsys, tmp_path):
-    (tmp_path / "b000670.txt").mkdir()  # the cache entry is a directory
+def _cache_directory(path):
+    path.mkdir()
+
+
+def _cache_garbage(path):
+    path.write_text("garbage line\n")
+
+
+@pytest.mark.parametrize(
+    "make_entry, prefix",
+    [
+        (_cache_directory, "error: transport failure: "),
+        (_cache_garbage, "error: the cached or downloaded b-file is unusable: line 1: "),
+    ],
+    ids=["directory", "garbage"],
+)
+def test_bfile_fetch_unreadable_cache_entry_exits_3(capsys, tmp_path, make_entry, prefix):
+    make_entry(tmp_path / "b000670.txt")
     argv = ("bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("error: transport failure: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_bfile_fetch_over_cap_cache_entry_exits_3_quickly_and_small(tmp_path):
+    # valid lines up to the real cap, then a comment that ends one byte past it
+    lines = b"".join(b"%d 1\n" % i for i in range(bfiles.MAX_BFILE_BYTES // 10))
+    (tmp_path / "b000670.txt").write_bytes(lines.ljust(bfiles.MAX_BFILE_BYTES + 1, b"#"))
+    # the fetch runs under a small helper interpreter, whose RUSAGE_CHILDREN
+    # reads the fetch's own peak; a child of this test process would report
+    # this process's peak, which Linux carries across exec
+    helper = (
+        "import json, resource, subprocess, sys, time\n"
+        "start = time.perf_counter()\n"
+        "result = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "seconds = time.perf_counter() - start\n"
+        "peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([result.returncode, result.stdout, result.stderr, seconds, peak_kib]))\n"
+    )
+    argv = ["bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-c", helper, sys.executable, "-m", "fubini", *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, out, err, seconds, peak_kib = json.loads(result.stdout)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the cached or downloaded b-file is unusable: "
+        f"a b-file may hold at most {bfiles.MAX_BFILE_BYTES} bytes\n"
+    )
+    assert seconds < 1.0
+    assert peak_kib < 40 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_bfile_fetch_read_timeout_exits_3(capsys, monkeypatch, tmp_path):
@@ -476,7 +524,7 @@ def test_bfile_fetch_read_timeout_exits_3(capsys, monkeypatch, tmp_path):
         def __exit__(self, *exc_info):
             return False
 
-        def read(self):
+        def read(self, size=-1):
             raise TimeoutError("The read operation timed out")
 
     monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: TimingOut())
@@ -618,11 +666,19 @@ def test_module_invocation_smoke():
     assert result.stdout == "0 1\n1 1\n2 3\n3 13\n"
 
 
-def test_closed_stdout_exits_quietly_with_the_environment_code():
-    # the output (1.4 MB) outgrows the pipe's buffer, so a write after the
-    # reader has gone finds the pipe closed
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "bell", "--max", "1000"],
+        ["bfile", "export", "A000670", "--limit", "1000"],
+    ],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_quietly_with_the_environment_code(argv):
+    # the output (1.4 and 1.26 MB) outgrows the pipe's buffer, so a write
+    # after the reader has gone finds the pipe closed
     with subprocess.Popen(
-        [sys.executable, "-m", "fubini", "compute", "bell", "--max", "1000"],
+        [sys.executable, "-m", "fubini", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as proc:
