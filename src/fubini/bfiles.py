@@ -15,12 +15,14 @@ partition-count triangle ``S(n,k)``, rows n >= 1, k = 1..n) and
 networking is explicitly enabled; downloads are cached with an atomic
 temp-file-then-rename write. It reads at most :data:`MAX_BFILE_BYTES`
 (4 MiB) from the cache or the download, and refuses a larger file with
-:class:`BFileParseError` before parsing any of it.
+:class:`BFileParseError` before parsing any of it. A download that runs
+past its ``timeout`` raises ``TimeoutError``, and nothing is cached.
 """
 
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 from fubini import _EXPORTS
@@ -217,10 +219,25 @@ def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> Verific
     return _sweep(f"oeis.{reference.sequence_id or computed.name}", lo, hi, pairs)
 
 
-def _read_capped(stream) -> bytes:
+def _read_capped(stream, deadline=None) -> bytes:
     """All of ``stream``, or ``BFileParseError`` if it holds more than
-    :data:`MAX_BFILE_BYTES`; reading one byte past the cap tells the two apart."""
-    payload = stream.read(MAX_BFILE_BYTES + 1)
+    :data:`MAX_BFILE_BYTES`; reading one byte past the cap tells the two apart.
+
+    A stream with ``read1`` is read a chunk at a time, each call at most one
+    receive, and raises ``TimeoutError`` when ``time.monotonic()`` is past
+    ``deadline`` after a chunk; one without it is read with one ``read``.
+    """
+    read1 = getattr(stream, "read1", None)
+    if read1 is None:
+        payload = stream.read(MAX_BFILE_BYTES + 1)
+    else:
+        chunks, left = [], MAX_BFILE_BYTES + 1
+        while left and (chunk := read1(left)):
+            chunks.append(chunk)
+            left -= len(chunk)
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("the download ran past its deadline")
+        payload = b"".join(chunks)
     if len(payload) > MAX_BFILE_BYTES:
         raise BFileParseError(f"a b-file may hold at most {MAX_BFILE_BYTES} bytes")
     return payload
@@ -243,7 +260,10 @@ def fetch_bfile(
     Requires ``network=True`` (the default is hermetic). A previously
     cached file short-circuits the download; cache writes go through a
     temp file and an atomic rename. A cached or downloaded file over
-    :data:`MAX_BFILE_BYTES` raises :class:`BFileParseError`.
+    :data:`MAX_BFILE_BYTES` raises :class:`BFileParseError`. ``timeout``
+    bounds each network operation and also the whole download: past
+    ``timeout`` seconds after the request, the read stops with
+    ``TimeoutError`` (an ``OSError``) and nothing is cached.
     """
     _check_sequence_id(sequence_id)
     if not network:
@@ -262,8 +282,9 @@ def fetch_bfile(
 
     url = _OEIS_URL.format(sequence_id=sequence_id, filename=filename)
     request = urllib.request.Request(url, headers={"User-Agent": _USER_AGENT})
+    deadline = time.monotonic() + timeout
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        payload = _read_capped(response)
+        payload = _read_capped(response, deadline)
     bfile = parse_bfile(payload, sequence_id)  # validate before caching
 
     cache.mkdir(parents=True, exist_ok=True)

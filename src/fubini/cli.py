@@ -6,9 +6,10 @@ coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
 or a library fault, 2 usage error, 3 environment error (network disabled or
-transport failure, an unreadable fetch cache, a corrupt cached or downloaded
-b-file or one over ``bfiles.MAX_BFILE_BYTES``, or stdout closed early). A
-usage error is an abbreviated flag, an argument the library refuses with
+transport failure, a download past its timeout included, an unreadable
+fetch cache, a corrupt cached or downloaded b-file or one over
+``bfiles.MAX_BFILE_BYTES``, or stdout closed early). A usage error is an
+abbreviated flag, an argument the library refuses with
 ``fubini.ArgumentError``, or a breach of the one rule for flags: each
 parsed choice (sequence, verify target, gf or b-file action) names the
 flags it takes and the flags it needs, and :func:`main` checks every flag
@@ -42,7 +43,8 @@ EXIT_USAGE = 2
 EXIT_ENV = 3
 
 #: Parsed argument name -> (flag, metavar, cap): every flag ``main`` checks
-#: against what the parsed choice takes and needs (:func:`_usage`).
+#: against what the parsed choice takes and needs (:func:`_usage`). The
+#: metavar is the placeholder of both ``--help`` and the usage errors.
 _FLAGS = {
     "n_max": ("--max", "N", MAX_INDEX),
     "row_n": ("--n", "ROW", MAX_INDEX),
@@ -59,6 +61,12 @@ _VERIFY_DEFAULTS = {"n_max": 200, "order": 64}
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _add_flag(parser, dest: str, **options) -> None:
+    """Add the flag of parsed argument ``dest`` with its :data:`_FLAGS`
+    placeholder, so ``--help`` and the usage errors name the same one."""
+    parser.add_argument(_FLAGS[dest][0], dest=dest, metavar=_FLAGS[dest][1], **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,15 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
         "sequence",
         choices=[name for name, s in SEQUENCES.items() if s.route],
     )
-    compute.add_argument("--max", type=int, dest="n_max", help="last index to print")
-    compute.add_argument("--n", type=int, dest="row_n", help="row index for *-row sequences")
+    _add_flag(compute, "n_max", type=int, help="last index to print")
+    _add_flag(compute, "row_n", type=int, help="row index for *-row sequences")
     compute.add_argument("--format", choices=("plain", "bfile"), default="plain")
     compute.set_defaults(func=_cmd_compute)
 
     verify = sub.add_parser("verify", help="sweep the identity suite", allow_abbrev=False)
     verify.add_argument("target", choices=list(VERIFY_TARGETS))
-    verify.add_argument("--max", type=int, dest="n_max")
-    verify.add_argument("--order", type=int)
+    _add_flag(verify, "n_max", type=int)
+    _add_flag(verify, "order", type=int)
     verify.add_argument("--format", choices=("plain", "structured"), default="plain")
     verify.set_defaults(func=_cmd_verify)
 
@@ -101,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     egf.add_argument(
         "gf", choices=[name for name, s in SEQUENCES.items() if s.egf] + ["stirling-col"]
     )
-    egf.add_argument("--order", type=int, required=True)
-    egf.add_argument("--k", type=int, help="column for gf=stirling-col")
+    _add_flag(egf, "order", type=int)
+    _add_flag(egf, "k", type=int, help="column for gf=stirling-col")
     egf.set_defaults(func=_cmd_egf)
 
     bfile = sub.add_parser(
@@ -110,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bfile.add_argument("action", choices=("check", "export", "fetch"))
     bfile.add_argument("sequence_id", metavar="SEQUENCE_ID")
-    bfile.add_argument("--limit", type=int, help="inclusive maximum index")
+    _add_flag(bfile, "limit", type=int, help="inclusive maximum index")
     bfile.add_argument("--network", action="store_true", help="allow fetching from oeis.org")
-    bfile.add_argument("--cache-dir", help="override the fetch cache directory")
+    _add_flag(bfile, "cache_dir", help="override the fetch cache directory")
     bfile.set_defaults(func=_cmd_bfile)
 
     return parser
@@ -202,8 +210,8 @@ def _usage(args):
         flag = "row_n" if SEQUENCES[args.sequence].row else "n_max"
         return f"sequence {args.sequence!r}", {flag}, {flag}
     if args.command == "egf":
-        column = {"k"} if args.gf == "stirling-col" else set()
-        return f"gf {args.gf!r}", {"order"} | column, column
+        flags = {"order", "k"} if args.gf == "stirling-col" else {"order"}
+        return f"gf {args.gf!r}", flags, flags
     if args.command == "verify":
         return f"verify {args.target}", set(VERIFY_TARGETS[args.target][1]), set()
     if args.action == "fetch":  # only fetch reads the network or the fetch cache

@@ -14,9 +14,11 @@ read from the shared memo: a sum is computed when an identity first reads
 it, once per row, and a row is dropped when the window leaves it. The
 Worpitzky side of ``worpitzky.parity-rows`` comes from the Worpitzky
 recurrence (``sequences._worpitzky_rows``), not from the Stirling rows,
-so its two sides are built independently. The four integer verifiers run
-their own identities through the same pass, and ``verify_all`` runs all
-seven in one. ``ordered_bell`` keeps its own accumulator: it is never
+so its two sides are built independently. Each of the four integer verifiers
+names its own identities and runs them through the same pass, and
+``verify_all`` runs all seven in one. Reports follow ``_INTEGER_CHECKS``
+order, which the integer targets of ``registry.VERIFY_TARGETS`` follow in
+turn. ``ordered_bell`` keeps its own accumulator: it is never
 rebuilt as even plus odd, which would reduce ``bell.parity-split`` to
 ``alternating.factorial``.
 
@@ -51,6 +53,8 @@ The full registry of identity ids:
 * ``egf.derivative``        derivative of (x - log(2 - e^x)) == twice the
   ordered-Bell EGF, coefficientwise
 """
+
+import functools
 
 from fubini import _EXPORTS, registry, sequences
 
@@ -170,7 +174,7 @@ def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
     yield cur["ordered_bell"], sum(worpitzky[1::2])
 
 
-#: Integer identity id -> its checks at one n.
+#: Integer identity id -> its checks at one n, in report order.
 _INTEGER_CHECKS = {
     "bell.parity-split": _bell_parity_split,
     "bell.shifted-cyclic": _bell_shifted_cyclic,
@@ -179,14 +183,6 @@ _INTEGER_CHECKS = {
     "alternating.cyclic": _alternating_cyclic,
     "cyclic.parity-equal": _cyclic_parity_equal,
     "worpitzky.parity-rows": _worpitzky_parity_rows,
-}
-
-#: Verify target -> the integer identities its verifier sweeps, in report order.
-_TARGET_IDS = {
-    "bell": ("bell.parity-split", "bell.shifted-cyclic"),
-    "cyclic": ("cyclic.doubling",),
-    "alternating": ("alternating.factorial", "alternating.cyclic"),
-    "parity": ("cyclic.parity-equal", "worpitzky.parity-rows"),
 }
 
 IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
@@ -226,22 +222,22 @@ def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
 
 def verify_bell_forms(n_max: int) -> list[VerificationReport]:
     """Both four-way decompositions of the ordered Bell numbers."""
-    return _sweep_integers(n_max, _TARGET_IDS["bell"])
+    return _sweep_integers(n_max, ("bell.parity-split", "bell.shifted-cyclic"))
 
 
 def verify_cyclic_doubling(n_max: int) -> list[VerificationReport]:
     """Cyclic ordered Bell numbers are twice the shifted ordered Bell numbers."""
-    return _sweep_integers(n_max, _TARGET_IDS["cyclic"])
+    return _sweep_integers(n_max, ("cyclic.doubling",))
 
 
 def verify_alternating_sums(n_max: int) -> list[VerificationReport]:
     """The two alternating weighted sums collapse to signs."""
-    return _sweep_integers(n_max, _TARGET_IDS["alternating"])
+    return _sweep_integers(n_max, ("alternating.factorial", "alternating.cyclic"))
 
 
 def verify_parity_split(n_max: int) -> list[VerificationReport]:
     """Even- and odd-block cyclic counts coincide, in both weight notations."""
-    return _sweep_integers(n_max, _TARGET_IDS["parity"])
+    return _sweep_integers(n_max, ("cyclic.parity-equal", "worpitzky.parity-rows"))
 
 
 #: The Stirling columns k = 0.._STIRLING_COLUMNS - 1 that ``egf.agreement`` checks.
@@ -292,12 +288,7 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     from fubini import series
 
     order = _require_range(order, "order")
-    built = {}
-
-    def egf(name):
-        if name not in built:
-            built[name] = registry.SEQUENCES[name].egf(order)
-        return built[name]
+    egf = functools.cache(lambda name: registry.SEQUENCES[name].egf(order))
 
     def agreement():
         for s in registry.SEQUENCES.values():
@@ -332,9 +323,10 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
 
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:
     """Every identity: the seven integer ones in one pass over n = 1..n_max,
-    then the EGF checks at ``order``. The reports come in the order of the
-    other targets of ``registry.VERIFY_TARGETS``; the aggregate passes only
-    if each report passes. Both arguments are checked before any row is
-    streamed."""
+    then the EGF checks at ``order``. The integer reports come in
+    ``_INTEGER_CHECKS`` order, which the integer targets of
+    ``registry.VERIFY_TARGETS`` follow in turn, each verifier naming its own
+    identities; the aggregate passes only if each report passes. Both
+    arguments are checked before any row is streamed."""
     n_max, order = _require_range(n_max), _require_range(order, "order")
-    return _sweep_integers(n_max, sum(_TARGET_IDS.values(), ())) + verify_egf_agreement(order)
+    return _sweep_integers(n_max, _INTEGER_CHECKS) + verify_egf_agreement(order)

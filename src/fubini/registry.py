@@ -1,10 +1,13 @@
 """One record per named sequence, read by the CLI, the b-file tools and the EGF checks.
 
-Adding a sequence is one :class:`Sequence` entry. Every route, EGF builder
-and verifier in the tables is a ``_late(module, name)`` call: it imports
+Adding a sequence is one :class:`Sequence` entry. The tables name
+functions, and :class:`Sequence` makes the late lookups: it takes its
+route by name in ``sequences`` and its EGF builder by name in ``series``,
+and wraps each in ``_late(module, name)``, as :data:`VERIFY_TARGETS` does
+for each verifier in ``identities``. A late call imports
 ``fubini.<module>`` and looks ``name`` up each time it is called, so a
-patched or traced function runs. The registry holds no arithmetic, so the
-routes stay independent. The memo-row routes read through
+patched or traced function runs. The registry holds no arithmetic, so
+the routes stay independent. The memo-row routes read through
 ``sequences._read_row``, the seam for memo rows (``stirling-row`` through
 its copying reader ``stirling2_row``), so a row fed in there reaches them
 all. :data:`VERIFY_TARGETS` maps each ``fubini verify`` choice, ``"all"``
@@ -29,14 +32,17 @@ __all__ = ["BY_OEIS_ID", "SEQUENCES", "VERIFY_TARGETS", "Sequence"]
 class Sequence:
     """A named sequence: ``route(n)`` is the direct integer route, a(n) for
     ``n >= first`` or, if ``row``, the triangle row k = 0..n; ``egf(order)``
-    builds the exponential generating function.
+    builds the exponential generating function. The constructor takes the
+    route's name in ``sequences`` and the builder's name in ``series``, or
+    None for a route or builder the sequence lacks.
     """
 
     __slots__ = ("name", "first", "route", "egf", "oeis_id", "row")
 
     def __init__(self, name, first, route=None, egf=None, oeis_id=None, row=False):
-        self.name, self.first, self.route = name, first, route
-        self.egf, self.oeis_id, self.row = egf, oeis_id, row
+        self.name, self.first, self.oeis_id, self.row = name, first, oeis_id, row
+        self.route = route and _late("sequences", route)
+        self.egf = egf and _late("series", egf)
 
     def terms(self, n_max: int, name: str = "n_max") -> list[int]:
         """a(first..n_max); a triangle is read by rows n >= first, each from k = first."""
@@ -62,19 +68,13 @@ def _late(module: str, name: str):
 
 #: Every named sequence by CLI name, in the order the CLI lists them.
 SEQUENCES = {s.name: s for s in (
-    Sequence("bell", 0, _late("sequences", "ordered_bell"),
-             _late("series", "ordered_bell_egf"), "A000670"),
-    Sequence("cyclic", 1, _late("sequences", "cyclic_ordered_bell"),
-             _late("series", "cyclic_ordered_bell_egf")),
-    Sequence("cyclic-even", 1, _late("sequences", "cyclic_ordered_bell_even"),
-             _late("series", "cyclic_ordered_bell_even_egf")),
-    Sequence("cyclic-odd", 1, _late("sequences", "cyclic_ordered_bell_odd"),
-             _late("series", "cyclic_ordered_bell_odd_egf")),
-    Sequence("double-shifted-bell", 1, egf=_late("series", "double_shifted_bell_egf")),
-    Sequence("stirling-row", 1, _late("sequences", "stirling2_row"),
-             oeis_id="A008277", row=True),
-    Sequence("worpitzky-row", 0, _late("sequences", "worpitzky_row"),
-             oeis_id="A130850", row=True),
+    Sequence("bell", 0, "ordered_bell", "ordered_bell_egf", "A000670"),
+    Sequence("cyclic", 1, "cyclic_ordered_bell", "cyclic_ordered_bell_egf"),
+    Sequence("cyclic-even", 1, "cyclic_ordered_bell_even", "cyclic_ordered_bell_even_egf"),
+    Sequence("cyclic-odd", 1, "cyclic_ordered_bell_odd", "cyclic_ordered_bell_odd_egf"),
+    Sequence("double-shifted-bell", 1, egf="double_shifted_bell_egf"),
+    Sequence("stirling-row", 1, "stirling2_row", oeis_id="A008277", row=True),
+    Sequence("worpitzky-row", 0, "worpitzky_row", oeis_id="A130850", row=True),
 )}
 
 #: The sequences with an OEIS id; each ships the b-file ``data/b<id digits>.txt``.

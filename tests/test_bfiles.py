@@ -20,6 +20,7 @@ from fubini.bfiles import (
     load_fixture,
     parse_bfile,
 )
+from fubini.cli import main
 from fubini.sequences import SequenceTable
 
 
@@ -411,6 +412,32 @@ def test_fetch_refuses_a_download_one_byte_over_the_cap(monkeypatch, tmp_path):
         fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert sizes == [len(_SEVENTEEN_BYTES)]  # the cap and one byte more, never all of it
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_stops_a_download_past_its_deadline(monkeypatch, tmp_path, capsys):
+    # a server that sends one line per receive, each taking a second: every
+    # receive is within the timeout, but the download is not
+    clock = [0.0]
+
+    class Trickling(_FakeResponse):
+        def read1(self, size=-1):
+            clock[0] += 1.0
+            line, newline, self._payload = self._payload.partition(b"\n")
+            return (line + newline)[:size]
+
+    payload = b"".join(b"%d 1\n" % i for i in range(40))
+    monkeypatch.setattr(bfiles.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: Trickling(payload))
+    with pytest.raises(TimeoutError, match="^the download ran past its deadline$"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path, timeout=2.5)
+    assert clock == [3.0]  # the third line arrived past the deadline
+    assert list(tmp_path.iterdir()) == []
+    # the CLI's default timeout of 30 s: a transport failure, exit 3
+    clock[0] = 0.0
+    assert main(["bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: transport failure: the download ran past its deadline\n")
+    assert clock == [31.0] and list(tmp_path.iterdir()) == []
 
 
 def test_fetch_cache_hit_still_requires_network(monkeypatch, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import bfiles, identities, sequences, series
+from fubini import bfiles, cli, identities, sequences, series
 from fubini.cli import MAX_INDEX, MAX_ORDER, main
 from fubini.registry import SEQUENCES, VERIFY_TARGETS
 
@@ -134,11 +134,11 @@ def test_a_flag_the_sequence_ignores_is_a_usage_error(capsys, argv, message):
 _OPTIONAL = {
     "compute": ("--max", "--n"),
     "verify": ("--max", "--order"),
-    "egf": ("--k",),
+    "egf": ("--order", "--k"),
     "bfile": ("--limit", "--network", "--cache-dir"),
 }
 _VALUES = {"--network": [], "--cache-dir": ["cache"]}
-_METAVARS = {"--max": "N", "--n": "ROW", "--k": "COLUMN", "--limit": "N"}
+_METAVARS = {"--max": "N", "--n": "ROW", "--order": "ORDER", "--k": "COLUMN", "--limit": "N"}
 _VERIFY_FLAGS = {"n_max": "--max", "order": "--order"}
 
 
@@ -153,8 +153,8 @@ def _choices():
     for target, (_, dests) in VERIFY_TARGETS.items():
         yield ["verify", target], f"verify {target}", {_VERIFY_FLAGS[d] for d in dests}, set()
     for name in [name for name, s in SEQUENCES.items() if s.egf] + ["stirling-col"]:
-        column = {"--k"} if name == "stirling-col" else set()
-        yield ["egf", name, "--order", "8"], f"gf {name!r}", column, column
+        flags = {"--order", "--k"} if name == "stirling-col" else {"--order"}
+        yield ["egf", name], f"gf {name!r}", flags, flags
     yield ["bfile", "check", "A000670"], "bfile check", {"--limit"}, set()
     yield ["bfile", "export", "A000670"], "bfile export", {"--limit"}, {"--limit"}
     yield ["bfile", "fetch", "A000670"], "bfile fetch", {"--network", "--cache-dir"}, set()
@@ -591,6 +591,18 @@ def test_help_lists_choices_in_order(capsys, command, choices):
         main([command, "--help"])
     assert excinfo.value.code == 0
     assert f"positional arguments:\n  {choices}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONAL))
+def test_help_shows_the_placeholder_the_usage_errors_name(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    # each option line of the help starts with the flag and its placeholder
+    lines = capsys.readouterr().out.splitlines()
+    shown = {tuple(line.split()[:2]) for line in lines if line.startswith("  --")}
+    expected = {(f, m) for f, m, _ in cli._FLAGS.values() if m and f in _OPTIONAL[command]}
+    assert expected and expected <= shown
 
 
 # -- hostile input -----------------------------------------------------------

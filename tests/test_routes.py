@@ -7,6 +7,7 @@ importing or running it, and pin what must not be shared:
 * ``series`` (the EGF route) imports nothing of the package but the leaf
   ``_args`` and the ``_EXPORTS`` table, so no builder reaches a direct kernel;
 * the integer sweep reaches neither the shared Stirling memo nor its reader;
+* the enumeration oracles reach no Stirling kernel, memo or row sum;
 * the benchmark oracle and the fixture generator import nothing from fubini;
 * the fixture tests' ``independent_stirling`` calls nothing from fubini.
 """
@@ -125,6 +126,35 @@ def test_the_egf_check_does_read_the_memo():
     # the same walk from the EGF verifier finds the memo reader, so the
     # integer sweep's result above is not an artefact of the walk
     assert ("sequences", "_read_row") in _reached([("identities", "verify_egf_agreement")])
+
+
+def test_the_enumeration_oracles_reach_no_stirling_kernel():
+    start = [
+        ("sequences", name)
+        for name in (
+            "set_partitions",
+            "ordered_set_partitions",
+            "count_partitions_exhaustive",
+            "count_ordered_partitions_exhaustive",
+        )
+    ]
+    reached = _reached(start)
+    # the walk does follow the counts into their shared histogram ...
+    assert ("sequences", "_block_count_histogram") in reached
+    # ... and nothing they reach computes or reads a Stirling number
+    assert not reached & {
+        ("sequences", name)
+        for name in (
+            "_next_stirling_row",
+            "_stirling_rows",
+            "_row_sum",
+            "_RowSums",
+            "_read_row",
+            "_shared_triangle",
+            "_StirlingTriangle",
+            "stirling2",
+        )
+    }
 
 
 def test_the_oracle_and_the_fixture_generator_import_nothing_from_fubini():
