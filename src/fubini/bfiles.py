@@ -223,21 +223,17 @@ def _read_capped(stream, deadline=None) -> bytes:
     """All of ``stream``, or ``BFileParseError`` if it holds more than
     :data:`MAX_BFILE_BYTES`; reading one byte past the cap tells the two apart.
 
-    A stream with ``read1`` is read a chunk at a time, each call at most one
-    receive, and raises ``TimeoutError`` when ``time.monotonic()`` is past
-    ``deadline`` after a chunk; one without it is read with one ``read``.
+    The stream is read with ``read1``, each call at most one receive; past
+    ``deadline`` (a ``time.monotonic()`` value) after a chunk, the read stops
+    with ``TimeoutError``.
     """
-    read1 = getattr(stream, "read1", None)
-    if read1 is None:
-        payload = stream.read(MAX_BFILE_BYTES + 1)
-    else:
-        chunks, left = [], MAX_BFILE_BYTES + 1
-        while left and (chunk := read1(left)):
-            chunks.append(chunk)
-            left -= len(chunk)
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("the download ran past its deadline")
-        payload = b"".join(chunks)
+    chunks, left = [], MAX_BFILE_BYTES + 1
+    while left and (chunk := stream.read1(left)):
+        chunks.append(chunk)
+        left -= len(chunk)
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("the download ran past its deadline")
+    payload = b"".join(chunks)
     if len(payload) > MAX_BFILE_BYTES:
         raise BFileParseError(f"a b-file may hold at most {MAX_BFILE_BYTES} bytes")
     return payload
@@ -261,9 +257,10 @@ def fetch_bfile(
     cached file short-circuits the download; cache writes go through a
     temp file and an atomic rename. A cached or downloaded file over
     :data:`MAX_BFILE_BYTES` raises :class:`BFileParseError`. ``timeout``
-    bounds each network operation and also the whole download: past
-    ``timeout`` seconds after the request, the read stops with
-    ``TimeoutError`` (an ``OSError``) and nothing is cached.
+    bounds each network operation. It also bounds the body read: the
+    first chunk received more than ``timeout`` seconds after the request
+    stops it with ``TimeoutError`` (an ``OSError``), and nothing is cached.
+    The status line and headers are bounded only per operation.
     """
     _check_sequence_id(sequence_id)
     if not network:

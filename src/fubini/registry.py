@@ -58,7 +58,10 @@ class Sequence:
 
 def _late(module: str, name: str):
     """A call of ``fubini.<module>.<name>`` that imports the module and looks
-    ``name`` up each time it is called, so a patched or traced function runs."""
+    ``name`` up each time it is called, so a patched or traced function runs.
+    A ``name`` that is not a string raises ``TypeError`` here, at the entry."""
+    if not isinstance(name, str):
+        raise TypeError(f"a fubini.{module} function is named by a string, not {name!r}")
 
     def call(*args):
         return getattr(import_module(f"fubini.{module}"), name)(*args)

@@ -326,8 +326,10 @@ class _FakeResponse:
     def __init__(self, payload):
         self._payload = payload
 
-    def read(self, size=-1):
-        return self._payload if size < 0 else self._payload[:size]
+    def read1(self, size=-1):
+        size = len(self._payload) if size < 0 else size
+        chunk, self._payload = self._payload[:size], self._payload[size:]
+        return chunk
 
     def __enter__(self):
         return self
@@ -402,8 +404,8 @@ def test_fetch_refuses_a_download_one_byte_over_the_cap(monkeypatch, tmp_path):
 
     def fake_urlopen(request, timeout=None):
         response = _FakeResponse(_SEVENTEEN_BYTES)
-        read = response.read
-        response.read = lambda size=-1: sizes.append(size) or read(size)
+        read1 = response.read1
+        response.read1 = lambda size=-1: sizes.append(size) or read1(size)
         return response
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
@@ -411,6 +413,25 @@ def test_fetch_refuses_a_download_one_byte_over_the_cap(monkeypatch, tmp_path):
     with pytest.raises(BFileParseError, match="^a b-file may hold at most 16 bytes$"):
         fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert sizes == [len(_SEVENTEEN_BYTES)]  # the cap and one byte more, never all of it
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_refuses_a_download_that_crosses_the_cap_over_several_receives(
+    monkeypatch, tmp_path
+):
+    sizes = []
+
+    class OneLineAtATime(_FakeResponse):
+        def read1(self, size=-1):
+            sizes.append(size)
+            line, newline, self._payload = self._payload.partition(b"\n")
+            return (line + newline)[:size]
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: OneLineAtATime(_SEVENTEEN_BYTES))
+    monkeypatch.setattr(bfiles, "MAX_BFILE_BYTES", len(_SEVENTEEN_BYTES) - 1)
+    with pytest.raises(BFileParseError, match="^a b-file may hold at most 16 bytes$"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+    assert sizes == [17, 13, 9, 5]  # each receive asks for what is left of cap + 1
     assert list(tmp_path.iterdir()) == []
 
 

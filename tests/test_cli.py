@@ -524,7 +524,7 @@ def test_bfile_fetch_read_timeout_exits_3(capsys, monkeypatch, tmp_path):
         def __exit__(self, *exc_info):
             return False
 
-        def read(self, size=-1):
+        def read1(self, size=-1):
             raise TimeoutError("The read operation timed out")
 
     monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: TimingOut())

@@ -84,6 +84,16 @@ def test_target_table_orders_every_integer_identity_once():
     assert [r.identity_id for r in verify_all(3, 2)][: len(ids)] == ids
 
 
+def test_a_sequence_takes_its_route_and_builder_by_name():
+    # a function in place of its name is refused when the entry is built,
+    # not on its first call
+    with pytest.raises(TypeError, match="^a fubini.sequences function is named by a string"):
+        registry.Sequence("bell", 0, sequences.ordered_bell)
+    with pytest.raises(TypeError, match="^a fubini.series function is named by a string"):
+        registry.Sequence("bell", 0, egf=series.ordered_bell_egf)
+    assert registry.Sequence("bell", 0, "ordered_bell").route(3) == 13
+
+
 def test_reports_are_deterministic():
     assert verify_all(12, 8) == verify_all(12, 8)
 
