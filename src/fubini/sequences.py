@@ -29,13 +29,17 @@ triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
 every 16th row (a checkpoint) and the other rows read most recently up to
 a byte budget, and recomputes any other row from the nearest held row
 below it. It holds each row as a ``_RowSums``, so a row's sums go when
-the row goes. ``_read_row`` is the one reader of the memo, and it hands
-out the held entry, uncopied: every public sum and every ``stirling2``
-entry is one read of it, and ``stirling2_row`` is its copying reader. It
-is the one seam for memo rows, so a patched ``_read_row`` returning a
-``_RowSums`` of a corrupted row reaches every entry, every sum, the row
-readers, the Worpitzky numbers and the EGF check's columns. The identity
-sweep never touches this memo. ``_worpitzky_rows`` builds the Worpitzky
+the row goes. A read of a held row takes no lock: each of its steps is
+one list or ``OrderedDict`` operation, which the GIL makes atomic, as
+``series._pascal`` reads rely on; only a miss takes the memo's one lock,
+and checks again under it before it walks. ``_read_row`` is the one
+reader of the memo, and it hands out the held entry, uncopied: every
+public sum and every ``stirling2`` entry is one read of it, and
+``stirling2_row`` is its copying reader. It is the one seam for memo
+rows, so a patched ``_read_row`` returning a ``_RowSums`` of a corrupted
+row reaches every entry, every sum, the row readers, the Worpitzky
+numbers and the EGF check's columns. The identity sweep never touches
+this memo. ``_worpitzky_rows`` builds the Worpitzky
 triangle from its own recurrence, for the sweep only.
 
 One brute-force enumerator lives alongside, so the closed-form routines
@@ -201,7 +205,7 @@ class _StirlingTriangle:
       ``_CHECKPOINT_EVERY``, up to the highest row computed;
     * recent rows: the other rows most recently read, least recently used
       first out once their total size passes ``_RECENT_BYTES`` bytes (the
-      newest is always kept).
+      one read last is always kept).
 
     A row that is not held is recomputed from the nearest held row below it
     with :func:`_next_stirling_row`, the step :func:`_stirling_rows` takes:
@@ -216,9 +220,14 @@ class _StirlingTriangle:
     :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
     instance and hands out the held entry.
 
-    Lookups, extensions and recomputations are serialized with one lock, so
-    an instance is safe to use from several threads; held rows are never
-    mutated. A sum is computed outside the lock: two readers who miss the
+    A hit takes no lock: each of its steps is a single list or
+    ``OrderedDict`` operation, which the GIL makes atomic, as
+    ``series._pascal`` reads rely on. That is safe because held rows are
+    never mutated and checkpoints are only appended; a hit whose recent row
+    is evicted between its two steps still holds the right entry. A miss
+    takes the one lock, checks again, and walks; the lock serializes walks,
+    inserts and evictions, so an instance is safe to use from several
+    threads. A sum is computed outside the lock: two readers who miss the
     same sum at once both compute it and store the same value.
     """
 
@@ -229,18 +238,22 @@ class _StirlingTriangle:
         self._lock = threading.Lock()
 
     def _held(self, n: int) -> _RowSums | None:
-        # caller holds the lock
+        # no lock needed: each step is one list or OrderedDict operation
         checkpoint, offset = divmod(n, _CHECKPOINT_EVERY)
         if not offset:
             return self._checkpoints[checkpoint] if checkpoint < len(self._checkpoints) else None
-        return self._recent.get(n)
+        held = self._recent.get(n)
+        if held is not None:
+            try:
+                self._recent.move_to_end(n)
+            except KeyError:  # evicted since the get; the entry in hand is still row n
+                pass
+        return held
 
     def _get(self, n: int) -> _RowSums:
         # caller holds the lock
         held = self._held(n)
         if held is not None:
-            if n % _CHECKPOINT_EVERY:
-                self._recent.move_to_end(n)
             return held
         start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
         row = self._checkpoints[start // _CHECKPOINT_EVERY].row
@@ -262,7 +275,14 @@ class _StirlingTriangle:
         return held
 
     def read(self, n: int) -> _RowSums:
-        """Row ``n >= 0`` as its held entry, under the lock; the caller has checked ``n``."""
+        """Row ``n >= 0`` as its held entry; the caller has checked ``n``.
+
+        A hit takes no lock; a miss takes the one lock, checks again, since
+        another reader may have walked to row ``n`` meanwhile, and walks.
+        """
+        held = self._held(n)
+        if held is not None:
+            return held
         with self._lock:
             return self._get(n)
 
@@ -280,7 +300,9 @@ def _read_row(n: int) -> _RowSums:
     :func:`worpitzky`, :func:`worpitzky_row` and the columns of
     ``identities.verify_egf_agreement``. The entry is handed out, not
     copied: callers have checked ``n`` and must not mutate ``.row``. The
-    global ``_shared_triangle`` is looked up at call time.
+    global ``_shared_triangle`` is looked up at call time. A held row is read
+    without a lock, by single list and ``OrderedDict`` operations that the
+    GIL makes atomic; a miss takes the memo's one lock and checks again.
     """
     return _shared_triangle.read(n)
 

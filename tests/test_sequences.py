@@ -102,7 +102,7 @@ def test_triangle_concurrent_extension():
         try:
             for n in indices:
                 assert triangle.read(n).row == expected[n]
-        except AssertionError as exc:  # pragma: no cover - only on bug
+        except Exception as exc:  # pragma: no cover - only on bug
             failures.append(exc)
 
     ascending = range(0, 121, 7)
@@ -122,6 +122,98 @@ def test_triangle_concurrent_extension():
     assert not any(t.is_alive() for t in threads)
     assert not failures
     assert max(_held_entries(triangle)) >= 119
+
+
+def test_a_held_row_is_read_without_the_lock():
+    expected = list(itertools.islice(sequences._stirling_rows(), 46))
+    triangle = sequences._StirlingTriangle()
+    triangle.read(37)  # holds checkpoint 32 and recent row 37, not row 45
+    got = {}
+
+    def reader(*indices):
+        for n in indices:
+            got[n] = triangle.read(n).row
+
+    hits = threading.Thread(target=reader, args=(32, 37), daemon=True)
+    miss = threading.Thread(target=reader, args=(45,), daemon=True)
+    with triangle._lock:
+        hits.start()
+        hits.join(timeout=5)
+        assert not hits.is_alive()  # neither hit waited for the lock
+        miss.start()
+        miss.join(timeout=0.5)
+        assert miss.is_alive()  # a miss still waits for it
+    miss.join(timeout=60)
+    assert not miss.is_alive()
+    assert got == {n: expected[n] for n in (32, 37, 45)}
+
+
+def test_a_lock_free_hit_refreshes_recency(monkeypatch):
+    a, b, c = 33, 34, 35
+    rows = list(itertools.islice(sequences._stirling_rows(), c + 1))
+    triangle = sequences._StirlingTriangle()
+    triangle.read(a)
+    triangle.read(b)
+    triangle.read(a)  # a hit: b is now the least recently read
+    # room for a and c but not b as well, so reading c evicts exactly one row
+    budget = sequences._row_bytes(rows[a]) + sequences._row_bytes(rows[c])
+    monkeypatch.setattr(sequences, "_RECENT_BYTES", budget)
+    triangle.read(c)
+    assert list(triangle._recent) == [a, c]
+
+
+def test_threaded_hits_race_evictions(monkeypatch):
+    # four readers re-read small recent rows, hitting them without the lock,
+    # while a scan through rows 0..200 evicts them past a 16 KiB budget
+    top, every = 200, sequences._CHECKPOINT_EVERY
+    rows = list(itertools.islice(sequences._stirling_rows(), top + 1))
+    small = [n for n in range(1, 24) if n % every]
+    triangle = sequences._StirlingTriangle()
+    monkeypatch.setattr(sequences, "_shared_triangle", triangle)
+    monkeypatch.setattr(sequences, "_RECENT_BYTES", 16 << 10)
+    for n in small:
+        triangle.read(n)
+    assert set(small) <= set(triangle._recent)
+    scanned = threading.Event()
+    failures = []
+
+    def scan():
+        try:
+            for n in range(top + 1):
+                assert stirling2_row(n) == rows[n], n
+                assert ordered_bell(n) == _reference_sum(rows[n], 0, None, False), n
+        except Exception as exc:  # pragma: no cover - only on bug
+            failures.append(exc)
+        finally:
+            scanned.set()
+
+    def reread(seed):
+        choose = random.Random(seed).choice
+        try:
+            while not scanned.is_set():
+                n = choose(small)
+                assert sequences._read_row(n).row == rows[n], n
+                assert cyclic_ordered_bell(n) == _reference_sum(rows[n], 1, None, False), n
+        except Exception as exc:  # pragma: no cover - only on bug
+            failures.append(exc)
+
+    threads = [threading.Thread(target=reread, args=(seed,)) for seed in range(4)]
+    threads.append(threading.Thread(target=scan))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    held = triangle._recent.values()
+    assert triangle._recent_bytes == sum(sequences._row_bytes(sums.row) for sums in held)
+    for n, sums in _held_entries(triangle).items():
+        assert sums.row == rows[n], n
 
 
 def _read_orders(top: int) -> dict[str, list[int]]:
@@ -557,7 +649,7 @@ def test_threaded_sums_match_the_reference(monkeypatch):
                 for param in WEIGHTED_SUMS:
                     func, *weights = param.values
                     assert func(n) == _reference_sum(rows[n], *weights), (n, param.id)
-        except AssertionError as exc:  # pragma: no cover - only on bug
+        except Exception as exc:  # pragma: no cover - only on bug
             failures.append(exc)
 
     # the sums other than ordered_bell start at n = 1
