@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 #: entry, so a name is declared here and nowhere else.
 _EXPORTS = {
     "bfiles": (
-        "BFile",
         "BFileParseError",
         "OfflineError",
         "computed_table",

@@ -3,7 +3,10 @@
 A b-file is the OEIS plain-text sequence format: ASCII lines of
 ``index value`` separated by a single space, one entry per line with a
 trailing newline, optionally interleaved with blank lines and ``#``
-comments. Indices must be consecutive.
+comments. Indices must be consecutive, so a parsed b-file is a
+:class:`~fubini.sequences.SequenceTable`: the sequence id, the first index
+and the values, the same record that holds a computed sequence. Emitting a
+table and parsing the text back gives an equal table.
 
 Every sequence in :data:`fubini.registry.SEQUENCES` with an OEIS id ships
 its reference b-file under ``fubini/data/``, so the default test run needs
@@ -26,10 +29,10 @@ import time
 from pathlib import Path
 
 from fubini import _EXPORTS
-from fubini._args import ArgumentError, _require_at_least, _require_int
+from fubini._args import ArgumentError
 from fubini.identities import VerificationReport, _sweep
 from fubini.registry import BY_OEIS_ID
-from fubini.sequences import SequenceTable, _FrozenRecord
+from fubini.sequences import SequenceTable
 
 __all__ = list(_EXPORTS["bfiles"])
 
@@ -54,37 +57,6 @@ class OfflineError(RuntimeError):
     """Raised when a network fetch is attempted without networking enabled."""
 
 
-class BFile(_FrozenRecord):
-    """Parsed b-file content: consecutive ``(index, value)`` entries, or ``ArgumentError``."""
-
-    __slots__ = ("sequence_id", "entries")
-
-    def __init__(self, sequence_id: str, entries: tuple[tuple[int, int], ...]):
-        if not entries:
-            raise ArgumentError("a b-file needs at least one entry")
-        for (index, _), (following, _) in zip(entries, entries[1:]):
-            if following != index + 1:
-                raise ArgumentError(f"index {following} not consecutive (gap after {index})")
-        self._set(sequence_id, entries)
-
-    @property
-    def first_index(self) -> int:
-        return self.entries[0][0]
-
-    @property
-    def last_index(self) -> int:
-        return self.entries[-1][0]
-
-    def value(self, index: int) -> int:
-        """The entry at ``index``; ``ArgumentError`` outside the stored range."""
-        index = _require_int(index, "index")
-        if not self.first_index <= index <= self.last_index:
-            raise ArgumentError(
-                f"index {index} is outside {self.first_index}..{self.last_index}"
-            )
-        return self.entries[index - self.first_index][1]
-
-
 def _require_type(value, expected, name: str) -> None:
     if not isinstance(value, expected):
         names = " or ".join(t.__name__ for t in expected)
@@ -104,14 +76,15 @@ def _filename(sequence_id: str) -> str:
     return f"b{sequence_id[1:]}.txt"
 
 
-def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
-    """Parse b-file text into a :class:`BFile`.
+def parse_bfile(text: str | bytes, sequence_id: str = "") -> SequenceTable:
+    """Parse b-file text into ``SequenceTable(sequence_id, first index, values)``.
 
     Lines end in LF or CRLF. Comment lines starting with ``#`` and blank
     lines are skipped. Every data line must be two ASCII decimal
     integers ``-?[0-9]+`` separated by ASCII spaces or tabs, and indices
     must be consecutive; violations raise :class:`BFileParseError` naming
     the line, as does a value longer than ``sys.get_int_max_str_digits()``.
+    Text with no data line raises :class:`BFileParseError` too.
     """
     _require_type(text, (str, bytes), "text")
     if isinstance(text, bytes):
@@ -122,7 +95,7 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
             raise BFileParseError(
                 f"line {lineno}: non-ASCII byte {text[exc.start:exc.start + 1]!r}"
             ) from None
-    entries: list[tuple[int, int]] = []
+    offset, values = None, []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         raw = raw.removesuffix("\r")
         line = raw.strip(" \t")
@@ -142,15 +115,17 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> BFile:
                 f"line {lineno}: a token exceeds the "
                 f"{sys.get_int_max_str_digits()}-digit limit of int conversion"
             ) from None
-        if entries and index != entries[-1][0] + 1:
+        if offset is None:
+            offset = index
+        elif index != offset + len(values):
             raise BFileParseError(
                 f"line {lineno}: index {index} not consecutive "
-                f"(gap after {entries[-1][0]})"
+                f"(gap after {offset + len(values) - 1})"
             )
-        entries.append((index, value))
-    if not entries:
+        values.append(value)
+    if offset is None:
         raise BFileParseError("no data lines found")
-    return BFile(sequence_id, tuple(entries))
+    return SequenceTable(sequence_id, offset, values)
 
 
 def emit_bfile(table: SequenceTable) -> str:
@@ -177,8 +152,8 @@ def fixture_ids() -> tuple[str, ...]:
     return tuple(sorted(BY_OEIS_ID))
 
 
-def load_fixture(sequence_id: str) -> BFile:
-    """Load a bundled reference b-file."""
+def load_fixture(sequence_id: str) -> SequenceTable:
+    """The bundled reference b-file of ``sequence_id``, parsed by :func:`parse_bfile`."""
     if _check_sequence_id(sequence_id) not in BY_OEIS_ID:
         raise ArgumentError(f"no bundled fixture for {sequence_id}")
     from importlib import resources  # deferred: only load_fixture needs it
@@ -199,24 +174,25 @@ def computed_table(sequence_id: str, limit: int) -> SequenceTable:
     return SequenceTable(sequence_id, sequence.first, tuple(sequence.terms(limit, "limit")))
 
 
-def crosscheck(computed: SequenceTable, reference: BFile, limit: int) -> VerificationReport:
-    """Compare a computed table against reference data, entry by entry.
+def crosscheck(computed: SequenceTable, reference: SequenceTable) -> VerificationReport:
+    """Compare a computed table against a reference table, entry by entry.
 
-    The comparison covers the overlap of both index ranges, clamped to
-    indices ``<= limit``; an empty overlap is an error, not a failure.
+    The comparison covers the overlap of both index ranges, so a shorter
+    table bounds it; an empty overlap is an error, not a failure. The
+    report is named after the reference, or the computed table if the
+    reference has no name.
     """
     _require_type(computed, (SequenceTable,), "computed")
-    _require_type(reference, (BFile,), "reference")
-    limit = _require_at_least(limit, computed.offset, "limit")
-    lo = max(computed.offset, reference.first_index)
-    hi = min(computed.offset + len(computed.values) - 1, reference.last_index, limit)
+    _require_type(reference, (SequenceTable,), "reference")
+    lo = max(computed.offset, reference.offset)
+    hi = min(computed.last_index, reference.last_index)
     if lo > hi:
         raise ArgumentError("no overlapping indices to compare")
     pairs = (
-        (index, reference.value(index), computed.values[index - computed.offset])
-        for index in range(lo, hi + 1)
+        (n, reference.values[n - reference.offset], computed.values[n - computed.offset])
+        for n in range(lo, hi + 1)
     )
-    return _sweep(f"oeis.{reference.sequence_id or computed.name}", lo, hi, pairs)
+    return _sweep(f"oeis.{reference.name or computed.name}", lo, hi, pairs)
 
 
 def _read_capped(stream, deadline=None) -> bytes:
@@ -240,8 +216,10 @@ def _read_capped(stream, deadline=None) -> bytes:
 
 
 def _default_cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME", "~/.cache")
-    return Path(root).expanduser() / "fubini"
+    root = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    if not root.is_absolute():  # unset, empty or relative: the XDG spec says ~/.cache
+        root = Path.home() / ".cache"
+    return root / "fubini"
 
 
 def fetch_bfile(
@@ -250,8 +228,9 @@ def fetch_bfile(
     network: bool = False,
     cache_dir: str | Path | None = None,
     timeout: float = 30.0,
-) -> BFile:
-    """Fetch a b-file from oeis.org, caching the validated download.
+) -> SequenceTable:
+    """Fetch a b-file from oeis.org, caching the validated download, and
+    return it parsed by :func:`parse_bfile`.
 
     Requires ``network=True`` (the default is hermetic). A previously
     cached file short-circuits the download; cache writes go through a
@@ -282,7 +261,7 @@ def fetch_bfile(
     deadline = time.monotonic() + timeout
     with urllib.request.urlopen(request, timeout=timeout) as response:
         payload = _read_capped(response, deadline)
-    bfile = parse_bfile(payload, sequence_id)  # validate before caching
+    table = parse_bfile(payload, sequence_id)  # validate before caching
 
     cache.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=cache, prefix=filename, suffix=".tmp")
@@ -294,4 +273,4 @@ def fetch_bfile(
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
-    return bfile
+    return table

@@ -176,7 +176,7 @@ def _cmd_bfile(args) -> int:
     action, sequence_id = args.action, args.sequence_id
     if action == "fetch":
         try:
-            bfile = bfiles.fetch_bfile(
+            table = bfiles.fetch_bfile(
                 sequence_id, network=args.network, cache_dir=args.cache_dir
             )
         except bfiles.OfflineError as exc:
@@ -188,17 +188,16 @@ def _cmd_bfile(args) -> int:
         except bfiles.BFileParseError as exc:  # the arguments were valid; the file is not
             print("error: the cached or downloaded b-file is unusable:", exc, file=sys.stderr)
             return EXIT_ENV
-        print(f"fetched {sequence_id}: {len(bfile.entries)} entries")
+        print(f"fetched {sequence_id}: {len(table.values)} entries")
         return EXIT_OK
     if action == "export":
         table = bfiles.computed_table(sequence_id, args.limit)
         _print_lines(table.offset, table.values)
         return EXIT_OK
     # check
-    reference = bfiles.load_fixture(sequence_id)
-    limit = args.limit if args.limit is not None else reference.last_index
-    table = bfiles.computed_table(sequence_id, limit)
-    report = bfiles.crosscheck(table, reference, limit)
+    reference = bfiles.load_fixture(sequence_id)  # compute no further than it reaches
+    limit = reference.last_index if args.limit is None else min(args.limit, reference.last_index)
+    report = bfiles.crosscheck(bfiles.computed_table(sequence_id, limit), reference)
     print(report.format_line())
     return EXIT_OK if report.passed else EXIT_FAIL
 

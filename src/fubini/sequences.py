@@ -125,6 +125,11 @@ class SequenceTable(_FrozenRecord):
         values = tuple(_require_int(value, "value") for value in values)
         self._set(name, _require_int(offset, "offset"), values)
 
+    @property
+    def last_index(self) -> int:
+        """The index of the last value; ``offset - 1`` for an empty table."""
+        return self.offset + len(self.values) - 1
+
 
 def _next_stirling_row(prev: list[int]) -> list[int]:
     """Row n+1 of the triangle from row n, by ``S(n,k) = k*S(n-1,k) + S(n-1,k-1)``.

@@ -104,9 +104,9 @@ def test_criterion_7_oeis_fixture_crosschecks():
         minimums = {"A000670": 20, "A008277": 50, "A130850": 20}
         for sequence_id, minimum in minimums.items():
             reference = bfiles.load_fixture(sequence_id)
-            assert len(reference.entries) >= minimum, sequence_id
+            assert len(reference.values) >= minimum, sequence_id
             table = bfiles.computed_table(sequence_id, reference.last_index)
-            report = bfiles.crosscheck(table, reference, reference.last_index)
+            report = bfiles.crosscheck(table, reference)
             assert report.passed, report.format_line()
 
     _criterion("7 oeis-fixtures offline", check)

@@ -2,6 +2,7 @@
 
 import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from fubini import bfiles, sequences
 from fubini.bfiles import (
-    BFile,
     BFileParseError,
     OfflineError,
     computed_table,
@@ -32,10 +32,10 @@ from fubini.sequences import SequenceTable
     [
         (lambda: parse_bfile(None), "text must be str or bytes, got NoneType"),
         (lambda: emit_bfile(None), "table must be SequenceTable, got NoneType"),
-        (lambda: crosscheck(None, None, 3), "computed must be SequenceTable, got NoneType"),
+        (lambda: crosscheck(None, None), "computed must be SequenceTable, got NoneType"),
         (
-            lambda: crosscheck(SequenceTable("x", 0, (1,)), None, 3),
-            "reference must be BFile, got NoneType",
+            lambda: crosscheck(SequenceTable("x", 0, (1,)), None),
+            "reference must be SequenceTable, got NoneType",
         ),
         (lambda: load_fixture(None), "sequence_id must be str, got NoneType"),
     ],
@@ -47,26 +47,25 @@ def test_bfile_api_names_the_expected_type(call, message):
 
 
 def test_parse_basic():
-    bfile = parse_bfile("0 1\n1 1\n2 3\n", "A000670")
-    assert bfile.sequence_id == "A000670"
-    assert bfile.entries == ((0, 1), (1, 1), (2, 3))
-    assert bfile.first_index == 0
-    assert bfile.last_index == 2
-    assert bfile.value(2) == 3
+    table = parse_bfile("0 1\n1 1\n2 3\n", "A000670")
+    assert table == SequenceTable("A000670", 0, (1, 1, 3))
+    assert table.last_index == 2
 
 
 def test_parse_skips_comments_and_blanks():
     text = "# comment line\n\n1 1\n2 5\n\n# trailing\n"
-    assert parse_bfile(text).entries == ((1, 1), (2, 5))
+    assert parse_bfile(text) == SequenceTable("", 1, (1, 5))
 
 
 def test_parse_accepts_bytes_and_negative_indices():
-    assert parse_bfile(b"-1 4\n0 -7\n").entries == ((-1, 4), (0, -7))
+    assert parse_bfile(b"-1 4\n0 -7\n") == SequenceTable("", -1, (4, -7))
 
 
 def test_parse_rejects_index_gap():
     with pytest.raises(BFileParseError, match="line 2.*not consecutive"):
         parse_bfile("1 1\n3 13\n")
+    with pytest.raises(BFileParseError, match=r"^line 3: index 4 not consecutive \(gap after 4\)$"):
+        parse_bfile("3 1\n4 1\n4 2\n")
 
 
 def test_parse_rejects_bad_tokens():
@@ -101,7 +100,7 @@ def test_parse_accepts_only_ascii_decimal_integers(text, lineno):
 
 
 def test_parse_accepts_ascii_spaces_tabs_and_crlf():
-    assert parse_bfile("0\t1\r\n 1  5 \r\n\t2 \t 13\t\n").entries == ((0, 1), (1, 5), (2, 13))
+    assert parse_bfile("0\t1\r\n 1  5 \r\n\t2 \t 13\t\n").values == (1, 5, 13)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +127,7 @@ def digit_limit():
 
 
 def test_parse_names_the_digit_limit(digit_limit):
-    assert parse_bfile("0 " + "9" * digit_limit).entries == ((0, 10**digit_limit - 1),)
+    assert parse_bfile("0 " + "9" * digit_limit).values == (10**digit_limit - 1,)
     with pytest.raises(BFileParseError, match=f"line 2: .*{digit_limit}-digit limit"):
         parse_bfile("0 1\n1 1" + "0" * digit_limit)
 
@@ -138,21 +137,10 @@ def test_emit_names_the_digit_limit(digit_limit):
         emit_bfile(SequenceTable("x", 3, (1, 10**digit_limit)))
 
 
-def test_value_rejects_index_outside_range():
-    bfile = parse_bfile("5 50\n6 60\n7 70\n")
-    assert [bfile.value(i) for i in (5, 6, 7)] == [50, 60, 70]
-    for index in (4, -1, 8):
-        with pytest.raises(ValueError, match=f"index {index} is outside 5..7"):
-            bfile.value(index)
-
-
 def test_value_and_offset_require_an_integer():
-    bfile = parse_bfile("5 50\n6 60\n7 70\n")
-    with pytest.raises(TypeError, match="^index must be an integer, got float$"):
-        bfile.value(6.0)
     with pytest.raises(TypeError, match="^offset must be an integer, got float$"):
         SequenceTable("x", 1.5, (1, 2))
-    assert parse_bfile("-2 4\n-1 5\n").value(-1) == 5
+    assert parse_bfile("-2 4\n-1 5\n") == SequenceTable("", -2, (4, 5))
     assert emit_bfile(SequenceTable("x", -2, (1, 2))) == "-2 1\n-1 2\n"
     assert emit_bfile(SequenceTable("x", True, (7,))) == "1 7\n"
 
@@ -163,20 +151,6 @@ def test_table_values_must_be_integers(value):
     with pytest.raises(TypeError, match=f"^value must be an integer, got {type(value).__name__}$"):
         SequenceTable("x", 0, (1, value))
     assert SequenceTable("x", 0, (True, 2)).values == (1, 2)
-
-
-@pytest.mark.parametrize(
-    "entries, message",
-    [
-        ((), "at least one entry"),
-        (((0, 5), (2, 7)), r"index 2 not consecutive \(gap after 0\)"),
-        (((3, 1), (4, 1), (4, 2)), r"index 4 not consecutive \(gap after 4\)"),
-    ],
-)
-def test_bfile_rejects_empty_or_non_consecutive_entries(entries, message):
-    # a gap would make value(1) return the entry at 2, and crosscheck trust it
-    with pytest.raises(ValueError, match=message):
-        BFile("A000001", entries)
 
 
 def test_parse_rejects_empty_input():
@@ -195,8 +169,7 @@ def test_emit_examples():
 
 def test_emit_parse_roundtrip():
     table = SequenceTable("demo", 5, (9, -8, 7, 0))
-    parsed = parse_bfile(emit_bfile(table), "demo")
-    assert parsed.entries == ((5, 9), (6, -8), (7, 7), (8, 0))
+    assert parse_bfile(emit_bfile(table), "demo") == table
 
 
 @given(
@@ -205,10 +178,8 @@ def test_emit_parse_roundtrip():
 )
 @settings(max_examples=60)
 def test_emit_parse_roundtrip_property(offset, values):
-    table = SequenceTable("t", offset, tuple(values))
-    parsed = parse_bfile(emit_bfile(table))
-    assert [v for _, v in parsed.entries] == values
-    assert parsed.first_index == offset
+    table = SequenceTable("t", offset, values)
+    assert parse_bfile(emit_bfile(table), "t") == table
 
 
 # digits, signs, separators and look-alikes that reach every branch of the line parser
@@ -222,7 +193,7 @@ def test_parse_returns_a_bfile_or_raises_parse_error(text):
         parsed = parse_bfile(text)
     except BFileParseError:
         return
-    assert isinstance(parsed, BFile)
+    assert isinstance(parsed, SequenceTable) and parsed.values
 
 
 # -- computed tables and crosschecks ----------------------------------------
@@ -258,20 +229,20 @@ def test_computed_table_rejects_unknown_or_bad():
 def test_crosscheck_pass_and_clamping():
     reference = parse_bfile("0 1\n1 1\n2 3\n3 13\n", "A000670")
     table = computed_table("A000670", 10)
-    report = crosscheck(table, reference, 10)
+    report = crosscheck(table, reference)
     assert report.passed
     assert report.identity_id == "oeis.A000670"
     assert report.range_checked == (0, 3)  # clamped to the reference overlap
 
-    clamped = crosscheck(table, reference, 1)
-    assert clamped.range_checked == (0, 1)
+    clamped = crosscheck(computed_table("A000670", 1), reference)
+    assert clamped.range_checked == (0, 1)  # clamped to the computed overlap
 
 
 def test_crosscheck_detects_offset_injection():
     reference = load_fixture("A000670")
     values = tuple(sequences.ordered_bell(n) for n in range(10))
     shifted = SequenceTable("A000670", 1, values)  # off-by-one offset
-    report = crosscheck(shifted, reference, 10)
+    report = crosscheck(shifted, reference)
     assert not report.passed
     n, expected, actual = report.first_failure
     assert n == 2  # first index where the shift is visible: B(2)=3 vs B(1)=1
@@ -281,7 +252,7 @@ def test_crosscheck_detects_offset_injection():
 def test_crosscheck_detects_value_mismatch():
     reference = parse_bfile("0 1\n1 1\n2 4\n")
     table = computed_table("A000670", 5)
-    report = crosscheck(table, reference, 5)
+    report = crosscheck(table, reference)
     assert not report.passed
     assert report.first_failure == (2, 4, 3)
 
@@ -290,9 +261,9 @@ def test_crosscheck_empty_overlap_is_error():
     reference = parse_bfile("50 1\n51 2\n")
     table = computed_table("A000670", 5)
     with pytest.raises(ValueError, match="no overlapping indices"):
-        crosscheck(table, reference, 60)
-    with pytest.raises(ValueError, match="limit"):
-        crosscheck(table, reference, -1)
+        crosscheck(table, reference)
+    with pytest.raises(ValueError, match="no overlapping indices"):
+        crosscheck(SequenceTable("x", 0, ()), load_fixture("A000670"))
 
 
 # -- bundled fixtures --------------------------------------------------------
@@ -310,13 +281,12 @@ def test_fixture_inventory():
 )
 def test_fixture_crosschecks_pass(sequence_id, minimum_entries):
     reference = load_fixture(sequence_id)
-    assert len(reference.entries) >= minimum_entries
-    assert len(reference.entries) <= 100  # fixtures stay desk-sized
+    assert len(reference.values) >= minimum_entries
+    assert len(reference.values) <= 100  # fixtures stay desk-sized
     table = computed_table(sequence_id, reference.last_index)
-    report = crosscheck(table, reference, reference.last_index)
+    report = crosscheck(table, reference)
     assert report.passed, report.format_line()
-    lo, hi = report.range_checked
-    assert hi - lo + 1 == len(reference.entries)
+    assert report.range_checked == (reference.offset, reference.last_index)
 
 
 # -- fetch -----------------------------------------------------------------
@@ -358,8 +328,8 @@ def test_fetch_downloads_parses_and_caches(monkeypatch, tmp_path):
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
 
-    bfile = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
-    assert bfile.entries == ((0, 1), (1, 1), (2, 3))
+    table = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+    assert table == SequenceTable("A000670", 0, (1, 1, 3))
     assert urls == ["https://oeis.org/A000670/b000670.txt"]
     cached = tmp_path / "b000670.txt"
     assert cached.read_bytes() == payload
@@ -367,7 +337,7 @@ def test_fetch_downloads_parses_and_caches(monkeypatch, tmp_path):
 
     # second call is served from the cache, no new request
     again = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
-    assert again.entries == bfile.entries
+    assert again == table
     assert len(urls) == 1
 
 
@@ -393,7 +363,7 @@ _SEVENTEEN_BYTES = b"0 1\n1 1\n2 3\n3 13\n"
 def test_fetch_refuses_a_cache_entry_one_byte_over_the_cap(monkeypatch, tmp_path):
     (tmp_path / "b000670.txt").write_bytes(_SEVENTEEN_BYTES)
     monkeypatch.setattr(bfiles, "MAX_BFILE_BYTES", len(_SEVENTEEN_BYTES))
-    assert len(fetch_bfile("A000670", network=True, cache_dir=tmp_path).entries) == 4
+    assert len(fetch_bfile("A000670", network=True, cache_dir=tmp_path).values) == 4
     monkeypatch.setattr(bfiles, "MAX_BFILE_BYTES", len(_SEVENTEEN_BYTES) - 1)
     with pytest.raises(BFileParseError, match="^a b-file may hold at most 16 bytes$"):
         fetch_bfile("A000670", network=True, cache_dir=tmp_path)
@@ -471,5 +441,24 @@ def test_fetch_cache_hit_still_requires_network(monkeypatch, tmp_path):
         "urlopen",
         lambda *a, **k: pytest.fail("must not hit the network on a cache hit"),
     )
-    bfile = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
-    assert bfile.entries == ((0, 1), (1, 1))
+    table = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+    assert table == SequenceTable("A000670", 0, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        pytest.param(None, "~/.cache/fubini", id="unset"),
+        pytest.param("", "~/.cache/fubini", id="empty"),
+        pytest.param("rel/dir", "~/.cache/fubini", id="relative"),
+        pytest.param("/abs/cache", "/abs/cache/fubini", id="absolute"),
+    ],
+)
+def test_default_cache_dir_follows_the_xdg_spec(monkeypatch, tmp_path, value, expected):
+    # the XDG Base Directory spec: an unset, empty or relative XDG_CACHE_HOME means ~/.cache
+    monkeypatch.setenv("HOME", str(tmp_path))
+    if value is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+    assert bfiles._default_cache_dir() == Path(expected.replace("~", str(tmp_path)))

@@ -60,8 +60,8 @@ def test_compute_rows(capsys):
 def test_compute_bfile_format_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "compute", "bell", "--max", "6", "--format", "bfile")
     assert code == 0
-    parsed = bfiles.parse_bfile(out)
-    assert [v for _, v in parsed.entries] == [sequences.ordered_bell(n) for n in range(7)]
+    expected = tuple(sequences.ordered_bell(n) for n in range(7))
+    assert bfiles.parse_bfile(out, "bell") == sequences.SequenceTable("bell", 0, expected)
 
 
 #: Per command, argvs with an argument below its bound, and the library's
@@ -431,6 +431,21 @@ def test_bfile_check_all_fixtures(capsys):
     for sequence_id in bfiles.fixture_ids():
         code, out, _ = run_cli(capsys, "bfile", "check", sequence_id)
         assert code == 0, out
+
+
+#: Fixture -> the last Stirling row its entries need: A000670 ends at B(29),
+#: A008277 at row 13 and A130850 at row 11, which reads row 12.
+_FIXTURE_LAST_ROW = {"A000670": 29, "A008277": 13, "A130850": 12}
+
+
+@pytest.mark.parametrize("sequence_id", sorted(_FIXTURE_LAST_ROW))
+def test_bfile_check_computes_only_what_the_fixture_holds(monkeypatch, capsys, sequence_id):
+    code, out, _ = run_cli(capsys, "bfile", "check", sequence_id)
+    assert code == 0
+    rows, real_read = [], sequences._read_row
+    monkeypatch.setattr(sequences, "_read_row", lambda n: rows.append(n) or real_read(n))
+    assert run_cli(capsys, "bfile", "check", sequence_id, "--limit", "1000") == (0, out, "")
+    assert max(rows) == _FIXTURE_LAST_ROW[sequence_id]
 
 
 def test_bfile_export(capsys):

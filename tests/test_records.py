@@ -6,7 +6,6 @@ import pickle
 
 import pytest
 
-from fubini.bfiles import BFile
 from fubini.identities import VerificationReport
 from fubini.sequences import SequenceTable
 
@@ -29,13 +28,8 @@ RECORDS = [
         "VerificationReport(identity_id='oeis.A000670', range_checked=(0, 9), "
         "status='fail', first_failure=(4, 75, 76))",
     ),
-    (
-        BFile("A000670", ((0, 1), (1, 1), (2, 3))),
-        ("A000670", ((0, 1), (1, 1), (2, 3))),
-        "BFile(sequence_id='A000670', entries=((0, 1), (1, 1), (2, 3)))",
-    ),
 ]
-IDS = ["table", "report-pass", "report-fail", "bfile"]
+IDS = ["table", "report-pass", "report-fail"]
 
 
 @pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
@@ -65,11 +59,10 @@ def test_construction_by_position_and_keyword():
     assert report == VerificationReport("x", (1, 2), "pass", None)
     failed = VerificationReport("x", (1, 2), status="fail", first_failure=(2, 3, 4))
     assert failed.first_failure == (2, 3, 4)
-    assert BFile(sequence_id="A000001", entries=((5, 7),)) == BFile("A000001", ((5, 7),))
     with pytest.raises(TypeError):
         SequenceTable("bell", 0)
     with pytest.raises(TypeError):
-        BFile("A000001", ((5, 7),), "extra")
+        SequenceTable("bell", 0, (1,), "extra")
 
 
 @pytest.mark.parametrize(
@@ -78,8 +71,6 @@ def test_construction_by_position_and_keyword():
         (lambda: VerificationReport("x", (1, 2), "maybe"), "status must be 'pass' or 'fail', got 'maybe'"),
         (lambda: VerificationReport("x", (1, 2), "pass", (1, 2, 3)), "status and first_failure are inconsistent"),
         (lambda: VerificationReport("x", (1, 2), "fail"), "status and first_failure are inconsistent"),
-        (lambda: BFile("A000001", ()), "a b-file needs at least one entry"),
-        (lambda: BFile("A000001", ((0, 5), (2, 7))), "index 2 not consecutive (gap after 0)"),
     ],
 )
 def test_validation_messages(make, message):
@@ -111,8 +102,8 @@ def test_pickle_and_copy_roundtrip(record, fields, text):
 
 
 def test_positional_patterns_match_the_fields():
-    match BFile("A000670", ((0, 1),)):
-        case BFile(sequence_id, entries):
-            assert (sequence_id, entries) == ("A000670", ((0, 1),))
+    match SequenceTable("A000670", 0, (1,)):
+        case SequenceTable(name, offset, values):
+            assert (name, offset, values) == ("A000670", 0, (1,))
         case _:
             pytest.fail("no match")
