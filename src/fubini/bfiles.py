@@ -87,6 +87,7 @@ def parse_bfile(text: str | bytes, sequence_id: str = "") -> SequenceTable:
     Text with no data line raises :class:`BFileParseError` too.
     """
     _require_type(text, (str, bytes), "text")
+    _require_type(sequence_id, (str,), "sequence_id")
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")

@@ -31,6 +31,7 @@ from fubini.sequences import SequenceTable
     "call, message",
     [
         (lambda: parse_bfile(None), "text must be str or bytes, got NoneType"),
+        (lambda: parse_bfile("0 1\n", 5), "sequence_id must be str, got int"),
         (lambda: emit_bfile(None), "table must be SequenceTable, got NoneType"),
         (lambda: crosscheck(None, None), "computed must be SequenceTable, got NoneType"),
         (
@@ -39,7 +40,7 @@ from fubini.sequences import SequenceTable
         ),
         (lambda: load_fixture(None), "sequence_id must be str, got NoneType"),
     ],
-    ids=["parse_bfile", "emit_bfile", "crosscheck", "crosscheck-reference", "load_fixture"],
+    ids=["parse_bfile", "parse_bfile-sequence_id", "emit_bfile", "crosscheck", "crosscheck-reference", "load_fixture"],
 )
 def test_bfile_api_names_the_expected_type(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):

@@ -177,6 +177,11 @@ _REFUSED = {
         "no overlapping indices to compare",
     ),
     "b-file text": (lambda: fubini.parse_bfile("x"), "line 1: expected 'index value', got 'x'"),
+    "b-file entries": (
+        lambda: fubini.parse_bfile("0 1\n2 3\n", "A000670"),
+        "line 2: index 2 not consecutive (gap after 0)",
+    ),
+    "b-file empty": (lambda: fubini.parse_bfile("# only a comment\n"), "no data lines found"),
     "b-file value": (
         lambda: fubini.emit_bfile(fubini.SequenceTable("x", 0, (10**5000,))),
         f"index 0: the value exceeds the {sys.get_int_max_str_digits()}-digit limit "

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from fubini.bfiles import parse_bfile
 from fubini.identities import VerificationReport
 from fubini.sequences import SequenceTable
 
@@ -28,8 +29,13 @@ RECORDS = [
         "VerificationReport(identity_id='oeis.A000670', range_checked=(0, 9), "
         "status='fail', first_failure=(4, 75, 76))",
     ),
+    (  # a parsed b-file is the same record as a computed table
+        parse_bfile("1 1\n2 1\n3 1\n", "A008277"),
+        ("A008277", 1, (1, 1, 1)),
+        "SequenceTable(name='A008277', offset=1, values=(1, 1, 1))",
+    ),
 ]
-IDS = ["table", "report-pass", "report-fail"]
+IDS = ["table", "report-pass", "report-fail", "bfile"]
 
 
 @pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
@@ -99,6 +105,13 @@ def test_pickle_and_copy_roundtrip(record, fields, text):
     assert copy.copy(record) == record
     deep = copy.deepcopy(record)
     assert deep == record and repr(deep) == text
+
+
+@pytest.mark.parametrize(
+    "offset, values, last", [(0, (1, 1, 3), 2), (1, (1,), 1), (-2, (5, 6), -1), (4, (), 3)]
+)
+def test_last_index_is_offset_plus_length_minus_one(offset, values, last):
+    assert SequenceTable("x", offset, values).last_index == last
 
 
 def test_positional_patterns_match_the_fields():
