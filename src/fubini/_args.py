@@ -6,8 +6,10 @@ A value out of range raises :class:`ArgumentError`, the ``ValueError`` of
 every argument the package refuses, which the CLI reports as a usage
 error. Its type half, ``_require_int``, also checks an integer that has no
 lower bound: a b-file index, a table offset or value, and a series index.
+``_require_type`` checks any other argument's type, naming the argument
+and the types it takes.
 
-``sequences`` binds all three names too, and the package exports
+``sequences`` binds all four names too, and the package exports
 ``ArgumentError`` from there. The rule lives here, a leaf, so a module
 that needs it (``series``, ``registry``, ``cli``) does not load
 ``sequences`` for it.
@@ -33,6 +35,13 @@ MAX_ORDER = 256
 
 class ArgumentError(ValueError):
     """An argument the package refuses: out of range, or naming nothing it has."""
+
+
+def _require_type(value, expected: tuple[type, ...], name: str) -> None:
+    """A ``TypeError`` naming ``name`` and ``expected`` unless ``value`` is one of them."""
+    if not isinstance(value, expected):
+        names = " or ".join(t.__name__ for t in expected)
+        raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
 
 
 def _require_int(value, name: str) -> int:

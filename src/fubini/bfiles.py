@@ -22,6 +22,7 @@ temp-file-then-rename write. It reads at most :data:`MAX_BFILE_BYTES`
 past its ``timeout`` raises ``TimeoutError``, and nothing is cached.
 """
 
+import math
 import os
 import re
 import sys
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 from fubini import _EXPORTS
-from fubini._args import ArgumentError
+from fubini._args import ArgumentError, _require_type
 from fubini.identities import VerificationReport, _sweep
 from fubini.registry import BY_OEIS_ID
 from fubini.sequences import SequenceTable
@@ -55,12 +56,6 @@ class BFileParseError(ArgumentError):
 
 class OfflineError(RuntimeError):
     """Raised when a network fetch is attempted without networking enabled."""
-
-
-def _require_type(value, expected, name: str) -> None:
-    if not isinstance(value, expected):
-        names = " or ".join(t.__name__ for t in expected)
-        raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
 
 
 def _check_sequence_id(sequence_id: str) -> str:
@@ -233,6 +228,12 @@ def fetch_bfile(
     """Fetch a b-file from oeis.org, caching the validated download, and
     return it parsed by :func:`parse_bfile`.
 
+    ``cache_dir`` and ``timeout`` are checked first, before the network
+    flag, the cache or the network: an empty ``cache_dir`` (which would
+    mean the working directory) or a ``timeout`` that is not finite and
+    > 0 raises ``ArgumentError``, and a ``timeout`` that is not an int or
+    float raises ``TypeError``.
+
     Requires ``network=True`` (the default is hermetic). A previously
     cached file short-circuits the download; cache writes go through a
     temp file and an atomic rename. A cached or downloaded file over
@@ -243,6 +244,11 @@ def fetch_bfile(
     The status line and headers are bounded only per operation.
     """
     _check_sequence_id(sequence_id)
+    if cache_dir is not None and not os.fspath(cache_dir):
+        raise ArgumentError("cache_dir must not be empty")
+    _require_type(timeout, (int, float), "timeout")
+    if not 0 < timeout < math.inf:
+        raise ArgumentError(f"timeout must be finite and > 0, got {timeout!r}")
     if not network:
         raise OfflineError(
             "offline mode: pass network=True to fetch from oeis.org"

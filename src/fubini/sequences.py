@@ -26,14 +26,15 @@ computed when first read and then kept: the one memo of a row's sums.
 sweep streams rows through ``_stirling_rows`` without holding the
 triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
 ``_StirlingTriangle``, steps with it too. The memo is bounded: it keeps
-every 16th row (a checkpoint) and the other rows read most recently up to
-a byte budget, and recomputes any other row from the nearest held row
-below it. It holds each row as a ``_RowSums``, so a row's sums go when
-the row goes. A read of a held row takes no lock: each of its steps is
-one list or ``OrderedDict`` operation, which the GIL makes atomic, as
-``series._pascal`` reads rely on; only a miss takes the memo's one lock,
-and checks again under it before it walks. ``_read_row`` is the one
-reader of the memo, and it hands out the held entry, uncopied: every
+every 16th row (a checkpoint) and the other rows inserted most recently
+up to a byte budget, first in first out, and recomputes any other row
+from the nearest held row below it. It holds each row as a
+``_RowSums``, so a row's sums go when the row goes. A read of a held row
+takes no lock and writes nothing: it is one list or ``OrderedDict``
+read, which the GIL makes atomic, as ``series._pascal`` reads rely on;
+only a miss takes the memo's one lock, and checks again under it before
+it walks and inserts. ``_read_row`` is the one reader of the memo, and
+it hands out the held entry, uncopied: every
 public sum and every ``stirling2`` entry is one read of it, and
 ``stirling2_row`` is its copying reader. It is the one seam for memo
 rows, so a patched ``_read_row`` returning a ``_RowSums`` of a corrupted
@@ -50,19 +51,21 @@ count what they yield.
 
 The package's one argument rule, ``_require_at_least`` with its type half
 ``_require_int`` and the :class:`ArgumentError` they raise, lives in the
-leaf module ``fubini._args``; this module binds all three names, so
-``fubini.ArgumentError`` is ``sequences.ArgumentError``.
+leaf module ``fubini._args``, next to ``_require_type``, which checks the
+name and values of a :class:`SequenceTable`; this module binds all four
+names, so ``fubini.ArgumentError`` is ``sequences.ArgumentError``.
 """
 
 import sys
 import threading
 from collections import OrderedDict
-from functools import lru_cache
+from collections.abc import Iterable
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 from fubini import _EXPORTS
-from fubini._args import ArgumentError, _require_at_least, _require_int
+from fubini._args import ArgumentError, _require_at_least, _require_int, _require_type
 
 # the enumeration caps are public here but not exported by the package
 __all__ = ["MAX_ENUMERATION_N", "MAX_ORDERED_ENUMERATION_N", *_EXPORTS["sequences"]]
@@ -122,6 +125,8 @@ class SequenceTable(_FrozenRecord):
     __slots__ = ("name", "offset", "values")
 
     def __init__(self, name: str, offset: int, values: tuple[int, ...]):
+        _require_type(name, (str,), "name")
+        _require_type(values, (Iterable,), "values")
         values = tuple(_require_int(value, "value") for value in values)
         self._set(name, _require_int(offset, "offset"), values)
 
@@ -187,7 +192,7 @@ class _RowSums(dict):
 
 
 #: The triangle keeps row n for good when n is a multiple of
-#: ``_CHECKPOINT_EVERY``, and the other rows read most recently up to
+#: ``_CHECKPOINT_EVERY``, and the other rows inserted most recently up to
 #: ``_RECENT_BYTES`` in all. Chosen on perfbench lookup's seed-3 job, run in
 #: one process on a 2-vCPU host, where keeping every row peaks at 114 MB RSS
 #: and answers the queries in 108-116 ms. Spacing 16 with 8 MiB peaks at
@@ -208,9 +213,10 @@ class _StirlingTriangle:
 
     * checkpoints: every row whose index is a multiple of
       ``_CHECKPOINT_EVERY``, up to the highest row computed;
-    * recent rows: the other rows most recently read, least recently used
-      first out once their total size passes ``_RECENT_BYTES`` bytes (the
-      one read last is always kept).
+    * recent rows: the other rows most recently inserted, first in first
+      out once their total size passes ``_RECENT_BYTES`` bytes (the one
+      inserted last is always kept). A hit does not refresh a row, so a
+      row leaves in the order it came.
 
     A row that is not held is recomputed from the nearest held row below it
     with :func:`_next_stirling_row`, the step :func:`_stirling_rows` takes:
@@ -225,15 +231,15 @@ class _StirlingTriangle:
     :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
     instance and hands out the held entry.
 
-    A hit takes no lock: each of its steps is a single list or
-    ``OrderedDict`` operation, which the GIL makes atomic, as
-    ``series._pascal`` reads rely on. That is safe because held rows are
-    never mutated and checkpoints are only appended; a hit whose recent row
-    is evicted between its two steps still holds the right entry. A miss
-    takes the one lock, checks again, and walks; the lock serializes walks,
-    inserts and evictions, so an instance is safe to use from several
-    threads. A sum is computed outside the lock: two readers who miss the
-    same sum at once both compute it and store the same value.
+    A hit takes no lock and writes nothing: it is a single list or
+    ``OrderedDict`` read, which the GIL makes atomic, as ``series._pascal``
+    reads rely on. That is safe because held rows are never mutated and
+    checkpoints are only appended; a hit whose recent row is evicted just
+    after its read still holds the right entry. A miss takes the one lock,
+    checks again, and walks; the lock serializes walks, inserts and
+    evictions, so an instance is safe to use from several threads. A sum
+    is computed outside the lock: two readers who miss the same sum at once
+    both compute it and store the same value.
     """
 
     def __init__(self):
@@ -243,53 +249,44 @@ class _StirlingTriangle:
         self._lock = threading.Lock()
 
     def _held(self, n: int) -> _RowSums | None:
-        # no lock needed: each step is one list or OrderedDict operation
+        # no lock needed: a hit is one list or OrderedDict read, and writes nothing
         checkpoint, offset = divmod(n, _CHECKPOINT_EVERY)
         if not offset:
             return self._checkpoints[checkpoint] if checkpoint < len(self._checkpoints) else None
-        held = self._recent.get(n)
-        if held is not None:
-            try:
-                self._recent.move_to_end(n)
-            except KeyError:  # evicted since the get; the entry in hand is still row n
-                pass
-        return held
-
-    def _get(self, n: int) -> _RowSums:
-        # caller holds the lock
-        held = self._held(n)
-        if held is not None:
-            return held
-        start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
-        row = self._checkpoints[start // _CHECKPOINT_EVERY].row
-        for m in range(n - 1, start, -1):
-            if m in self._recent:
-                start, row = m, self._recent[m].row
-                break
-        for m in range(start + 1, n + 1):  # crosses a checkpoint only above the held ones
-            row = _next_stirling_row(row)
-            if m % _CHECKPOINT_EVERY == 0:
-                self._checkpoints.append(_RowSums(row))
-        if not n % _CHECKPOINT_EVERY:
-            return self._checkpoints[-1]  # row n, appended last by the walk
-        held = self._recent[n] = _RowSums(row)
-        self._recent_bytes += _row_bytes(row)
-        while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
-            _, old = self._recent.popitem(last=False)
-            self._recent_bytes -= _row_bytes(old.row)
-        return held
+        return self._recent.get(n)
 
     def read(self, n: int) -> _RowSums:
         """Row ``n >= 0`` as its held entry; the caller has checked ``n``.
 
-        A hit takes no lock; a miss takes the one lock, checks again, since
-        another reader may have walked to row ``n`` meanwhile, and walks.
+        A hit takes no lock and writes nothing; a miss takes the one lock,
+        checks again, since another reader may have walked to row ``n``
+        meanwhile, walks, and inserts.
         """
         held = self._held(n)
         if held is not None:
             return held
         with self._lock:
-            return self._get(n)
+            held = self._held(n)
+            if held is not None:
+                return held
+            start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
+            row = self._checkpoints[start // _CHECKPOINT_EVERY].row
+            for m in range(n - 1, start, -1):
+                if m in self._recent:
+                    start, row = m, self._recent[m].row
+                    break
+            for m in range(start + 1, n + 1):  # crosses a checkpoint only above the held ones
+                row = _next_stirling_row(row)
+                if m % _CHECKPOINT_EVERY == 0:
+                    self._checkpoints.append(_RowSums(row))
+            if not n % _CHECKPOINT_EVERY:
+                return self._checkpoints[-1]  # row n, appended last by the walk
+            held = self._recent[n] = _RowSums(row)
+            self._recent_bytes += _row_bytes(row)
+            while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
+                _, old = self._recent.popitem(last=False)
+                self._recent_bytes -= _row_bytes(old.row)
+            return held
 
 
 _shared_triangle = _StirlingTriangle()
@@ -306,8 +303,9 @@ def _read_row(n: int) -> _RowSums:
     ``identities.verify_egf_agreement``. The entry is handed out, not
     copied: callers have checked ``n`` and must not mutate ``.row``. The
     global ``_shared_triangle`` is looked up at call time. A held row is read
-    without a lock, by single list and ``OrderedDict`` operations that the
-    GIL makes atomic; a miss takes the memo's one lock and checks again.
+    without a lock and without a write, by one list or ``OrderedDict`` read
+    that the GIL makes atomic; a miss takes the memo's one lock, checks
+    again, walks and inserts.
     """
     return _shared_triangle.read(n)
 
@@ -496,7 +494,7 @@ def count_partitions_exhaustive(n: int, k: int) -> int:
     return _block_count_histogram(n)[k] if k <= n else 0
 
 
-@lru_cache(maxsize=MAX_ENUMERATION_N + 1)
+@cache  # n <= MAX_ENUMERATION_N, so at most 13 keys
 def _block_count_histogram(n: int) -> tuple[int, ...]:
     # one enumeration counts every k, where a pass per k re-enumerated all Bell(n) partitions
     counts = [0] * (n + 1)

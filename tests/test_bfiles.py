@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import bfiles, sequences
+from fubini import ArgumentError, bfiles, sequences
 from fubini.bfiles import (
     BFileParseError,
     OfflineError,
@@ -39,8 +39,19 @@ from fubini.sequences import SequenceTable
             "reference must be SequenceTable, got NoneType",
         ),
         (lambda: load_fixture(None), "sequence_id must be str, got NoneType"),
+        (lambda: SequenceTable(5, 0, ()), "name must be str, got int"),
+        (lambda: SequenceTable("A", 0, 5), "values must be Iterable, got int"),
     ],
-    ids=["parse_bfile", "parse_bfile-sequence_id", "emit_bfile", "crosscheck", "crosscheck-reference", "load_fixture"],
+    ids=[
+        "parse_bfile",
+        "parse_bfile-sequence_id",
+        "emit_bfile",
+        "crosscheck",
+        "crosscheck-reference",
+        "load_fixture",
+        "SequenceTable-name",
+        "SequenceTable-values",
+    ],
 )
 def test_bfile_api_names_the_expected_type(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
@@ -444,6 +455,42 @@ def test_fetch_cache_hit_still_requires_network(monkeypatch, tmp_path):
     )
     table = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert table == SequenceTable("A000670", 0, (1, 1))
+
+
+def _no_network(*args, **kwargs):
+    pytest.fail("a refused argument must not reach the network")
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"cache_dir": ""}, ArgumentError, "^cache_dir must not be empty$"),
+        ({"timeout": "x"}, TypeError, "^timeout must be int or float, got str$"),
+        ({"timeout": None}, TypeError, "^timeout must be int or float, got NoneType$"),
+        ({"timeout": 0}, ArgumentError, "^timeout must be finite and > 0, got 0$"),
+        ({"timeout": -1.5}, ArgumentError, "^timeout must be finite and > 0, got -1.5$"),
+        ({"timeout": float("nan")}, ArgumentError, "^timeout must be finite and > 0, got nan$"),
+        ({"timeout": float("inf")}, ArgumentError, "^timeout must be finite and > 0, got inf$"),
+    ],
+    ids=["empty-cache_dir", "str-timeout", "None-timeout", "zero", "negative", "nan", "inf"],
+)
+def test_fetch_checks_cache_dir_and_timeout_first(monkeypatch, tmp_path, kwargs, error, message):
+    # a cached file in the working directory, where an empty cache_dir would point
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b000670.txt").write_text("0 1\n1 1\n", "ascii")
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    for network in (True, False):  # checked before the offline refusal too
+        with pytest.raises(error, match=message):
+            fetch_bfile("A000670", network=network, **{"cache_dir": tmp_path / "cache", **kwargs})
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["b000670.txt"]
+
+
+def test_cli_fetch_with_an_empty_cache_dir_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b000670.txt").write_text("0 1\n1 1\n", "ascii")
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    assert main(["bfile", "fetch", "A000670", "--network", "--cache-dir", ""]) == 2
+    assert capsys.readouterr() == ("", "error: cache_dir must not be empty\n")
 
 
 @pytest.mark.parametrize(

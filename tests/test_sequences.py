@@ -148,18 +148,32 @@ def test_a_held_row_is_read_without_the_lock():
     assert got == {n: expected[n] for n in (32, 37, 45)}
 
 
-def test_a_lock_free_hit_refreshes_recency(monkeypatch):
+def test_recent_rows_leave_in_the_order_they_came(monkeypatch):
     a, b, c = 33, 34, 35
     rows = list(itertools.islice(sequences._stirling_rows(), c + 1))
     triangle = sequences._StirlingTriangle()
     triangle.read(a)
     triangle.read(b)
-    triangle.read(a)  # a hit: b is now the least recently read
-    # room for a and c but not b as well, so reading c evicts exactly one row
-    budget = sequences._row_bytes(rows[a]) + sequences._row_bytes(rows[c])
+    triangle.read(a)  # a hit: a still came first
+    # room for b and c but not a as well, so reading c evicts exactly one row
+    budget = sequences._row_bytes(rows[b]) + sequences._row_bytes(rows[c])
     monkeypatch.setattr(sequences, "_RECENT_BYTES", budget)
     triangle.read(c)
-    assert list(triangle._recent) == [a, c]
+    assert list(triangle._recent) == [b, c]
+
+
+def test_a_hit_writes_nothing():
+    rows = list(itertools.islice(sequences._stirling_rows(), 39))
+    triangle = sequences._StirlingTriangle()
+    for n in (37, 38, 33):
+        triangle.read(n)
+    order, checkpoints = list(triangle._recent), len(triangle._checkpoints)
+    recent_bytes = triangle._recent_bytes
+    for n in (37, 32, 33, 16, 38, 0):  # recent rows and checkpoints, all held
+        assert triangle.read(n).row == rows[n], n
+    assert list(triangle._recent) == order == [37, 38, 33]
+    assert len(triangle._checkpoints) == checkpoints == 3
+    assert triangle._recent_bytes == recent_bytes
 
 
 def test_threaded_hits_race_evictions(monkeypatch):
