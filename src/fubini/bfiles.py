@@ -22,7 +22,6 @@ temp-file-then-rename write. It reads at most :data:`MAX_BFILE_BYTES`
 past its ``timeout`` raises ``TimeoutError``, and nothing is cached.
 """
 
-import math
 import os
 import re
 import sys
@@ -48,6 +47,10 @@ _USER_AGENT = "fubini/0.1 (+https://oeis.org)"
 #: comments. A genuine OEIS b-file longer than that would be refused; those
 #: files cannot be sized offline, so the margin over them is unverified.
 MAX_BFILE_BYTES = 4 << 20
+#: Largest ``timeout`` of :func:`fetch_bfile`, in seconds: one day. A timeout
+#: too large for a float or a socket would pass a finiteness check and then
+#: fail with ``OverflowError`` at the deadline sum or the socket.
+_MAX_TIMEOUT = 86_400
 
 
 class BFileParseError(ArgumentError):
@@ -184,11 +187,12 @@ def crosscheck(computed: SequenceTable, reference: SequenceTable) -> Verificatio
     hi = min(computed.last_index, reference.last_index)
     if lo > hi:
         raise ArgumentError("no overlapping indices to compare")
-    pairs = (
-        (n, reference.values[n - reference.offset], computed.values[n - computed.offset])
-        for n in range(lo, hi + 1)
-    )
-    return _sweep(f"oeis.{reference.name or computed.name}", lo, hi, pairs)
+
+    def check(n):
+        yield reference.values[n - reference.offset], computed.values[n - computed.offset]
+
+    (report,) = _sweep(lo, hi, {f"oeis.{reference.name or computed.name}": check})
+    return report
 
 
 def _read_capped(stream, deadline=None) -> bytes:
@@ -230,9 +234,9 @@ def fetch_bfile(
 
     ``cache_dir`` and ``timeout`` are checked first, before the network
     flag, the cache or the network: an empty ``cache_dir`` (which would
-    mean the working directory) or a ``timeout`` that is not finite and
-    > 0 raises ``ArgumentError``, and a ``timeout`` that is not an int or
-    float raises ``TypeError``.
+    mean the working directory) or a ``timeout`` that is not > 0 and at
+    most 86,400 s (one day) raises ``ArgumentError``, and a ``timeout``
+    that is not an int or float raises ``TypeError``.
 
     Requires ``network=True`` (the default is hermetic). A previously
     cached file short-circuits the download; cache writes go through a
@@ -247,8 +251,8 @@ def fetch_bfile(
     if cache_dir is not None and not os.fspath(cache_dir):
         raise ArgumentError("cache_dir must not be empty")
     _require_type(timeout, (int, float), "timeout")
-    if not 0 < timeout < math.inf:
-        raise ArgumentError(f"timeout must be finite and > 0, got {timeout!r}")
+    if not 0 < timeout <= _MAX_TIMEOUT:
+        raise ArgumentError(f"timeout must be > 0 and at most {_MAX_TIMEOUT} s, got {timeout!r}")
     if not network:
         raise OfflineError(
             "offline mode: pass network=True to fetch from oeis.org"

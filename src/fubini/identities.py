@@ -3,8 +3,15 @@
 Each verifier checks one or more identities over a configurable range,
 computing both sides by independent routes (direct integer sums on one
 side, rational series coefficient extraction on the other where that
-applies) and reporting the first counterexample instead of raising: a
+applies) and reporting the smallest failing index instead of raising: a
 violated identity means a code bug, and the report carries the evidence.
+
+Every report comes from one loop, ``_sweep(lo, hi, checks, states)``. Each
+check yields an identity's ``(expected, actual)`` pairs at one n, and the
+loop is n-major: for each n = lo..hi it runs every identity that has not
+failed yet. So a report's failure is at its smallest failing n, and an
+identity is not checked past it. The b-file crosscheck
+(``bfiles.crosscheck``) runs through the same loop.
 
 The seven integer identities are checks on a window of three Stirling
 rows with their weighted sums (``sequences._RowSums``), for n-1, n and
@@ -14,21 +21,22 @@ read from the shared memo: a sum is computed when an identity first reads
 it, once per row, and a row is dropped when the window leaves it. The
 Worpitzky side of ``worpitzky.parity-rows`` comes from the Worpitzky
 recurrence (``sequences._worpitzky_rows``), not from the Stirling rows,
-so its two sides are built independently. Each of the four integer verifiers
-names its own identities and runs them through the same pass, and
-``verify_all`` runs all seven in one. Reports follow ``_INTEGER_CHECKS``
-order, which the integer targets of ``registry.VERIFY_TARGETS`` follow in
-turn. ``ordered_bell`` keeps its own accumulator: it is never
-rebuilt as even plus odd, which would reduce ``bell.parity-split`` to
-``alternating.factorial``.
+so its two sides are built independently; its check pulls one Worpitzky
+row per n, so rows are built only while it is checked. Each of the four
+integer verifiers names its own identities and runs them through the same
+pass, and ``verify_all`` runs all seven in one. Reports follow
+``_INTEGER_CHECKS`` order, which the integer targets of
+``registry.VERIFY_TARGETS`` follow in turn. ``ordered_bell`` keeps its own
+accumulator: it is never rebuilt as even plus odd, which would reduce
+``bell.parity-split`` to ``alternating.factorial``.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
-builds each registry EGF once, on first use, and shares it between the
-checks; reads each Stirling row once from the shared memo, through
+builds each registry EGF once, up front, and shares it between the checks;
+at each n it reads Stirling row n once from the shared memo, through
 ``sequences._read_row`` (the seam for memo rows; ``stirling2_row`` is its
-copying reader), for the columns' direct side; and
-compares two series with ``==`` (exact, since their storage is canonical)
-before walking their coefficients to name the first failure.
+copying reader), for the columns' direct side. Two whole series are
+compared with ``==`` once (exact, since their storage is canonical), and
+only two that differ are compared coefficient by coefficient.
 
 The full registry of identity ids:
 
@@ -54,7 +62,7 @@ The full registry of identity ids:
   ordered-Bell EGF, coefficientwise
 """
 
-import functools
+import itertools
 
 from fubini import _EXPORTS, registry, sequences
 
@@ -118,11 +126,27 @@ def _report(identity_id, lo, hi, failure=None) -> VerificationReport:
     return VerificationReport(identity_id, (lo, hi), status, failure)
 
 
-def _sweep(identity_id, lo, hi, checks) -> VerificationReport:
-    for n, expected, actual in checks:
-        if expected != actual:
-            return _report(identity_id, lo, hi, (n, expected, actual))
-    return _report(identity_id, lo, hi)
+def _sweep(lo, hi, checks, states=None) -> list[VerificationReport]:
+    """One report per identity of ``checks``, in its order, over n = lo..hi.
+
+    ``checks`` maps an identity id to ``check(n, *state)``, which yields the
+    identity's ``(expected, actual)`` pairs at n; ``states`` yields one
+    ``state`` tuple per n (none given: the empty tuple). The loop is n-major:
+    at each n it runs every identity not yet failed, so a report's failure
+    is at its smallest failing n. Once every identity has failed, no further
+    state is pulled.
+    """
+    failures = {}
+    for n, state in zip(range(lo, hi + 1), states or itertools.repeat(())):
+        for identity_id, check in checks.items():
+            if identity_id not in failures:
+                for expected, actual in check(n, *state):
+                    if expected != actual:
+                        failures[identity_id] = (n, expected, actual)
+                        break
+        if len(failures) == len(checks):
+            break
+    return [_report(i, lo, hi, failures.get(i)) for i in checks]
 
 
 def _require_range(n_max, name: str = "n_max") -> int:
@@ -135,7 +159,8 @@ def _require_range(n_max, name: str = "n_max") -> int:
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
 # yields ``(expected, actual)`` pairs in order, from the row sums of n-1, n and
 # n+1 (``_RowSums``, each sum computed when first read; ``prev`` is None at
-# n = 1) and Worpitzky row n.
+# n = 1). ``worpitzky`` is the Worpitzky row stream from row 1; only
+# ``_worpitzky_parity_rows`` pulls from it, row n at n.
 
 
 def _bell_parity_split(n, prev, cur, nxt, worpitzky):
@@ -170,8 +195,9 @@ def _cyclic_parity_equal(n, prev, cur, nxt, worpitzky):
 
 
 def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
-    yield cur["ordered_bell"], sum(worpitzky[0::2])
-    yield cur["ordered_bell"], sum(worpitzky[1::2])
+    row = next(worpitzky)
+    yield cur["ordered_bell"], sum(row[0::2])
+    yield cur["ordered_bell"], sum(row[1::2])
 
 
 #: Integer identity id -> its checks at one n, in report order.
@@ -188,36 +214,33 @@ _INTEGER_CHECKS = {
 IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
 
 
-def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
-    """Check the given integer identities over n = 1..n_max in one forward pass.
+def _row_windows():
+    """Yield the integer checks' arguments after n, ``(prev, cur, nxt,
+    worpitzky)``, for n = 1, 2, ...
 
     Stirling rows come from ``sequences._stirling_rows`` and Worpitzky rows
     from ``sequences._worpitzky_rows``, both looked up here, not from the
     shared memo. Only rows n-1, n and n+1 are live, each with the sums read
     from it so far: a sum is computed when an identity first reads it, once
-    per row. An identity stops being checked at its first failure.
-    Worpitzky rows are built only while ``worpitzky.parity-rows`` is still
-    being checked.
+    per row. Each Stirling row is built when the window for the n before it
+    is pulled; a Worpitzky row, when a check pulls it.
     """
-    n_max = _require_range(n_max)
-    pending = {i: _INTEGER_CHECKS[i] for i in identity_ids}
-    failures = {}
-    stirling_rows, worpitzky_rows = sequences._stirling_rows(), sequences._worpitzky_rows()
-    next(stirling_rows), next(worpitzky_rows)  # row 0
+    stirling_rows = sequences._stirling_rows()
+    worpitzky = itertools.islice(sequences._worpitzky_rows(), 1, None)
+    next(stirling_rows)  # row 0
     prev, cur = None, sequences._RowSums(next(stirling_rows))
-    for n in range(1, n_max + 1):
-        if not pending:
-            break
-        nxt = sequences._RowSums(next(stirling_rows))
-        worpitzky = next(worpitzky_rows) if "worpitzky.parity-rows" in pending else None
-        for identity_id, check in list(pending.items()):
-            for expected, actual in check(n, prev, cur, nxt, worpitzky):
-                if expected != actual:
-                    failures[identity_id] = (n, expected, actual)
-                    del pending[identity_id]
-                    break
+    for row in stirling_rows:
+        nxt = sequences._RowSums(row)
+        yield prev, cur, nxt, worpitzky
         prev, cur = cur, nxt
-    return [_report(i, 1, n_max, failures.get(i)) for i in identity_ids]
+
+
+def _sweep_integers(n_max: int, identity_ids) -> list[VerificationReport]:
+    """Check the given integer identities over n = 1..n_max in one forward
+    pass of ``_row_windows``."""
+    n_max = _require_range(n_max)
+    checks = {i: _INTEGER_CHECKS[i] for i in identity_ids}
+    return _sweep(1, n_max, checks, _row_windows())
 
 
 def verify_bell_forms(n_max: int) -> list[VerificationReport]:
@@ -262,63 +285,51 @@ def _stirling_columns(order: int):
         yield column
 
 
-def _unless_equal(expected, actual, size: int):
-    """``(n, expected[n], actual[n])`` for n < size, or nothing when the two
-    series are equal. The storage is canonical, so ``==`` is exact, and the
-    walk only finds the first failure of series that differ."""
-    if expected == actual:
-        return ()
-    return ((n, expected[n], actual[n]) for n in range(size))
-
-
 def verify_egf_agreement(order: int) -> list[VerificationReport]:
     """Every generating function agrees with the direct integer route.
 
-    Each registry EGF is built once, on first use, and shared by the three
-    checks; building on first use keeps a broken builder's error the first
-    one raised. The derivative's right side is the ordered-Bell EGF cut to
-    ``order - 1``. Each Stirling row is read once, through
-    ``sequences._read_row``, the seam for memo rows, for the columns' direct
-    side; only its first 11 entries are copied, where ``stirling2_row`` would
-    copy the whole row. Two series are
-    compared with ``==`` before their coefficients are walked, and an EGF's
-    terms ``n! * coefficient`` are compared as they are, so a non-integral
-    term is a failed report rather than an error.
+    The registry EGFs are built once, in registry order, then the Stirling
+    columns, then the derivative's two sides; its right side is the
+    ordered-Bell EGF cut to ``order - 1``. The checks run n-major: at each
+    n every registry route, then Stirling row n, read once through
+    ``sequences._read_row``, the seam for memo rows, for the columns'
+    direct side. The derivative's two sides, and the cyclic EGF and the sum
+    of its even and odd parts, are compared with ``==`` once, and compared
+    at each n only if they differ. An EGF's terms
+    ``n! * coefficient`` are compared as they are, so a non-integral term
+    is a failed report rather than an error.
     """
     from fubini import series
 
     order = _require_range(order, "order")
-    egf = functools.cache(lambda name: registry.SEQUENCES[name].egf(order))
+    routes = [s for s in registry.SEQUENCES.values() if s.route and s.egf]
+    egfs = {s.name: s.egf(order) for s in routes}
+    terms = [series._egf_terms(egfs[s.name]) for s in routes]
+    columns = [series._egf_terms(column) for column in _stirling_columns(order)]
+    lhs = series.double_shifted_bell_egf(order).derivative()
+    rhs = 2 * egfs["bell"].truncate(order - 1)
+    total, even, odd = egfs["cyclic"], egfs["cyclic-even"], egfs["cyclic-odd"]
+    sums, difference = even + odd, series._egf_terms(even - odd)
+    sums_differ, sides_differ = total != sums, rhs != lhs
 
-    def agreement():
-        for s in registry.SEQUENCES.values():
-            if s.route and s.egf:
-                extracted = series._egf_terms(egf(s.name))
-                for n in range(order + 1):  # the EGF's coefficients below first are 0
-                    yield n, s.route(n) if n >= s.first else 0, extracted[n]
-        rows = [sequences._read_row(n).row[:_STIRLING_COLUMNS] for n in range(order + 1)]
-        for k, column in enumerate(_stirling_columns(order)):
-            values = series._egf_terms(column)
-            for n in range(order + 1):
-                yield n, rows[n][k] if k <= n else 0, values[n]
+    def agreement(n):
+        for s, values in zip(routes, terms):  # the EGF's coefficients below first are 0
+            yield s.route(n) if n >= s.first else 0, values[n]
+        row = sequences._read_row(n).row
+        for k, values in enumerate(columns):
+            yield row[k] if k <= n else 0, values[n]
 
-    def parity_split():
-        total, even, odd = egf("cyclic"), egf("cyclic-even"), egf("cyclic-odd")
-        yield from _unless_equal(total, even + odd, order + 1)
-        difference = series._egf_terms(even - odd)
-        yield 0, 0, difference[0]
-        for n in range(1, order + 1):
-            yield n, sequences.alternating_cyclic_sum(n), difference[n]
+    def parity_split(n):
+        if sums_differ:
+            yield total[n], sums[n]
+        yield sequences.alternating_cyclic_sum(n) if n else 0, difference[n]
 
-    def derivative():
-        lhs = series.double_shifted_bell_egf(order).derivative()
-        yield from _unless_equal(2 * egf("bell").truncate(order - 1), lhs, lhs.order + 1)
+    def derivative(n):
+        if sides_differ:
+            yield rhs[n], lhs[n]
 
-    return [
-        _sweep("egf.agreement", 0, order, agreement()),
-        _sweep("egf.parity-split", 0, order, parity_split()),
-        _sweep("egf.derivative", 0, order - 1, derivative()),
-    ]
+    checks = {"egf.agreement": agreement, "egf.parity-split": parity_split}
+    return _sweep(0, order, checks) + _sweep(0, order - 1, {"egf.derivative": derivative})
 
 
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:

@@ -461,18 +461,29 @@ def _no_network(*args, **kwargs):
     pytest.fail("a refused argument must not reach the network")
 
 
+_TIMEOUT_RULE = "timeout must be > 0 and at most 86400 s"
+
+
 @pytest.mark.parametrize(
     "kwargs, error, message",
     [
         ({"cache_dir": ""}, ArgumentError, "^cache_dir must not be empty$"),
         ({"timeout": "x"}, TypeError, "^timeout must be int or float, got str$"),
         ({"timeout": None}, TypeError, "^timeout must be int or float, got NoneType$"),
-        ({"timeout": 0}, ArgumentError, "^timeout must be finite and > 0, got 0$"),
-        ({"timeout": -1.5}, ArgumentError, "^timeout must be finite and > 0, got -1.5$"),
-        ({"timeout": float("nan")}, ArgumentError, "^timeout must be finite and > 0, got nan$"),
-        ({"timeout": float("inf")}, ArgumentError, "^timeout must be finite and > 0, got inf$"),
+        ({"timeout": 0}, ArgumentError, f"^{_TIMEOUT_RULE}, got 0$"),
+        ({"timeout": -1.5}, ArgumentError, f"^{_TIMEOUT_RULE}, got -1.5$"),
+        ({"timeout": float("nan")}, ArgumentError, f"^{_TIMEOUT_RULE}, got nan$"),
+        ({"timeout": float("inf")}, ArgumentError, f"^{_TIMEOUT_RULE}, got inf$"),
+        # past the ceiling: a float deadline and a socket timeout cannot
+        # hold the first two
+        ({"timeout": 10**400}, ArgumentError, f"^{_TIMEOUT_RULE}, got {10**400}$"),
+        ({"timeout": 1e300}, ArgumentError, f"^{_TIMEOUT_RULE}, got 1e\\+300$"),
+        ({"timeout": 86_401}, ArgumentError, f"^{_TIMEOUT_RULE}, got 86401$"),
     ],
-    ids=["empty-cache_dir", "str-timeout", "None-timeout", "zero", "negative", "nan", "inf"],
+    ids=[
+        "empty-cache_dir", "str-timeout", "None-timeout", "zero", "negative", "nan", "inf",
+        "huge-int", "huge-float", "ceiling+1",
+    ],
 )
 def test_fetch_checks_cache_dir_and_timeout_first(monkeypatch, tmp_path, kwargs, error, message):
     # a cached file in the working directory, where an empty cache_dir would point
@@ -483,6 +494,21 @@ def test_fetch_checks_cache_dir_and_timeout_first(monkeypatch, tmp_path, kwargs,
         with pytest.raises(error, match=message):
             fetch_bfile("A000670", network=network, **{"cache_dir": tmp_path / "cache", **kwargs})
     assert sorted(path.name for path in tmp_path.iterdir()) == ["b000670.txt"]
+
+
+def test_fetch_takes_the_timeout_ceiling(monkeypatch, tmp_path):
+    # the ceiling reaches the deadline sum and the request, offline
+    timeouts = []
+
+    def fake_urlopen(request, timeout=None):
+        timeouts.append(timeout)
+        return _FakeResponse(b"0 1\n1 1\n")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    assert bfiles._MAX_TIMEOUT == 86_400
+    table = fetch_bfile("A000670", network=True, cache_dir=tmp_path, timeout=86_400)
+    assert table == SequenceTable("A000670", 0, (1, 1))
+    assert timeouts == [86_400]
 
 
 def test_cli_fetch_with_an_empty_cache_dir_exits_2(monkeypatch, tmp_path, capsys):

@@ -192,18 +192,34 @@ def test_corrupted_stirling_entry_fails_worpitzky(monkeypatch):
     assert reports["worpitzky.parity-rows"].first_failure[0] == 7
 
 
-def test_corrupted_worpitzky_row_fails_worpitzky(monkeypatch):
-    real_rows = sequences._worpitzky_rows
+def _pulled_worpitzky_rows(patch, corrupt_at=None):
+    """Count the Worpitzky rows the sweep pulls: the returned list gets each
+    row's n as it is pulled. Row ``corrupt_at`` has W(n, 2) += 1."""
+    pulled, real_rows = [], sequences._worpitzky_rows
 
-    def corrupted():
+    def counted():
         for n, row in enumerate(real_rows()):
-            yield [*row[:2], row[2] + 1, *row[3:]] if n == 7 else row
+            pulled.append(n)
+            yield [*row[:2], row[2] + 1, *row[3:]] if n == corrupt_at else row
 
-    monkeypatch.setattr(sequences, "_worpitzky_rows", corrupted)
+    patch.setattr(sequences, "_worpitzky_rows", counted)
+    return pulled
+
+
+def test_corrupted_worpitzky_row_fails_worpitzky(monkeypatch):
+    pulled = _pulled_worpitzky_rows(monkeypatch, corrupt_at=7)
     reports = {r.identity_id: r for r in verify_parity_split(20)}
     bell = sequences.ordered_bell(7)
     assert reports["worpitzky.parity-rows"].first_failure == (7, bell, bell + 1)
     assert reports["cyclic.parity-equal"].passed
+    # rows are pulled only while worpitzky.parity-rows is checked
+    assert pulled == list(range(8))
+
+
+def test_a_sweep_without_worpitzky_pulls_no_worpitzky_row(monkeypatch):
+    pulled = _pulled_worpitzky_rows(monkeypatch)
+    assert all(r.passed for r in verify_bell_forms(30))
+    assert pulled == []
 
 
 FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.json"
@@ -303,9 +319,9 @@ def test_each_sum_perturbed_alone_is_caught(monkeypatch, name):
 
 
 def test_chained_stirling_columns_match_powers():
-    columns = list(identities._stirling_columns(24))
-    assert len(columns) == 11
-    assert columns[10] == series.stirling_column_egf(10, 24)
+    for order in (0, 1, 24):
+        columns = list(identities._stirling_columns(order))
+        assert columns == [series.stirling_column_egf(k, order) for k in range(11)], order
 
 
 def test_verify_all_aggregates_failures(monkeypatch):
@@ -395,6 +411,29 @@ def test_a_non_integral_difference_is_a_failed_report(monkeypatch):
     assert reports["egf.agreement"].first_failure == (2, 1, Fraction(9, 7))
     assert reports["egf.parity-split"].first_failure == (2, 0, Fraction(4, 7))
     assert reports["egf.derivative"].passed
+
+
+def _off_by_one(patch, name, at):
+    """Make ``sequences.<name>`` return one more at n = ``at``; the registry
+    routes look it up at each call, so they take the fault."""
+    real = getattr(sequences, name)
+    patch.setattr(sequences, name, lambda n: real(n) + (n == at))
+
+
+def test_egf_agreement_reports_its_smallest_failing_n(monkeypatch):
+    # the cyclic route is checked after the bell route, but fails first in n
+    _off_by_one(monkeypatch, "cyclic_ordered_bell", 3)
+    _off_by_one(monkeypatch, "ordered_bell", 10)
+    reports = {r.identity_id: r for r in verify_egf_agreement(12)}
+    assert reports["egf.agreement"].first_failure == (3, 7, 6)
+
+
+def test_egf_parity_split_reports_its_smallest_failing_n(monkeypatch):
+    # even + odd differs from the cyclic EGF from n = 10, the difference from n = 3
+    _add_to_builder(monkeypatch, "cyclic_ordered_bell_even_egf", 10, Fraction(1, factorial(10)))
+    _off_by_one(monkeypatch, "alternating_cyclic_sum", 3)
+    reports = {r.identity_id: r for r in verify_egf_agreement(12)}
+    assert reports["egf.parity-split"].first_failure == (3, 1, 0)
 
 
 FROZEN_EGF_REPORTS = Path(__file__).parent / "data" / "corrupted_egf_reports.json"

@@ -9,7 +9,9 @@ importing or running it, and pin what must not be shared:
 * the integer sweep reaches neither the shared Stirling memo nor its reader;
 * the enumeration oracles reach no Stirling kernel, memo or row sum;
 * the benchmark oracle and the fixture generator import nothing from fubini;
-* the fixture tests' ``independent_stirling`` calls nothing from fubini.
+* the fixture tests' ``independent_stirling`` calls nothing from fubini;
+* every report comes from the one check loop: ``VerificationReport`` is
+  built only in ``_report``, and ``_report`` is called only from ``_sweep``.
 """
 
 import ast
@@ -178,3 +180,23 @@ def test_independent_stirling_calls_nothing_from_fubini():
     ]
     used = {leaf.id for leaf in ast.walk(function) if isinstance(leaf, ast.Name)}
     assert {"comb", "factorial"} <= used and not used & from_fubini
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """``(module, top-level definition)`` for each call of ``name``, bare or
+    as an attribute, anywhere in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == name:
+                        found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_every_report_comes_from_the_one_check_loop():
+    assert _callers("VerificationReport") == {("identities", "_report")}
+    assert _callers("_report") == {("identities", "_sweep")}
