@@ -13,22 +13,29 @@ failed yet. So a report's failure is at its smallest failing n, and an
 identity is not checked past it. The b-file crosscheck
 (``bfiles.crosscheck``) runs through the same loop.
 
-The seven integer identities are checks on a window of three Stirling
-rows with their weighted sums (``sequences._RowSums``), for n-1, n and
-n+1, that slides forward over n in one pass. The Stirling rows are
-streamed from the triangle recurrence (``sequences._stirling_rows``), not
-read from the shared memo: a sum is computed when an identity first reads
-it, once per row, and a row is dropped when the window leaves it. The
-Worpitzky side of ``worpitzky.parity-rows`` comes from the Worpitzky
-recurrence (``sequences._worpitzky_rows``), not from the Stirling rows,
-so its two sides are built independently; its check pulls one Worpitzky
-row per n, so rows are built only while it is checked. Each of the four
-integer verifiers names its own identities and runs them through the same
-pass, and ``verify_all`` runs all seven in one. Reports follow
-``_INTEGER_CHECKS`` order, which the integer targets of
-``registry.VERIFY_TARGETS`` follow in turn. ``ordered_bell`` keeps its own
-accumulator: it is never rebuilt as even plus odd, which would reduce
-``bell.parity-split`` to ``alternating.factorial``.
+The seven integer identities are checks on a window of three rows' weighted
+sums (``_row_sums``), for n-1, n and n+1, that slides forward over n in one
+pass. Row n's sums come from two streams, each built from its own
+recurrence, not read from the shared memo: Stirling row n
+(``sequences._stirling_rows``) and Worpitzky row n-1
+(``sequences._worpitzky_rows``), which is U(n,k) = (k-1)! S(n,k) for
+k = 1..n, since W(n-1,k-1) = (k-1)! S(n,k). ``ordered_bell`` is the Horner
+walk over the Stirling row (``sequences._row_sum``), the kernel ``compute
+bell`` prints from, computed when an identity first reads it; it keeps its
+own accumulator and is never rebuilt as even plus odd, which would reduce
+``bell.parity-split`` to ``alternating.factorial``. The other seven sums
+are C-level sums over slices of the U row: the cyclic parity sums take its
+even and odd k, the factorial ones weight those by k, since
+T(n,k) = k! S(n,k) = k U(n,k), with T(n,0) = S(n,0) taken from the Stirling
+row, and the totals and the alternating sums are sums and differences of
+these. So the five identities that read ``ordered_bell`` compare the two
+recurrences; the two alternating ones check the U row alone.
+``worpitzky.parity-rows`` sums the window's Worpitzky row n, so it compares
+the pairs that ``bell.shifted-cyclic`` compares. A row is dropped when the
+window leaves it. Each of the four integer verifiers names its own
+identities and runs them through the same pass, and ``verify_all`` runs all
+seven in one. Reports follow ``_INTEGER_CHECKS`` order, which the integer
+targets of ``registry.VERIFY_TARGETS`` follow in turn.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
 builds each registry EGF once, up front, and shares it between the checks;
@@ -63,6 +70,7 @@ The full registry of identity ids:
 """
 
 import itertools
+from operator import mul
 
 from fubini import _EXPORTS, registry, sequences
 
@@ -158,9 +166,8 @@ def _require_range(n_max, name: str = "n_max") -> int:
 
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
 # yields ``(expected, actual)`` pairs in order, from the row sums of n-1, n and
-# n+1 (``_RowSums``, each sum computed when first read; ``prev`` is None at
-# n = 1). ``worpitzky`` is the Worpitzky row stream from row 1; only
-# ``_worpitzky_parity_rows`` pulls from it, row n at n.
+# n+1 (``_row_sums``; ``prev`` is None at n = 1) and Worpitzky row n, the U row
+# of n+1.
 
 
 def _bell_parity_split(n, prev, cur, nxt, worpitzky):
@@ -195,9 +202,8 @@ def _cyclic_parity_equal(n, prev, cur, nxt, worpitzky):
 
 
 def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
-    row = next(worpitzky)
-    yield cur["ordered_bell"], sum(row[0::2])
-    yield cur["ordered_bell"], sum(row[1::2])
+    yield cur["ordered_bell"], sum(worpitzky[0::2])
+    yield cur["ordered_bell"], sum(worpitzky[1::2])
 
 
 #: Integer identity id -> its checks at one n, in report order.
@@ -214,24 +220,49 @@ _INTEGER_CHECKS = {
 IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
 
 
+def _row_sums(stirling_row: list[int], u: list[int]) -> sequences._RowSums:
+    """Row n's eight weighted sums from Stirling row n and ``u``, Worpitzky
+    row n-1, which is ``U(n, k) = (k-1)! * S(n, k)`` for k = 1..n.
+
+    ``ordered_bell`` is left to the returned ``_RowSums``: its Horner walk
+    over the Stirling row runs when it is first read. The other seven are
+    set here, from slices of ``u``: ``T(n, k) = k! * S(n, k) = k * U(n, k)``
+    for k >= 1, and ``T(n, 0) = S(n, 0)`` is the Stirling row's own entry.
+    """
+    n = len(u)
+    even, odd = sum(u[1::2]), sum(u[0::2])  # u[i] is U(n, i+1)
+    factorial_even = stirling_row[0] + sum(map(mul, range(2, n + 1, 2), u[1::2]))
+    factorial_odd = sum(map(mul, range(1, n + 1, 2), u[0::2]))
+    sums = sequences._RowSums(stirling_row)
+    sums.update(
+        ordered_bell_even=factorial_even,
+        ordered_bell_odd=factorial_odd,
+        cyclic_ordered_bell=even + odd,
+        cyclic_ordered_bell_even=even,
+        cyclic_ordered_bell_odd=odd,
+        alternating_factorial_sum=factorial_even - factorial_odd,
+        alternating_cyclic_sum=even - odd,
+    )
+    return sums
+
+
 def _row_windows():
     """Yield the integer checks' arguments after n, ``(prev, cur, nxt,
     worpitzky)``, for n = 1, 2, ...
 
-    Stirling rows come from ``sequences._stirling_rows`` and Worpitzky rows
-    from ``sequences._worpitzky_rows``, both looked up here, not from the
-    shared memo. Only rows n-1, n and n+1 are live, each with the sums read
-    from it so far: a sum is computed when an identity first reads it, once
-    per row. Each Stirling row is built when the window for the n before it
-    is pulled; a Worpitzky row, when a check pulls it.
+    Stirling rows 1, 2, ... come from ``sequences._stirling_rows`` and
+    Worpitzky rows 0, 1, ... from ``sequences._worpitzky_rows``, both looked
+    up here, not from the shared memo, and zipped: row m's sums are
+    ``_row_sums`` of Stirling row m and Worpitzky row m-1, and ``worpitzky``
+    is the Worpitzky row behind ``nxt``. Only rows n-1, n and n+1 are live.
+    Each recurrence steps once per row, when the window for the n before it
+    is pulled.
     """
-    stirling_rows = sequences._stirling_rows()
-    worpitzky = itertools.islice(sequences._worpitzky_rows(), 1, None)
-    next(stirling_rows)  # row 0
-    prev, cur = None, sequences._RowSums(next(stirling_rows))
-    for row in stirling_rows:
-        nxt = sequences._RowSums(row)
-        yield prev, cur, nxt, worpitzky
+    rows = zip(itertools.islice(sequences._stirling_rows(), 1, None), sequences._worpitzky_rows())
+    prev, cur = None, _row_sums(*next(rows))
+    for stirling_row, worpitzky_row in rows:
+        nxt = _row_sums(stirling_row, worpitzky_row)
+        yield prev, cur, nxt, worpitzky_row
         prev, cur = cur, nxt
 
 

@@ -25,9 +25,13 @@ computed when first read and then kept: the one memo of a row's sums.
 ``_next_stirling_row`` is the one Stirling recurrence step: the identity
 sweep streams rows through ``_stirling_rows`` without holding the
 triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
-``_StirlingTriangle``, steps with it too. The memo is bounded: it keeps
-every 16th row (a checkpoint) and the other rows inserted most recently
-up to a byte budget, first in first out, and recomputes any other row
+``_StirlingTriangle``, steps with it too. The sweep runs the Horner walk
+for ``ordered_bell`` alone: it takes the other sums of row n as slice sums
+of Worpitzky row n-1, which ``_worpitzky_rows`` builds from its own
+recurrence and which holds the cyclic weights ``(k-1)! * S(n,k)``. The
+memo is bounded: it keeps every 16th row (a checkpoint) and the other
+rows inserted most recently up to a byte budget, first in first out, and
+recomputes any other row
 from the nearest held row below it. It holds each row as a
 ``_RowSums``, so a row's sums go when the row goes. A read of a held row
 takes no lock and writes nothing: it is one list or ``OrderedDict``
@@ -40,8 +44,7 @@ public sum and every ``stirling2`` entry is one read of it, and
 rows, so a patched ``_read_row`` returning a ``_RowSums`` of a corrupted
 row reaches every entry, every sum, the row readers, the Worpitzky
 numbers and the EGF check's columns. The identity sweep never touches
-this memo. ``_worpitzky_rows`` builds the Worpitzky
-triangle from its own recurrence, for the sweep only.
+this memo.
 
 One brute-force enumerator lives alongside, so the closed-form routines
 can be tested against an independent route: ``set_partitions`` walks
@@ -178,7 +181,8 @@ class _RowSums(dict):
     ``sums[name]`` is the sum ``name`` of :data:`_ROW_SUMS` over ``sums.row``:
     a miss runs :func:`_row_sum` once and stores the result. The row is never
     mutated, so a stored sum stays right. The memo holds its rows this way,
-    and the identity sweep wraps each streamed row in one.
+    and the identity sweep wraps each streamed row in one, with every sum
+    but ``ordered_bell`` stored up front from a Worpitzky row.
     """
 
     __slots__ = ("row",)
@@ -421,9 +425,12 @@ def _worpitzky_rows():
     ``W(n,k) = (k+1)*W(n-1,k) + k*W(n-1,k-1)`` (Worpitzky 1883; OEIS
     A028246/A130850) follows from the Stirling recurrence; each step
     multiplies by small integers, only the previous row is held, and no
-    Stirling row is read, so the identity sweep checks
-    ``worpitzky.parity-rows`` against a triangle of its own. Callers must
-    not mutate a yielded row: the next one is built from it.
+    Stirling row is read. Row n-1 is ``U(n, k) = (k-1)! * S(n, k)`` for
+    k = 1..n, since ``W(n-1, k-1) = (k-1)! * S(n, k)``: it is the identity
+    sweep's U stream, whose slices give every weighted sum of row n but
+    ``ordered_bell``, and the Worpitzky rows ``worpitzky.parity-rows``
+    sums. Callers must not mutate a yielded row: the next one is built
+    from it.
     """
     row = [1]
     while True:

@@ -131,23 +131,42 @@ def test_report_serialization_roundtrip():
 # -- fault injection -------------------------------------------------------
 
 
+def _with_fault(n, row, fault):
+    """``row``, which is row ``n``, or a corrupted copy of it if ``fault``,
+    ``(n, k, delta)``, names it: entry k is off by ``delta``."""
+    if fault is not None and n == fault[0] and fault[1] < len(row):
+        row = list(row)  # a copy: the memo holds this row, and a stream steps from it
+        row[fault[1]] += fault[2]
+    return row
+
+
+def _patch_stream(patch, name, fault=None):
+    """Make the row stream ``sequences.<name>`` yield each row through
+    ``_with_fault``; the returned list gets each row's n as it is pulled."""
+    pulled, real_rows = [], getattr(sequences, name)
+
+    def patched():
+        for n, row in enumerate(real_rows()):
+            pulled.append(n)
+            yield _with_fault(n, row, fault)
+
+    patch.setattr(sequences, name, patched)
+    return pulled
+
+
 def _corrupt_stirling_row(monkeypatch, target_n, target_k, delta):
-    """Corrupt S(target_n, target_k) on both Stirling routes: the memo's seam
-    ``_read_row`` and the stream ``_stirling_rows`` that the sweep reads."""
-    real_read, real_rows = sequences._read_row, sequences._stirling_rows
-
-    def corrupt(n, row):
-        if n == target_n and target_k < len(row):
-            row = list(row)  # a copy: the memo holds this row, and the stream steps from it
-            row[target_k] += delta
-        return row
-
+    """Corrupt S(target_n, target_k) on every Stirling route: the memo's seam
+    ``_read_row``, and the two streams that the sweep reads, ``_stirling_rows``
+    and ``_worpitzky_rows``, whose row target_n - 1 holds
+    U(target_n, k) = (k-1)! * S(target_n, k) for k >= 1 at index k - 1."""
+    real_read, fault = sequences._read_row, (target_n, target_k, delta)
     monkeypatch.setattr(
-        sequences, "_read_row", lambda n: sequences._RowSums(corrupt(n, real_read(n).row))
+        sequences, "_read_row", lambda n: sequences._RowSums(_with_fault(n, real_read(n).row, fault))
     )
-    monkeypatch.setattr(
-        sequences, "_stirling_rows", lambda: (corrupt(n, row) for n, row in enumerate(real_rows()))
-    )
+    _patch_stream(monkeypatch, "_stirling_rows", fault)
+    if target_k:
+        u_fault = (target_n - 1, target_k - 1, delta * factorial(target_k - 1))
+        _patch_stream(monkeypatch, "_worpitzky_rows", u_fault)
 
 
 def test_corrupted_row_fails_cyclic_doubling(monkeypatch):
@@ -184,42 +203,60 @@ def test_corrupted_direct_route_fails_egf_agreement(monkeypatch):
 
 
 def test_corrupted_stirling_entry_fails_worpitzky(monkeypatch):
-    # S(7, 3) enters ordered_bell(7), the side of the Worpitzky row sums that
-    # reads Stirling rows; the Worpitzky rows come from their own recurrence
-    _corrupt_stirling_row(monkeypatch, target_n=7, target_k=3, delta=1)
+    # S(7, 3) on the Stirling stream alone enters ordered_bell(7), the side of
+    # the Worpitzky row sums that reads Stirling rows; the Worpitzky rows come
+    # from their own recurrence
+    _patch_stream(monkeypatch, "_stirling_rows", (7, 3, 1))
     reports = {r.identity_id: r for r in verify_parity_split(20)}
-    assert not reports["worpitzky.parity-rows"].passed
-    assert reports["worpitzky.parity-rows"].first_failure[0] == 7
-
-
-def _pulled_worpitzky_rows(patch, corrupt_at=None):
-    """Count the Worpitzky rows the sweep pulls: the returned list gets each
-    row's n as it is pulled. Row ``corrupt_at`` has W(n, 2) += 1."""
-    pulled, real_rows = [], sequences._worpitzky_rows
-
-    def counted():
-        for n, row in enumerate(real_rows()):
-            pulled.append(n)
-            yield [*row[:2], row[2] + 1, *row[3:]] if n == corrupt_at else row
-
-    patch.setattr(sequences, "_worpitzky_rows", counted)
-    return pulled
+    bell = sequences.ordered_bell(7)
+    assert reports["worpitzky.parity-rows"].first_failure == (7, bell + factorial(3), bell)
 
 
 def test_corrupted_worpitzky_row_fails_worpitzky(monkeypatch):
-    pulled = _pulled_worpitzky_rows(monkeypatch, corrupt_at=7)
+    # W(7, 2) = U(8, 3) += 1 on the Worpitzky stream alone: worpitzky.parity-rows
+    # sums row 7 at n = 7, and the cyclic odd-block sum of row 8 takes it at n = 8
+    pulled = _patch_stream(monkeypatch, "_worpitzky_rows", (7, 2, 1))
     reports = {r.identity_id: r for r in verify_parity_split(20)}
     bell = sequences.ordered_bell(7)
     assert reports["worpitzky.parity-rows"].first_failure == (7, bell, bell + 1)
-    assert reports["cyclic.parity-equal"].passed
-    # rows are pulled only while worpitzky.parity-rows is checked
-    assert pulled == list(range(8))
+    assert reports["cyclic.parity-equal"].first_failure == (8, bell, bell + 1)
+    # once both have failed, no further row is pulled: row 8 is the U row of n + 1 = 9
+    assert pulled == list(range(9))
 
 
-def test_a_sweep_without_worpitzky_pulls_no_worpitzky_row(monkeypatch):
-    pulled = _pulled_worpitzky_rows(monkeypatch)
-    assert all(r.passed for r in verify_bell_forms(30))
-    assert pulled == []
+def test_a_sweep_pulls_each_worpitzky_row_once(monkeypatch):
+    # one Worpitzky stream feeds every sum and worpitzky.parity-rows, so its
+    # recurrence steps once per n, whichever identities are checked
+    for identity_ids in (("bell.parity-split", "bell.shifted-cyclic"), identities._INTEGER_CHECKS):
+        with monkeypatch.context() as patch:
+            pulled = _patch_stream(patch, "_worpitzky_rows")
+            assert all(r.passed for r in identities._sweep_integers(30, identity_ids))
+        assert pulled == list(range(31)), identity_ids
+
+
+#: A fault on one stream alone -> the (identity, first failing n) pairs of the sweep to 20.
+ONE_STREAM_FAILURES = {
+    # S(7, 3) += 1 reaches ordered_bell(7) alone, which the alternating identities do not read
+    ("_stirling_rows", (7, 3, 1)): {
+        ("bell.parity-split", 7), ("bell.shifted-cyclic", 7), ("cyclic.doubling", 8),
+        ("cyclic.parity-equal", 8), ("worpitzky.parity-rows", 7),
+    },
+    # W(7, 2) += 1 is U(8, 3): it reaches every odd-block sum of row 8, and
+    # worpitzky.parity-rows through row 7 itself
+    ("_worpitzky_rows", (7, 2, 1)): {
+        ("bell.parity-split", 8), ("bell.shifted-cyclic", 7), ("cyclic.doubling", 8),
+        ("alternating.factorial", 8), ("alternating.cyclic", 8), ("cyclic.parity-equal", 8),
+        ("worpitzky.parity-rows", 7),
+    },
+}
+
+
+@pytest.mark.parametrize("stream, fault", sorted(ONE_STREAM_FAILURES))
+def test_a_fault_on_one_stream_fails_its_identities(monkeypatch, stream, fault):
+    _patch_stream(monkeypatch, stream, fault)
+    reports = identities._sweep_integers(20, identities._INTEGER_CHECKS)
+    failed = {(r.identity_id, r.first_failure[0]) for r in reports if not r.passed}
+    assert failed == ONE_STREAM_FAILURES[stream, fault]
 
 
 FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.json"
@@ -228,24 +265,16 @@ FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.js
 def test_corrupted_rows_give_the_frozen_reports(monkeypatch):
     """``verify_all(20, 8)`` under S(row, k) += 1, for rows 2..9 and every k,
     against the reports captured at commit bb992ed, before the one-pass
-    sweep. Only ``worpitzky.parity-rows`` moved: its Worpitzky side no
-    longer reads Stirling rows, so it now fails at n = row, through the
-    corrupted ordered_bell(row) = B(row) + k!.
+    sweep, when the Worpitzky side read Stirling rows: ``_corrupt_stirling_row``
+    carries the fault into the Worpitzky stream as U(row, k) += (k-1)!, so
+    every report is as it was then.
     """
     for case in json.loads(FROZEN_REPORTS.read_text()):
         row, k = case["row"], case["k"]
         with monkeypatch.context() as patch:
             _corrupt_stirling_row(patch, target_n=row, target_k=k, delta=1)
             reports = [r.to_dict() for r in verify_all(20, 8)]
-        assert len(reports) == len(case["reports"])
-        for report, frozen in zip(reports, case["reports"]):
-            if report["identity_id"] == "worpitzky.parity-rows":
-                bell = sequences.ordered_bell(row)
-                assert report["first_failure"] == {
-                    "n": row, "expected": str(bell + factorial(k)), "actual": str(bell)
-                }, (row, k)
-            else:
-                assert report == frozen, (row, k)
+        assert reports == case["reports"], (row, k)
 
 
 def test_sweep_reads_each_stirling_row_once(monkeypatch):
@@ -275,10 +304,9 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
     assert memo_reads == Counter()
     # bell.shifted-cyclic reads the cyclic sums at n_max + 1
     assert taken == Counter(range(32))
-    # every sum read is computed once per row, though checks at n-1, n and
-    # n+1 read it: every row's eight sums, and the cyclic parity sums of 31
-    assert set(summed.values()) == {1}
-    assert len(summed) == 30 * len(sequences._ROW_SUMS) + 2
+    # the one Horner walk per row is ordered_bell's, computed once though the
+    # checks at n and n+1 read it; row 31's is never read
+    assert summed == {(n, sequences._ROW_SUMS["ordered_bell"]): 1 for n in range(1, 31)}
     # the sweep ran past the memo's last row without extending it
     assert len(sequences._shared_triangle._checkpoints) == 1
     assert not sequences._shared_triangle._recent
@@ -306,13 +334,24 @@ PERTURBED_SUM_FAILURES = {
 
 @pytest.mark.parametrize("name", sorted(PERTURBED_SUM_FAILURES))
 def test_each_sum_perturbed_alone_is_caught(monkeypatch, name):
-    # one sum is off by one at row 9, whichever route the sweep reads it by
-    real_sum, weights = sequences._row_sum, sequences._ROW_SUMS[name]
+    # one sum is off by one at row 9, where the sweep computes it: ordered_bell
+    # in its Horner walk, the others among the slice sums of _row_sums
+    if name == "ordered_bell":
+        real_sum, weights = sequences._row_sum, sequences._ROW_SUMS[name]
 
-    def perturbed(row, *given):
-        return real_sum(row, *given) + (len(row) == 10 and given == weights)
+        def perturbed_sum(row, *given):
+            return real_sum(row, *given) + (len(row) == 10 and given == weights)
 
-    monkeypatch.setattr(sequences, "_row_sum", perturbed)
+        monkeypatch.setattr(sequences, "_row_sum", perturbed_sum)
+    else:
+        real_sums = identities._row_sums
+
+        def perturbed_sums(stirling_row, u):
+            sums = real_sums(stirling_row, u)
+            sums[name] += len(stirling_row) == 10
+            return sums
+
+        monkeypatch.setattr(identities, "_row_sums", perturbed_sums)
     reports = identities._sweep_integers(12, identities._INTEGER_CHECKS)
     failed = {(r.identity_id, r.first_failure[0]) for r in reports if not r.passed}
     assert failed == PERTURBED_SUM_FAILURES[name]

@@ -530,6 +530,25 @@ def test_weighted_sums_match_factorial_reference(func, shift, parity, alternatin
         assert func(n) == _reference_sum(stirling2_row(n), shift, parity, alternating), n
 
 
+@pytest.mark.parametrize("delta", [0, 1])
+def test_sweep_sums_match_factorial_reference(monkeypatch, delta):
+    # the identity sweep sums row n from Stirling row n and Worpitzky row n-1;
+    # S(n, 0) += delta, on the Stirling stream alone, is the one entry of the
+    # row that no Worpitzky row holds, and it must reach the even and the
+    # alternating factorial sums as well as ordered_bell
+    real_rows = sequences._stirling_rows
+    monkeypatch.setattr(
+        sequences, "_stirling_rows", lambda: ([row[0] + delta, *row[1:]] for row in real_rows())
+    )
+    windows = identities._row_windows()
+    for n in range(1, 121):
+        _, sums, _, _ = next(windows)
+        row = stirling2_row(n)
+        row[0] += delta
+        for name, weights in sequences._ROW_SUMS.items():
+            assert sums[name] == _reference_sum(row, *weights), (n, name)
+
+
 @pytest.mark.parametrize("func, shift, parity, alternating", WEIGHTED_SUMS)
 def test_weighted_sums_read_the_patched_row(monkeypatch, func, shift, parity, alternating):
     def fake_row(n):
