@@ -13,29 +13,29 @@ failed yet. So a report's failure is at its smallest failing n, and an
 identity is not checked past it. The b-file crosscheck
 (``bfiles.crosscheck``) runs through the same loop.
 
-The seven integer identities are checks on a window of three rows' weighted
-sums (``_row_sums``), for n-1, n and n+1, that slides forward over n in one
+The seven integer identities are checks on a window of three rows' sums
+(``_SweepRow``), for n-1, n and n+1, that slides forward over n in one
 pass. Row n's sums come from two streams, each built from its own
 recurrence, not read from the shared memo: Stirling row n
 (``sequences._stirling_rows``) and Worpitzky row n-1
 (``sequences._worpitzky_rows``), which is U(n,k) = (k-1)! S(n,k) for
-k = 1..n, since W(n-1,k-1) = (k-1)! S(n,k). ``ordered_bell`` is the Horner
-walk over the Stirling row (``sequences._row_sum``), the kernel ``compute
-bell`` prints from, computed when an identity first reads it; it keeps its
-own accumulator and is never rebuilt as even plus odd, which would reduce
-``bell.parity-split`` to ``alternating.factorial``. The other seven sums
-are C-level sums over slices of the U row: the cyclic parity sums take its
-even and odd k, the factorial ones weight those by k, since
-T(n,k) = k! S(n,k) = k U(n,k), with T(n,0) = S(n,0) taken from the Stirling
-row, and the totals and the alternating sums are sums and differences of
-these. So the five identities that read ``ordered_bell`` compare the two
-recurrences; the two alternating ones check the U row alone.
-``worpitzky.parity-rows`` sums the window's Worpitzky row n, so it compares
-the pairs that ``bell.shifted-cyclic`` compares. A row is dropped when the
-window leaves it. Each of the four integer verifiers names its own
-identities and runs them through the same pass, and ``verify_all`` runs all
-seven in one. Reports follow ``_INTEGER_CHECKS`` order, which the integer
-targets of ``registry.VERIFY_TARGETS`` follow in turn.
+k = 1..n, since W(n-1,k-1) = (k-1)! S(n,k). Every sum is one parity
+class of the row, keyed ``(shift, parity)`` as ``sequences._RowSums``
+keys its own, or two classes added or subtracted. The four class sums
+are C-level sums over slices of the U row: the cyclic classes (shift 1)
+take its even and odd k, the factorial ones (shift 0) weight those by k,
+since T(n,k) = k! S(n,k) = k U(n,k), with T(n,0) = S(n,0) taken from the
+Stirling row. ``ordered_bell`` alone is read from the Stirling row: it is
+the sum of the two factorial class walks over it (``sequences._row_sum``),
+the kernel ``compute bell`` prints from, run when an identity first reads
+it. It is never the sum of the U row's factorial classes, which would
+reduce ``bell.parity-split`` to ``alternating.factorial``. So the five
+identities that read ``ordered_bell`` compare the two recurrences; the two
+alternating ones check the U row alone. A row is dropped when the window
+leaves it. Each of the four integer verifiers names its own identities and
+runs them through the same pass, and ``verify_all`` runs all seven in one.
+Reports follow ``_INTEGER_CHECKS`` order, which the integer targets of
+``registry.VERIFY_TARGETS`` follow in turn.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
 builds each registry EGF once, up front, and shares it between the checks;
@@ -56,10 +56,10 @@ The full registry of identity ids:
 * ``cyclic.parity-equal``   even-block == odd-block == ordered_bell(n-1)
   for n >= 2 (at n=1 the pair is (0, 1))
 * ``alternating.factorial`` sum((-1)^k k! S(n,k)) == (-1)^n
-* ``alternating.cyclic``    sum((-1)^k (k-1)! S(n,k)) == -1 at n=1, else 0,
-  and equals even-block minus odd-block cyclic counts termwise
+* ``alternating.cyclic``    sum((-1)^k (k-1)! S(n,k)) == -1 at n=1, else 0
 * ``worpitzky.parity-rows`` even- and odd-index Worpitzky row sums both
-  equal ordered_bell(n)
+  equal ordered_bell(n); Worpitzky row n is the U row of n+1, so these are
+  the pairs ``bell.shifted-cyclic`` compares, odd-block first
 * ``egf.agreement``         every generating function extracts the matching
   directly computed sequence
 * ``egf.parity-split``      even-egf + odd-egf == cyclic-egf
@@ -164,46 +164,44 @@ def _require_range(n_max, name: str = "n_max") -> int:
         raise sequences.ArgumentError(f"empty range: {exc}") from None
 
 
-# Each integer identity's checks at one n: ``check(n, prev, cur, nxt, worpitzky)``
-# yields ``(expected, actual)`` pairs in order, from the row sums of n-1, n and
-# n+1 (``_row_sums``; ``prev`` is None at n = 1) and Worpitzky row n, the U row
-# of n+1.
+# Each integer identity's checks at one n: ``check(n, prev, cur, nxt)`` yields
+# ``(expected, actual)`` pairs in order, from the ``_SweepRow`` sums of n-1, n
+# and n+1 (``prev`` is None at n = 1).
 
 
-def _bell_parity_split(n, prev, cur, nxt, worpitzky):
-    b, sign = cur["ordered_bell"], (-1) ** n
-    yield b, -sign + 2 * cur["ordered_bell_even"]
-    yield b, sign + 2 * cur["ordered_bell_odd"]
+def _bell_parity_split(n, prev, cur, nxt):
+    b, sign = cur.ordered_bell, (-1) ** n
+    yield b, -sign + 2 * cur[0, 0]
+    yield b, sign + 2 * cur[0, 1]
 
 
-def _bell_shifted_cyclic(n, prev, cur, nxt, worpitzky):
-    yield cur["ordered_bell"], nxt["cyclic_ordered_bell_even"]
-    yield cur["ordered_bell"], nxt["cyclic_ordered_bell_odd"]
+def _bell_shifted_cyclic(n, prev, cur, nxt):
+    yield cur.ordered_bell, nxt[1, 0]
+    yield cur.ordered_bell, nxt[1, 1]
 
 
-def _cyclic_doubling(n, prev, cur, nxt, worpitzky):
-    yield 1 if n == 1 else 2 * prev["ordered_bell"], cur["cyclic_ordered_bell"]
+def _cyclic_doubling(n, prev, cur, nxt):
+    yield 1 if n == 1 else 2 * prev.ordered_bell, cur[1, 0] + cur[1, 1]
 
 
-def _alternating_factorial(n, prev, cur, nxt, worpitzky):
-    yield (-1) ** n, cur["alternating_factorial_sum"]
+def _alternating_factorial(n, prev, cur, nxt):
+    yield (-1) ** n, cur[0, 0] - cur[0, 1]
 
 
-def _alternating_cyclic(n, prev, cur, nxt, worpitzky):
-    value = cur["alternating_cyclic_sum"]
-    yield -1 if n == 1 else 0, value
-    yield cur["cyclic_ordered_bell_even"] - cur["cyclic_ordered_bell_odd"], value
+def _alternating_cyclic(n, prev, cur, nxt):
+    yield -1 if n == 1 else 0, cur[1, 0] - cur[1, 1]
 
 
-def _cyclic_parity_equal(n, prev, cur, nxt, worpitzky):
-    even, odd = (0, 1) if n == 1 else (prev["ordered_bell"],) * 2
-    yield even, cur["cyclic_ordered_bell_even"]
-    yield odd, cur["cyclic_ordered_bell_odd"]
+def _cyclic_parity_equal(n, prev, cur, nxt):
+    even, odd = (0, 1) if n == 1 else (prev.ordered_bell,) * 2
+    yield even, cur[1, 0]
+    yield odd, cur[1, 1]
 
 
-def _worpitzky_parity_rows(n, prev, cur, nxt, worpitzky):
-    yield cur["ordered_bell"], sum(worpitzky[0::2])
-    yield cur["ordered_bell"], sum(worpitzky[1::2])
+def _worpitzky_parity_rows(n, prev, cur, nxt):
+    # Worpitzky row n's even-index entries are U(n+1, k) at odd k, its odd-index ones at even k
+    yield cur.ordered_bell, nxt[1, 1]
+    yield cur.ordered_bell, nxt[1, 0]
 
 
 #: Integer identity id -> its checks at one n, in report order.
@@ -220,49 +218,47 @@ _INTEGER_CHECKS = {
 IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
 
 
-def _row_sums(stirling_row: list[int], u: list[int]) -> sequences._RowSums:
-    """Row n's eight weighted sums from Stirling row n and ``u``, Worpitzky
-    row n-1, which is ``U(n, k) = (k-1)! * S(n, k)`` for k = 1..n.
+class _SweepRow(dict):
+    """Row n's sums in the sweep: the four class sums of ``u``, Worpitzky row
+    n-1, which is ``U(n, k) = (k-1)! * S(n, k)`` for k = 1..n, keyed by
+    ``(shift, parity)``; and ``ordered_bell``, the two factorial class walks
+    over Stirling row n, each run when first read and then kept in
+    ``stirling``, the row's ``sequences._RowSums``.
 
-    ``ordered_bell`` is left to the returned ``_RowSums``: its Horner walk
-    over the Stirling row runs when it is first read. The other seven are
-    set here, from slices of ``u``: ``T(n, k) = k! * S(n, k) = k * U(n, k)``
-    for k >= 1, and ``T(n, 0) = S(n, 0)`` is the Stirling row's own entry.
+    ``T(n, k) = k! * S(n, k) = k * U(n, k)`` for k >= 1, and
+    ``T(n, 0) = S(n, 0)`` is the Stirling row's own entry.
     """
-    n = len(u)
-    even, odd = sum(u[1::2]), sum(u[0::2])  # u[i] is U(n, i+1)
-    factorial_even = stirling_row[0] + sum(map(mul, range(2, n + 1, 2), u[1::2]))
-    factorial_odd = sum(map(mul, range(1, n + 1, 2), u[0::2]))
-    sums = sequences._RowSums(stirling_row)
-    sums.update(
-        ordered_bell_even=factorial_even,
-        ordered_bell_odd=factorial_odd,
-        cyclic_ordered_bell=even + odd,
-        cyclic_ordered_bell_even=even,
-        cyclic_ordered_bell_odd=odd,
-        alternating_factorial_sum=factorial_even - factorial_odd,
-        alternating_cyclic_sum=even - odd,
-    )
-    return sums
+
+    __slots__ = ("stirling",)
+
+    def __init__(self, stirling_row: list[int], u: list[int]):
+        n = len(u)  # u[i] is U(n, i+1)
+        self[0, 0] = stirling_row[0] + sum(map(mul, range(2, n + 1, 2), u[1::2]))
+        self[0, 1] = sum(map(mul, range(1, n + 1, 2), u[0::2]))
+        self[1, 0], self[1, 1] = sum(u[1::2]), sum(u[0::2])
+        self.stirling = sequences._RowSums(stirling_row)
+
+    @property
+    def ordered_bell(self) -> int:
+        return self.stirling[0, 0] + self.stirling[0, 1]
 
 
 def _row_windows():
-    """Yield the integer checks' arguments after n, ``(prev, cur, nxt,
-    worpitzky)``, for n = 1, 2, ...
+    """Yield the integer checks' rows after n, ``(prev, cur, nxt)``, for
+    n = 1, 2, ...
 
     Stirling rows 1, 2, ... come from ``sequences._stirling_rows`` and
     Worpitzky rows 0, 1, ... from ``sequences._worpitzky_rows``, both looked
-    up here, not from the shared memo, and zipped: row m's sums are
-    ``_row_sums`` of Stirling row m and Worpitzky row m-1, and ``worpitzky``
-    is the Worpitzky row behind ``nxt``. Only rows n-1, n and n+1 are live.
-    Each recurrence steps once per row, when the window for the n before it
-    is pulled.
+    up here, not from the shared memo, and zipped: row m's sums are the
+    ``_SweepRow`` of Stirling row m and Worpitzky row m-1. Only rows n-1, n
+    and n+1 are live. Each recurrence steps once per row, when the window
+    for the n before it is pulled.
     """
     rows = zip(itertools.islice(sequences._stirling_rows(), 1, None), sequences._worpitzky_rows())
-    prev, cur = None, _row_sums(*next(rows))
-    for stirling_row, worpitzky_row in rows:
-        nxt = _row_sums(stirling_row, worpitzky_row)
-        yield prev, cur, nxt, worpitzky_row
+    prev, cur = None, _SweepRow(*next(rows))
+    for stirling_row, u in rows:
+        nxt = _SweepRow(stirling_row, u)
+        yield prev, cur, nxt
         prev, cur = cur, nxt
 
 

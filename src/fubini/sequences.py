@@ -15,36 +15,40 @@ precision); no floating point is used anywhere. The central objects:
   k = 0..n from one read of row n+1.
 * alternating variants of the weighted sums, used as cross-checks.
 
-The weighted sums differ only in the shift of the factorial weight, an
-optional parity filter on k and an optional sign, so all seven share one
-reduction over a row. It evaluates the sum in Horner form, from the top
-of the row down, so each step multiplies the accumulator by a small
-integer instead of multiplying a factorial by a row entry. ``_row_sum``
-takes the row itself, and ``_RowSums`` pairs a row with its sums, each
-computed when first read and then kept: the one memo of a row's sums.
+Each weighted sum is one parity class of row n, or two added or
+subtracted: the class sum ``(shift, parity)`` is the sum of
+``(k-shift)! * S(n,k)`` over the k of that parity, with shift 0 for the
+ordered weight ``k!`` and 1 for the cyclic weight ``(k-1)!``. So a row
+has four class sums; ``ordered_bell`` is the two of shift 0 added, and
+``alternating_factorial_sum`` the odd one subtracted from the even one,
+and likewise the cyclic total and ``alternating_cyclic_sum`` at shift 1.
+``_row_sum`` computes one class sum in Horner form, from the top of the
+row down over the k of its parity, so each step multiplies the accumulator
+by a small integer instead of multiplying a factorial by a row entry. It
+takes the row itself, and ``_RowSums`` pairs a row with its class sums,
+each computed when first read and then kept: the one memo of a row's sums.
 ``_next_stirling_row`` is the one Stirling recurrence step: the identity
 sweep streams rows through ``_stirling_rows`` without holding the
-triangle, each wrapped in a ``_RowSums`` of its own, and the memo,
-``_StirlingTriangle``, steps with it too. The sweep runs the Horner walk
-for ``ordered_bell`` alone: it takes the other sums of row n as slice sums
-of Worpitzky row n-1, which ``_worpitzky_rows`` builds from its own
-recurrence and which holds the cyclic weights ``(k-1)! * S(n,k)``. The
-memo is bounded: it keeps every 16th row (a checkpoint) and the other
-rows inserted most recently up to a byte budget, first in first out, and
-recomputes any other row
-from the nearest held row below it. It holds each row as a
-``_RowSums``, so a row's sums go when the row goes. A read of a held row
-takes no lock and writes nothing: it is one list or ``OrderedDict``
-read, which the GIL makes atomic, as ``series._pascal`` reads rely on;
-only a miss takes the memo's one lock, and checks again under it before
-it walks and inserts. ``_read_row`` is the one reader of the memo, and
-it hands out the held entry, uncopied: every
-public sum and every ``stirling2`` entry is one read of it, and
-``stirling2_row`` is its copying reader. It is the one seam for memo
-rows, so a patched ``_read_row`` returning a ``_RowSums`` of a corrupted
-row reaches every entry, every sum, the row readers, the Worpitzky
-numbers and the EGF check's columns. The identity sweep never touches
-this memo.
+triangle, and the memo, ``_StirlingTriangle``, steps with it too. The
+sweep wraps each streamed row in a ``_RowSums`` of its own for
+``ordered_bell`` alone, its two factorial class walks; it takes the four
+class sums of row n as slice sums of Worpitzky row n-1, which
+``_worpitzky_rows`` builds from its own recurrence and which holds the
+cyclic weights ``(k-1)! * S(n,k)``. The memo is bounded: it keeps every
+16th row (a checkpoint) and the other rows inserted most recently up to a
+byte budget, first in first out, and recomputes any other row from the
+nearest held row below it. It holds each row as a ``_RowSums``, so a row's
+sums go when the row goes. A read of a held row takes no lock and writes
+nothing: it is one list or ``OrderedDict`` read, which the GIL makes
+atomic, as ``series._pascal`` reads rely on; only a miss takes the memo's
+one lock, and checks again under it before it walks and inserts.
+``_read_row`` is the one reader of the memo, and it hands out the held
+entry, uncopied: every public sum and every ``stirling2`` entry is one
+read of it, and ``stirling2_row`` is its copying reader. It is the one
+seam for memo rows, so a patched ``_read_row`` returning a ``_RowSums`` of
+a corrupted row reaches every entry, every sum, the row readers, the
+Worpitzky numbers and the EGF check's columns. The identity sweep never
+touches this memo.
 
 One brute-force enumerator lives alongside, so the closed-form routines
 can be tested against an independent route: ``set_partitions`` walks
@@ -176,13 +180,14 @@ def _row_bytes(row: list[int]) -> int:
 
 
 class _RowSums(dict):
-    """One Stirling row and its weighted sums, each computed when first read.
+    """One Stirling row and its class sums, each computed when first read.
 
-    ``sums[name]`` is the sum ``name`` of :data:`_ROW_SUMS` over ``sums.row``:
-    a miss runs :func:`_row_sum` once and stores the result. The row is never
-    mutated, so a stored sum stays right. The memo holds its rows this way,
-    and the identity sweep wraps each streamed row in one, with every sum
-    but ``ordered_bell`` stored up front from a Worpitzky row.
+    ``sums[shift, parity]`` is the class sum ``_row_sum(sums.row, shift,
+    parity)``: a miss runs :func:`_row_sum` once and stores the result, so
+    an entry holds at most four sums. The row is never mutated, so a stored
+    sum stays right. The memo holds its rows this way, and the identity
+    sweep wraps each streamed row in one for the two factorial classes
+    that make up ``ordered_bell``.
     """
 
     __slots__ = ("row",)
@@ -190,8 +195,8 @@ class _RowSums(dict):
     def __init__(self, row: list[int]):
         self.row = row
 
-    def __missing__(self, name: str) -> int:
-        total = self[name] = _row_sum(self.row, *_ROW_SUMS[name])
+    def __missing__(self, key: tuple[int, int]) -> int:
+        total = self[key] = _row_sum(self.row, *key)
         return total
 
 
@@ -229,9 +234,9 @@ class _StirlingTriangle:
     holds the checkpoints, a sixteenth of the triangle, plus about
     ``_RECENT_BYTES``, where keeping every row would hold the whole triangle.
 
-    Each row is held as a :class:`_RowSums`, which also keeps the weighted
-    sums of :data:`_ROW_SUMS` read so far, at most 8 ints, so a recent
-    row's sums go when the row is evicted and a checkpoint keeps its sums.
+    Each row is held as a :class:`_RowSums`, which also keeps the class
+    sums read so far, at most 4 ints, so a recent row's sums go when the
+    row is evicted and a checkpoint keeps its sums.
     :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
     instance and hands out the held entry.
 
@@ -325,50 +330,30 @@ def stirling2_row(n: int) -> list[int]:
     return list(_read_row(_require_at_least(n, 0, "row index")).row)
 
 
-#: The weighted row sums by name, as ``(shift, parity, alternating)`` of
-#: :func:`_row_sum`. The public sums and the identity sweep both take their
-#: weights from here.
-_ROW_SUMS = {
-    "ordered_bell": (0, None, False),
-    "ordered_bell_even": (0, 0, False),
-    "ordered_bell_odd": (0, 1, False),
-    "cyclic_ordered_bell": (1, None, False),
-    "cyclic_ordered_bell_even": (1, 0, False),
-    "cyclic_ordered_bell_odd": (1, 1, False),
-    "alternating_factorial_sum": (0, None, True),
-    "alternating_cyclic_sum": (1, None, True),
-}
-
-
-def _row_sum(row: list[int], shift: int, parity: int | None, alternating: bool) -> int:
-    """``sum(sign(k) * (k-shift)! * row[k])`` over ``shift <= k < len(row)``.
+def _row_sum(row: list[int], shift: int, parity: int) -> int:
+    """The class sum ``sum((k-shift)! * row[k])`` over ``shift <= k < len(row)``
+    with ``k % 2 == parity``.
 
     The sum is accumulated in Horner form, from the top of the row down to
-    ``k = shift``: ``row[shift] + 1*(row[shift+1] + 2*(row[shift+2] + ...))``.
-    At each k the accumulator is multiplied by the small integer
-    ``k+1-shift`` and then takes ``sign(k) * row[k]``, so no step multiplies
-    two big integers. ``parity`` (a residue mod 2) keeps only those k, and
-    the loop steps over them alone: the accumulator is multiplied by
-    ``(k+1-shift)*(k+2-shift)``, and the lowest kept k, ``shift`` or
-    ``shift+1``, has weight 1. ``alternating`` makes ``sign(k) = (-1)^k``;
-    otherwise it is 1.
+    the lowest kept k, ``shift`` or ``shift+1``, whose weight is 1: at each
+    kept k the accumulator is multiplied by the small integer
+    ``(k+1-shift)*(k+2-shift)`` and then takes ``row[k]``, so no step
+    multiplies two big integers.
     """
-    step, low = (1, shift) if parity is None else (2, shift + (parity - shift) % 2)
+    low = shift + (parity - shift) % 2
     top = len(row) - 1
     total = 0
-    for k in range(top - (top - low) % step, low - 1, -step):
+    for k in range(top - (top - low) % 2, low - 1, -2):
         j = k - shift
-        total *= j + 1 if step == 1 else (j + 1) * (j + 2)
-        if alternating and k % 2:
-            total -= row[k]
-        else:
-            total += row[k]
+        total *= (j + 1) * (j + 2)
+        total += row[k]
     return total
 
 
 def ordered_bell(n: int) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
-    return _read_row(_require_at_least(n, 0))["ordered_bell"]
+    sums = _read_row(_require_at_least(n, 0))
+    return sums[0, 0] + sums[0, 1]
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -379,22 +364,23 @@ def ordered_bell_parity(n: int, parity: str) -> int:
     n = _require_at_least(n, 1)
     if parity not in ("even", "odd"):
         raise ArgumentError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return _read_row(n)[f"ordered_bell_{parity}"]
+    return _read_row(n)[0, 0 if parity == "even" else 1]
 
 
 def cyclic_ordered_bell(n: int) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
-    return _read_row(_require_at_least(n, 1))["cyclic_ordered_bell"]
+    sums = _read_row(_require_at_least(n, 1))
+    return sums[1, 0] + sums[1, 1]
 
 
 def cyclic_ordered_bell_even(n: int) -> int:
     """Cyclic arrangements with an even number of blocks: sum of (k-1)!*S(n,k), k even."""
-    return _read_row(_require_at_least(n, 1))["cyclic_ordered_bell_even"]
+    return _read_row(_require_at_least(n, 1))[1, 0]
 
 
 def cyclic_ordered_bell_odd(n: int) -> int:
     """Cyclic arrangements with an odd number of blocks: sum of (k-1)!*S(n,k), k odd."""
-    return _read_row(_require_at_least(n, 1))["cyclic_ordered_bell_odd"]
+    return _read_row(_require_at_least(n, 1))[1, 1]
 
 
 def worpitzky(n: int, k: int) -> int:
@@ -427,10 +413,8 @@ def _worpitzky_rows():
     multiplies by small integers, only the previous row is held, and no
     Stirling row is read. Row n-1 is ``U(n, k) = (k-1)! * S(n, k)`` for
     k = 1..n, since ``W(n-1, k-1) = (k-1)! * S(n, k)``: it is the identity
-    sweep's U stream, whose slices give every weighted sum of row n but
-    ``ordered_bell``, and the Worpitzky rows ``worpitzky.parity-rows``
-    sums. Callers must not mutate a yielded row: the next one is built
-    from it.
+    sweep's U stream, whose slices give the four class sums of row n.
+    Callers must not mutate a yielded row: the next one is built from it.
     """
     row = [1]
     while True:
@@ -441,7 +425,8 @@ def _worpitzky_rows():
 
 def alternating_factorial_sum(n: int) -> int:
     """``sum((-1)^k * k! * S(n,k))``; equals (-1)^n for every n >= 1."""
-    return _read_row(_require_at_least(n, 1))["alternating_factorial_sum"]
+    sums = _read_row(_require_at_least(n, 1))
+    return sums[0, 0] - sums[0, 1]
 
 
 def alternating_cyclic_sum(n: int) -> int:
@@ -450,7 +435,8 @@ def alternating_cyclic_sum(n: int) -> int:
     Equals the even-block cyclic count minus the odd-block one: -1 at n=1
     and 0 for all n >= 2.
     """
-    return _read_row(_require_at_least(n, 1))["alternating_cyclic_sum"]
+    sums = _read_row(_require_at_least(n, 1))
+    return sums[1, 0] - sums[1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -304,57 +304,72 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
     assert memo_reads == Counter()
     # bell.shifted-cyclic reads the cyclic sums at n_max + 1
     assert taken == Counter(range(32))
-    # the one Horner walk per row is ordered_bell's, computed once though the
-    # checks at n and n+1 read it; row 31's is never read
-    assert summed == {(n, sequences._ROW_SUMS["ordered_bell"]): 1 for n in range(1, 31)}
+    # the only Horner walks are ordered_bell's two factorial classes per row,
+    # each computed once though the checks at n and n+1 read it; row 31's are
+    # never read
+    assert summed == {(n, (0, parity)): 1 for n in range(1, 31) for parity in (0, 1)}
     # the sweep ran past the memo's last row without extending it
     assert len(sequences._shared_triangle._checkpoints) == 1
     assert not sequences._shared_triangle._recent
 
 
-#: Sum perturbed at row 9 -> the (identity, first failing n) pairs of the sweep to 12.
-PERTURBED_SUM_FAILURES = {
-    "ordered_bell": {
-        ("bell.parity-split", 9), ("bell.shifted-cyclic", 9), ("cyclic.doubling", 10),
-        ("cyclic.parity-equal", 10), ("worpitzky.parity-rows", 9),
-    },
-    "ordered_bell_even": {("bell.parity-split", 9)},
-    "ordered_bell_odd": {("bell.parity-split", 9)},
-    "cyclic_ordered_bell": {("cyclic.doubling", 9)},
-    "cyclic_ordered_bell_even": {
-        ("bell.shifted-cyclic", 8), ("alternating.cyclic", 9), ("cyclic.parity-equal", 9),
-    },
-    "cyclic_ordered_bell_odd": {
-        ("bell.shifted-cyclic", 8), ("alternating.cyclic", 9), ("cyclic.parity-equal", 9),
-    },
-    "alternating_factorial_sum": {("alternating.factorial", 9)},
-    "alternating_cyclic_sum": {("alternating.cyclic", 9)},
+def test_the_alternating_identities_walk_no_stirling_row(monkeypatch):
+    # they read the U row's classes alone, so ordered_bell's walks stay unrun
+    def no_walk(row, *key):
+        raise AssertionError(f"_row_sum over row {len(row) - 1} at {key}")
+
+    monkeypatch.setattr(sequences, "_row_sum", no_walk)
+    assert all(r.passed for r in verify_alternating_sums(30))
+
+
+#: What one class sum perturbed at row 9 fails: the (identity, first failing n)
+#: pairs of the sweep to 12. A class of odd k enters the same sums as its even
+#: partner, so it fails the same way. Every other sum of the sweep is two
+#: classes added or subtracted, so it cannot be perturbed alone.
+ORDERED_BELL_WALK_FAILURES = {
+    ("bell.parity-split", 9), ("bell.shifted-cyclic", 9), ("cyclic.doubling", 10),
+    ("cyclic.parity-equal", 10), ("worpitzky.parity-rows", 9),
 }
+FACTORIAL_CLASS_FAILURES = {("bell.parity-split", 9), ("alternating.factorial", 9)}
+CYCLIC_CLASS_FAILURES = {
+    ("bell.shifted-cyclic", 8), ("cyclic.doubling", 9), ("alternating.cyclic", 9),
+    ("cyclic.parity-equal", 9), ("worpitzky.parity-rows", 8),
+}
+#: ``(stream, shift, parity)`` of each class the sweep computes: a U class is
+#: named for the public sum it equals, a Stirling class is one of the two
+#: walks that make up ordered_bell.
+PERTURBED_CLASSES = [
+    pytest.param("stirling", 0, 0, ORDERED_BELL_WALK_FAILURES, id="ordered_bell_even_walk"),
+    pytest.param("stirling", 0, 1, ORDERED_BELL_WALK_FAILURES, id="ordered_bell_odd_walk"),
+    pytest.param("u", 0, 0, FACTORIAL_CLASS_FAILURES, id="ordered_bell_even"),
+    pytest.param("u", 0, 1, FACTORIAL_CLASS_FAILURES, id="ordered_bell_odd"),
+    pytest.param("u", 1, 0, CYCLIC_CLASS_FAILURES, id="cyclic_ordered_bell_even"),
+    pytest.param("u", 1, 1, CYCLIC_CLASS_FAILURES, id="cyclic_ordered_bell_odd"),
+]
 
 
-@pytest.mark.parametrize("name", sorted(PERTURBED_SUM_FAILURES))
-def test_each_sum_perturbed_alone_is_caught(monkeypatch, name):
-    # one sum is off by one at row 9, where the sweep computes it: ordered_bell
-    # in its Horner walk, the others among the slice sums of _row_sums
-    if name == "ordered_bell":
-        real_sum, weights = sequences._row_sum, sequences._ROW_SUMS[name]
+@pytest.mark.parametrize("stream, shift, parity, expected", PERTURBED_CLASSES)
+def test_each_sum_perturbed_alone_is_caught(monkeypatch, stream, shift, parity, expected):
+    # one class sum is off by one at row 9, where the sweep computes it: the
+    # Stirling classes in their Horner walks, the U classes in _SweepRow
+    if stream == "stirling":
+        real_sum = sequences._row_sum
 
-        def perturbed_sum(row, *given):
-            return real_sum(row, *given) + (len(row) == 10 and given == weights)
+        def perturbed_sum(row, *key):
+            return real_sum(row, *key) + (len(row) == 10 and key == (shift, parity))
 
         monkeypatch.setattr(sequences, "_row_sum", perturbed_sum)
     else:
-        real_sums = identities._row_sums
 
-        def perturbed_sums(stirling_row, u):
-            sums = real_sums(stirling_row, u)
-            sums[name] += len(stirling_row) == 10
-            return sums
+        class PerturbedRow(identities._SweepRow):
+            def __init__(self, stirling_row, u):
+                super().__init__(stirling_row, u)
+                self[shift, parity] += len(stirling_row) == 10
 
-        monkeypatch.setattr(identities, "_row_sums", perturbed_sums)
+        monkeypatch.setattr(identities, "_SweepRow", PerturbedRow)
     reports = identities._sweep_integers(12, identities._INTEGER_CHECKS)
     failed = {(r.identity_id, r.first_failure[0]) for r in reports if not r.passed}
-    assert failed == PERTURBED_SUM_FAILURES[name]
+    assert failed == expected
 
 
 def test_chained_stirling_columns_match_powers():

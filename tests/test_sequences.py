@@ -502,6 +502,9 @@ def test_values_exceed_machine_words():
 
 # -- the shared weighted-row reduction -------------------------------------
 
+#: The four class sums of a row, as ``(shift, parity)``.
+CLASSES = [(shift, parity) for shift in (0, 1) for parity in (0, 1)]
+
 # (sum, shift of the factorial weight, kept parity of k, alternating sign)
 WEIGHTED_SUMS = [
     pytest.param(ordered_bell, 0, None, False, id="ordered_bell"),
@@ -534,19 +537,21 @@ def test_weighted_sums_match_factorial_reference(func, shift, parity, alternatin
 def test_sweep_sums_match_factorial_reference(monkeypatch, delta):
     # the identity sweep sums row n from Stirling row n and Worpitzky row n-1;
     # S(n, 0) += delta, on the Stirling stream alone, is the one entry of the
-    # row that no Worpitzky row holds, and it must reach the even and the
-    # alternating factorial sums as well as ordered_bell
+    # row that no Worpitzky row holds, and it must reach the even factorial
+    # class as well as ordered_bell
     real_rows = sequences._stirling_rows
     monkeypatch.setattr(
         sequences, "_stirling_rows", lambda: ([row[0] + delta, *row[1:]] for row in real_rows())
     )
     windows = identities._row_windows()
     for n in range(1, 121):
-        _, sums, _, _ = next(windows)
+        _, sums, _ = next(windows)
         row = stirling2_row(n)
         row[0] += delta
-        for name, weights in sequences._ROW_SUMS.items():
-            assert sums[name] == _reference_sum(row, *weights), (n, name)
+        assert sums.ordered_bell == _reference_sum(row, 0, None, False), n
+        assert sorted(sums) == CLASSES, n
+        for shift, parity in CLASSES:
+            assert sums[shift, parity] == _reference_sum(row, shift, parity, False), n
 
 
 @pytest.mark.parametrize("func, shift, parity, alternating", WEIGHTED_SUMS)
@@ -573,11 +578,22 @@ def test_a_patched_read_row_reaches_every_memo_value(monkeypatch):
     assert worpitzky(5, 1) == worpitzky_row(5)[1] == 32  # 1! * S(6,2)
 
 
+@pytest.mark.parametrize("n", [257, 1000])
+def test_memo_sums_keep_the_identities_past_the_series_cap(n):
+    # the memo's class sums satisfy the integer identities beyond n = 120,
+    # where the reference tests stop, and beyond MAX_ORDER = 256, the last
+    # order at which `verify egf` compares them with the EGFs
+    assert alternating_factorial_sum(n) == (-1) ** n
+    assert alternating_cyclic_sum(n) == 0
+    assert cyclic_ordered_bell(n) == 2 * ordered_bell(n - 1)
+    assert ordered_bell(n) == (-1) ** (n + 1) + 2 * ordered_bell_parity(n, "even")
+
+
 # -- the memoized row sums ---------------------------------------------------
 
 
 def test_repeated_sums_sum_each_row_once(monkeypatch):
-    calls = collections.Counter()  # (row index, weights) -> calls of _row_sum
+    calls = collections.Counter()  # (row index, (shift, parity)) -> calls of _row_sum
     row_sum = sequences._row_sum
 
     def counting(row, *weights):
@@ -592,7 +608,8 @@ def test_repeated_sums_sum_each_row_once(monkeypatch):
             func, *weights = param.values
             for n in ns:
                 assert func(n) == _reference_sum(stirling2_row(n), *weights), (n, param.id)
-    assert len(calls) == len(WEIGHTED_SUMS) * len(ns)
+    # the eight sums read the row's four class sums, each walked once
+    assert set(calls) == {(n, key) for n in ns for key in CLASSES}
     assert set(calls.values()) == {1}
 
 
@@ -637,7 +654,7 @@ def _held_entries(triangle):
 
 
 def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
-    # Each held row keeps at most 8 sums, none larger than ordered_bell(n),
+    # Each held row keeps at most 4 sums, none larger than ordered_bell(n),
     # plus their dict: under 10% of the row's own bytes from n = 140 on, and
     # under 10% of the checkpoints and the recent rows together here. Rows
     # 0..300 take 5 MB, so a 1 MiB budget evicts most of them; tracing
@@ -662,7 +679,7 @@ def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
         tracemalloc.stop()
     held = _held_entries(triangle)
     assert len(held) < top // 3  # rows were evicted, and their sums with them
-    assert all(len(sums) == len(WEIGHTED_SUMS) for n, sums in held.items() if n)
+    assert all(sorted(sums) == CLASSES for n, sums in held.items() if n)
     assert retained < 1.1 * (checkpoint_bytes + budget)
 
 
@@ -701,5 +718,5 @@ def test_threaded_sums_match_the_reference(monkeypatch):
     assert not failures
     for n, sums in _held_entries(triangle).items():
         assert sums.row == rows[n], n
-        for name, total in sums.items():
-            assert total == _reference_sum(rows[n], *sequences._ROW_SUMS[name]), (n, name)
+        for (shift, parity), total in sums.items():
+            assert total == _reference_sum(rows[n], shift, parity, False), (n, shift, parity)
