@@ -6,9 +6,10 @@ coefficients, and ``bfile`` checks/exports/fetches OEIS b-files.
 
 Exit codes: 0 success (all identities pass), 1 identity or crosscheck failure
 or a library fault, 2 usage error, 3 environment error (network disabled or
-transport failure, a download past its timeout included, an unreadable
-fetch cache, a corrupt cached or downloaded b-file or one over
-``bfiles.MAX_BFILE_BYTES``, or stdout closed early). A usage error is an
+transport failure, a download past the fixed 30 s bound of
+``bfiles.fetch_bfile`` included, an unreadable fetch cache, a corrupt
+cached or downloaded b-file or one over ``bfiles.MAX_BFILE_BYTES``, or
+stdout closed early). A usage error is an
 abbreviated flag, an argument the library refuses with
 ``fubini.ArgumentError``, or a breach of the one rule for flags: each
 parsed choice (sequence, verify target, gf or b-file action) names the

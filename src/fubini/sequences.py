@@ -341,9 +341,8 @@ def _row_sum(row: list[int], shift: int, parity: int) -> int:
     multiplies two big integers.
     """
     low = shift + (parity - shift) % 2
-    top = len(row) - 1
     total = 0
-    for k in range(top - (top - low) % 2, low - 1, -2):
+    for k in reversed(range(low, len(row), 2)):
         j = k - shift
         total *= (j + 1) * (j + 2)
         total += row[k]

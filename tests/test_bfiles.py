@@ -1,5 +1,6 @@
 """b-file parsing/emission, crosschecks, fixtures, and the fetch path."""
 
+import inspect
 import sys
 import urllib.request
 from pathlib import Path
@@ -230,8 +231,11 @@ def test_computed_table_worpitzky_flattening():
 
 
 def test_computed_table_rejects_unknown_or_bad():
-    with pytest.raises(ValueError, match="invalid OEIS sequence id"):
-        computed_table("X123", 5)
+    # an id is "A" and six ASCII digits, the whole string
+    fullwidth = "A\uff10\uff10\uff10\uff16\uff17\uff10"
+    for bad in ("X123", "A00067", "A0000670", "a000670", "A000670\n", " A000670", fullwidth):
+        with pytest.raises(ValueError, match="invalid OEIS sequence id"):
+            computed_table(bad, 5)
     with pytest.raises(ValueError, match="no computable sequence"):
         computed_table("A000001", 5)
     with pytest.raises(ValueError, match="limit"):
@@ -330,19 +334,34 @@ def test_fetch_rejects_malformed_id(tmp_path):
         fetch_bfile("X123", network=True, cache_dir=tmp_path)
 
 
+def test_fetch_takes_no_timeout_argument(monkeypatch, tmp_path):
+    # one fixed bound, bfiles._TIMEOUT_S: no keyword reaches the network
+    params = inspect.signature(fetch_bfile).parameters.values()
+    assert [(p.name, p.kind.name, p.default) for p in params] == [
+        ("sequence_id", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("network", "KEYWORD_ONLY", False),
+        ("cache_dir", "KEYWORD_ONLY", None),
+    ]
+    assert bfiles._TIMEOUT_S == 30
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'timeout'"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path, timeout=5)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fetch_downloads_parses_and_caches(monkeypatch, tmp_path):
     payload = b"0 1\n1 1\n2 3\n"
     urls = []
 
     def fake_urlopen(request, timeout=None):
-        urls.append(request.full_url)
+        urls.append((request.full_url, timeout))
         return _FakeResponse(payload)
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
 
     table = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert table == SequenceTable("A000670", 0, (1, 1, 3))
-    assert urls == ["https://oeis.org/A000670/b000670.txt"]
+    assert urls == [("https://oeis.org/A000670/b000670.txt", 30)]
     cached = tmp_path / "b000670.txt"
     assert cached.read_bytes() == payload
     assert not list(tmp_path.glob("*.tmp"))
@@ -351,6 +370,18 @@ def test_fetch_downloads_parses_and_caches(monkeypatch, tmp_path):
     again = fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert again == table
     assert len(urls) == 1
+
+
+def test_fetch_leaves_no_file_when_the_cache_write_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: _FakeResponse(b"0 1\n1 1\n"))
+
+    def failing_replace(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(bfiles.os, "replace", failing_replace)
+    with pytest.raises(PermissionError, match="^rename refused$"):
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # no *.tmp file and no b000670.txt
 
 
 def test_fetch_does_not_cache_malformed_payload(monkeypatch, tmp_path):
@@ -419,7 +450,7 @@ def test_fetch_refuses_a_download_that_crosses_the_cap_over_several_receives(
 
 def test_fetch_stops_a_download_past_its_deadline(monkeypatch, tmp_path, capsys):
     # a server that sends one line per receive, each taking a second: every
-    # receive is within the timeout, but the download is not
+    # receive is within the bound, but the download is not
     clock = [0.0]
 
     class Trickling(_FakeResponse):
@@ -431,11 +462,14 @@ def test_fetch_stops_a_download_past_its_deadline(monkeypatch, tmp_path, capsys)
     payload = b"".join(b"%d 1\n" % i for i in range(40))
     monkeypatch.setattr(bfiles.time, "monotonic", lambda: clock[0])
     monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: Trickling(payload))
-    with pytest.raises(TimeoutError, match="^the download ran past its deadline$"):
-        fetch_bfile("A000670", network=True, cache_dir=tmp_path, timeout=2.5)
+    with monkeypatch.context() as patch, pytest.raises(
+        TimeoutError, match="^the download ran past its deadline$"
+    ):
+        patch.setattr(bfiles, "_TIMEOUT_S", 2.5)
+        fetch_bfile("A000670", network=True, cache_dir=tmp_path)
     assert clock == [3.0]  # the third line arrived past the deadline
     assert list(tmp_path.iterdir()) == []
-    # the CLI's default timeout of 30 s: a transport failure, exit 3
+    # the fixed bound of 30 s through the CLI: a transport failure, exit 3
     clock[0] = 0.0
     assert main(["bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
@@ -461,54 +495,67 @@ def _no_network(*args, **kwargs):
     pytest.fail("a refused argument must not reach the network")
 
 
-_TIMEOUT_RULE = "timeout must be > 0 and at most 86400 s"
-
-
 @pytest.mark.parametrize(
-    "kwargs, error, message",
+    "cache_dir, error, message",
     [
-        ({"cache_dir": ""}, ArgumentError, "^cache_dir must not be empty$"),
-        ({"timeout": "x"}, TypeError, "^timeout must be int or float, got str$"),
-        ({"timeout": None}, TypeError, "^timeout must be int or float, got NoneType$"),
-        ({"timeout": 0}, ArgumentError, f"^{_TIMEOUT_RULE}, got 0$"),
-        ({"timeout": -1.5}, ArgumentError, f"^{_TIMEOUT_RULE}, got -1.5$"),
-        ({"timeout": float("nan")}, ArgumentError, f"^{_TIMEOUT_RULE}, got nan$"),
-        ({"timeout": float("inf")}, ArgumentError, f"^{_TIMEOUT_RULE}, got inf$"),
-        # past the ceiling: a float deadline and a socket timeout cannot
-        # hold the first two
-        ({"timeout": 10**400}, ArgumentError, f"^{_TIMEOUT_RULE}, got {10**400}$"),
-        ({"timeout": 1e300}, ArgumentError, f"^{_TIMEOUT_RULE}, got 1e\\+300$"),
-        ({"timeout": 86_401}, ArgumentError, f"^{_TIMEOUT_RULE}, got 86401$"),
+        ("", ArgumentError, "^cache_dir must not be empty$"),
+        (123, TypeError, "^cache_dir must be str or PathLike, got int$"),
+        (b"x", TypeError, "^cache_dir must be str or PathLike, got bytes$"),
     ],
-    ids=[
-        "empty-cache_dir", "str-timeout", "None-timeout", "zero", "negative", "nan", "inf",
-        "huge-int", "huge-float", "ceiling+1",
-    ],
+    ids=["empty-cache_dir", "int-cache_dir", "bytes-cache_dir"],
 )
-def test_fetch_checks_cache_dir_and_timeout_first(monkeypatch, tmp_path, kwargs, error, message):
+def test_fetch_checks_cache_dir_first(monkeypatch, tmp_path, cache_dir, error, message):
     # a cached file in the working directory, where an empty cache_dir would point
     monkeypatch.chdir(tmp_path)
     (tmp_path / "b000670.txt").write_text("0 1\n1 1\n", "ascii")
     monkeypatch.setattr(urllib.request, "urlopen", _no_network)
     for network in (True, False):  # checked before the offline refusal too
         with pytest.raises(error, match=message):
-            fetch_bfile("A000670", network=network, **{"cache_dir": tmp_path / "cache", **kwargs})
+            fetch_bfile("A000670", network=network, cache_dir=cache_dir)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["b000670.txt"]
 
 
-def test_fetch_takes_the_timeout_ceiling(monkeypatch, tmp_path):
-    # the ceiling reaches the deadline sum and the request, offline
-    timeouts = []
+_NON_ASCII_DIGITS = "A\u0660\u0660\u0660\u0666\u0667\u0660"  # A000670 in Arabic-Indic digits
 
-    def fake_urlopen(request, timeout=None):
-        timeouts.append(timeout)
-        return _FakeResponse(b"0 1\n1 1\n")
 
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    assert bfiles._MAX_TIMEOUT == 86_400
-    table = fetch_bfile("A000670", network=True, cache_dir=tmp_path, timeout=86_400)
-    assert table == SequenceTable("A000670", 0, (1, 1))
-    assert timeouts == [86_400]
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cache: fetch_bfile(_NON_ASCII_DIGITS, network=True, cache_dir=cache),
+        lambda cache: load_fixture(_NON_ASCII_DIGITS),
+        lambda cache: computed_table(_NON_ASCII_DIGITS, 5),
+    ],
+    ids=["fetch_bfile", "load_fixture", "computed_table"],
+)
+def test_an_id_with_non_ascii_digits_is_refused_first(monkeypatch, tmp_path, call):
+    # \d would match these digits; a cached file under the id must not be read
+    cached = tmp_path / f"b{_NON_ASCII_DIGITS[1:]}.txt"
+    cached.write_text("0 1\n1 1\n", "ascii")
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    monkeypatch.setattr(bfiles, "parse_bfile", _no_network)
+    with pytest.raises(ArgumentError, match=f"^invalid OEIS sequence id '{_NON_ASCII_DIGITS}'"):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == [cached]
+
+
+def test_cli_fetch_of_an_id_with_non_ascii_digits_exits_2(monkeypatch, tmp_path, capsys):
+    (tmp_path / f"b{_NON_ASCII_DIGITS[1:]}.txt").write_text("0 1\n1 1\n", "ascii")
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    argv = ["bfile", "fetch", _NON_ASCII_DIGITS, "--network", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: invalid OEIS sequence id '{_NON_ASCII_DIGITS}' (expected 'A' + 6 digits)\n",
+    )
+
+
+def test_cli_fetch_prints_the_cached_entry_count(monkeypatch, tmp_path, capsys):
+    (tmp_path / "b000670.txt").write_bytes(
+        (Path(bfiles.__file__).parent / "data" / "b000670.txt").read_bytes()
+    )
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    assert main(["bfile", "fetch", "A000670", "--network", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == ("fetched A000670: 30 entries\n", "")
 
 
 def test_cli_fetch_with_an_empty_cache_dir_exits_2(monkeypatch, tmp_path, capsys):

@@ -527,6 +527,16 @@ def _reference_sum(row, shift, parity, alternating):
     return total
 
 
+def test_row_sum_walks_short_rows_of_either_parity():
+    # rows shorter than the lowest kept k sum to 0, and the walk starts at
+    # the top kept k whether the row's top index has the class's parity or not
+    for length in range(7):
+        row = [10**k + 1 for k in range(length)]
+        for shift, parity in CLASSES:
+            expected = _reference_sum(row, shift, parity, False)
+            assert sequences._row_sum(row, shift, parity) == expected, (length, shift, parity)
+
+
 @pytest.mark.parametrize("func, shift, parity, alternating", WEIGHTED_SUMS)
 def test_weighted_sums_match_factorial_reference(func, shift, parity, alternating):
     for n in range(1, 121):

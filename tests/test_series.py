@@ -103,6 +103,12 @@ def test_indexing_counts_from_either_end():
     assert s[True] == F(1, 2)
 
 
+def test_iteration_and_repr_read_the_coefficients():
+    s = S(1, F(-1, 2), 0, F(3, 4))
+    assert list(s) == list(s.coeffs) == [1, F(-1, 2), 0, F(3, 4)]
+    assert repr(s) == "TruncatedSeries([1, -1/2, 0, 3/4])"
+
+
 @pytest.mark.parametrize("index", [3, 5, -4])
 def test_an_index_out_of_range_is_named(index):
     with pytest.raises(IndexError, match=rf"^index {index} is out of range -3\.\.2$"):
