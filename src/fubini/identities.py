@@ -17,24 +17,33 @@ The seven integer identities are checks on a window of three rows' sums
 (``_SweepRow``), for n-1, n and n+1, that slides forward over n in one
 pass. Row n's sums come from two streams, each built from its own
 recurrence, not read from the shared memo: Stirling row n
-(``sequences._stirling_rows``) and Worpitzky row n-1
-(``sequences._worpitzky_rows``), which is U(n,k) = (k-1)! S(n,k) for
-k = 1..n, since W(n-1,k-1) = (k-1)! S(n,k). Every sum is one parity
-class of the row, keyed ``(shift, parity)`` as ``sequences._RowSums``
-keys its own, or two classes added or subtracted. The four class sums
-are C-level sums over slices of the U row: the cyclic classes (shift 1)
-take its even and odd k, the factorial ones (shift 0) weight those by k,
-since T(n,k) = k! S(n,k) = k U(n,k), with T(n,0) = S(n,0) taken from the
-Stirling row. ``ordered_bell`` alone is read from the Stirling row: it is
-the sum of the two factorial class walks over it (``sequences._row_sum``),
-the kernel ``compute bell`` prints from, run when an identity first reads
-it. It is never the sum of the U row's factorial classes, which would
-reduce ``bell.parity-split`` to ``alternating.factorial``. So the five
-identities that read ``ordered_bell`` compare the two recurrences; the two
-alternating ones check the U row alone. A row is dropped when the window
-leaves it. Each of the four integer verifiers names its own identities and
-runs them through the same pass, and ``verify_all`` runs all seven in one.
-Reports follow ``_INTEGER_CHECKS`` order, which the integer targets of
+(``sequences._stirling_rows``) and the pair ``(u, t)`` that
+``sequences._worpitzky_rows`` yields for Worpitzky row n-1. ``u`` is that
+row, U(n,k) = (k-1)! S(n,k) for k = 1..n, since W(n-1,k-1) = (k-1)! S(n,k),
+and ``t`` is T(n,k) = k! S(n,k) = k U(n,k): the stream computes each
+product once per row and builds the next U row as
+U(n+1,k) = T(n,k) + T(n,k-1). Every sum is one parity class of the row,
+keyed ``(shift, parity)`` as ``sequences._RowSums`` keys its own, or two
+classes added or subtracted. The four class sums are C-level sums over
+slices: the cyclic classes (shift 1) take the even and odd k of ``u``, the
+factorial ones (shift 0) those of ``t``, with T(n,0) = S(n,0) taken from
+the Stirling row. ``ordered_bell`` alone is read from the Stirling row: it
+is the sum of the two factorial class walks over it
+(``sequences._row_sum``), the kernel ``compute bell`` prints from, run
+when an identity first reads it. It is never the sum of the factorial
+classes of ``t``, which would reduce ``bell.parity-split`` to
+``alternating.factorial``. So the five identities that read
+``ordered_bell`` compare the two recurrences; the two alternating ones
+check the weighted rows alone. ``alternating.cyclic`` holds on every U
+row after the first by how the row is built, since each T(n,j) lands once
+in an entry of even k and once in one of odd k: it catches a fault in the
+first row, or between the stream and the class sums, but none in the
+step. The paper's identity is still checked across the two routes, by
+``cyclic.parity-equal`` and ``bell.shifted-cyclic``, against the Horner
+``ordered_bell``. A row is dropped when the window leaves it. Each of the
+four integer verifiers names its own identities and runs them through the
+same pass, and ``verify_all`` runs all seven in one. Reports follow
+``_INTEGER_CHECKS`` order, which the integer targets of
 ``registry.VERIFY_TARGETS`` follow in turn.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
@@ -70,7 +79,6 @@ The full registry of identity ids:
 """
 
 import itertools
-from operator import mul
 
 from fubini import _EXPORTS, registry, sequences
 
@@ -219,22 +227,24 @@ IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split"
 
 
 class _SweepRow(dict):
-    """Row n's sums in the sweep: the four class sums of ``u``, Worpitzky row
-    n-1, which is ``U(n, k) = (k-1)! * S(n, k)`` for k = 1..n, keyed by
-    ``(shift, parity)``; and ``ordered_bell``, the two factorial class walks
-    over Stirling row n, each run when first read and then kept in
-    ``stirling``, the row's ``sequences._RowSums``.
+    """Row n's sums in the sweep: the four class sums of ``worpitzky``, the
+    pair ``(u, t)`` that ``sequences._worpitzky_rows`` yields for Worpitzky
+    row n-1, keyed by ``(shift, parity)``; and ``ordered_bell``, the two
+    factorial class walks over Stirling row n, each run when first read and
+    then kept in ``stirling``, the row's ``sequences._RowSums``.
 
-    ``T(n, k) = k! * S(n, k) = k * U(n, k)`` for k >= 1, and
-    ``T(n, 0) = S(n, 0)`` is the Stirling row's own entry.
+    ``u[i]`` is ``U(n, i+1) = i! * S(n, i+1)`` and ``t[i]`` is
+    ``T(n, i+1) = (i+1) * u[i]``, computed once per entry by the stream; the
+    cyclic classes (shift 1) are slices of ``u``, the factorial ones
+    (shift 0) slices of ``t``, and ``T(n, 0) = S(n, 0)`` is the Stirling
+    row's own entry.
     """
 
     __slots__ = ("stirling",)
 
-    def __init__(self, stirling_row: list[int], u: list[int]):
-        n = len(u)  # u[i] is U(n, i+1)
-        self[0, 0] = stirling_row[0] + sum(map(mul, range(2, n + 1, 2), u[1::2]))
-        self[0, 1] = sum(map(mul, range(1, n + 1, 2), u[0::2]))
+    def __init__(self, stirling_row: list[int], worpitzky: tuple[list[int], list[int]]):
+        u, t = worpitzky
+        self[0, 0], self[0, 1] = stirling_row[0] + sum(t[1::2]), sum(t[0::2])
         self[1, 0], self[1, 1] = sum(u[1::2]), sum(u[0::2])
         self.stirling = sequences._RowSums(stirling_row)
 
@@ -249,15 +259,17 @@ def _row_windows():
 
     Stirling rows 1, 2, ... come from ``sequences._stirling_rows`` and
     Worpitzky rows 0, 1, ... from ``sequences._worpitzky_rows``, both looked
-    up here, not from the shared memo, and zipped: row m's sums are the
-    ``_SweepRow`` of Stirling row m and Worpitzky row m-1. Only rows n-1, n
-    and n+1 are live. Each recurrence steps once per row, when the window
+    up here, not from the shared memo, and mapped in step: row m's sums are
+    the ``_SweepRow`` of Stirling row m and Worpitzky row m-1. Only rows
+    n-1, n and n+1 are live, and no streamed row is held past its
+    ``_SweepRow``, so the Worpitzky step builds its next pair with only its
+    own last pair alive. Each recurrence steps once per row, when the window
     for the n before it is pulled.
     """
-    rows = zip(itertools.islice(sequences._stirling_rows(), 1, None), sequences._worpitzky_rows())
-    prev, cur = None, _SweepRow(*next(rows))
-    for stirling_row, u in rows:
-        nxt = _SweepRow(stirling_row, u)
+    stirling_rows = itertools.islice(sequences._stirling_rows(), 1, None)
+    rows = map(_SweepRow, stirling_rows, sequences._worpitzky_rows())
+    prev, cur = None, next(rows)
+    for nxt in rows:
         yield prev, cur, nxt
         prev, cur = cur, nxt
 

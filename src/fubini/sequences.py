@@ -32,9 +32,11 @@ sweep streams rows through ``_stirling_rows`` without holding the
 triangle, and the memo, ``_StirlingTriangle``, steps with it too. The
 sweep wraps each streamed row in a ``_RowSums`` of its own for
 ``ordered_bell`` alone, its two factorial class walks; it takes the four
-class sums of row n as slice sums of Worpitzky row n-1, which
-``_worpitzky_rows`` builds from its own recurrence and which holds the
-cyclic weights ``(k-1)! * S(n,k)``. The memo is bounded: it keeps every
+class sums of row n as slice sums of the pair that ``_worpitzky_rows``
+yields from its own recurrence: Worpitzky row n-1, which holds the cyclic
+weights ``U(n,k) = (k-1)! * S(n,k)``, and the factorial weights
+``T(n,k) = k * U(n,k)``, each product computed once per row, since the
+next U row is ``T(n,k) + T(n,k-1)``. The memo is bounded: it keeps every
 16th row (a checkpoint) and the other rows inserted most recently up to a
 byte budget, first in first out, and recomputes any other row from the
 nearest held row below it. It holds each row as a ``_RowSums``, so a row's
@@ -70,6 +72,7 @@ from collections.abc import Iterable
 from functools import cache
 from itertools import permutations
 from math import factorial
+from operator import add, mul
 
 from fubini import _EXPORTS
 from fubini._args import ArgumentError, _require_at_least, _require_int, _require_type
@@ -405,21 +408,27 @@ def worpitzky_row(n: int) -> list[int]:
 
 
 def _worpitzky_rows():
-    """Yield the Worpitzky rows n = 0, 1, 2, ... from their own recurrence.
+    """Yield the Worpitzky rows n = 0, 1, 2, ..., each as a pair ``(u, t)``.
 
-    ``W(n,k) = (k+1)*W(n-1,k) + k*W(n-1,k-1)`` (Worpitzky 1883; OEIS
-    A028246/A130850) follows from the Stirling recurrence; each step
-    multiplies by small integers, only the previous row is held, and no
-    Stirling row is read. Row n-1 is ``U(n, k) = (k-1)! * S(n, k)`` for
-    k = 1..n, since ``W(n-1, k-1) = (k-1)! * S(n, k)``: it is the identity
-    sweep's U stream, whose slices give the four class sums of row n.
-    Callers must not mutate a yielded row: the next one is built from it.
+    ``u`` is row n, which is ``U(n+1, k) = (k-1)! * S(n+1, k)`` for
+    k = 1..n+1, since ``W(n, k-1) = (k-1)! * S(n+1, k)``, and ``t[i]`` is
+    ``T(n+1, i+1) = (i+1) * u[i]``, the weight ``k!`` in place of
+    ``(k-1)!``. The Stirling recurrence times ``(k-1)!`` reads
+    ``U(n+2, k) = T(n+1, k) + T(n+1, k-1)``, so each product is computed
+    once, for ``t``, and the next row adds neighbours of ``t``: the
+    recurrence ``W(n,k) = (k+1)*W(n-1,k) + k*W(n-1,k-1)`` (Worpitzky 1883;
+    OEIS A028246/A130850) with its products shared: n+1 per step where
+    it takes 2n+1. No Stirling row is read, and the old pair is dropped
+    before the next ``t`` is built. Slices of ``u`` give the identity
+    sweep's cyclic class sums of row n+1, and slices of ``t`` its factorial
+    ones. Callers must not mutate a yielded row: the next one is built from
+    it.
     """
-    row = [1]
+    u = [1]
     while True:
-        yield row
-        m = len(row)
-        row = [1, *[(k + 1) * row[k] + k * row[k - 1] for k in range(1, m)], m * row[-1]]
+        t = list(map(mul, range(1, len(u) + 1), u))
+        yield u, t
+        u, t = [*map(add, [0, *t], [*t, 0])], None
 
 
 def alternating_factorial_sum(n: int) -> int:

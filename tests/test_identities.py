@@ -133,7 +133,14 @@ def test_report_serialization_roundtrip():
 
 def _with_fault(n, row, fault):
     """``row``, which is row ``n``, or a corrupted copy of it if ``fault``,
-    ``(n, k, delta)``, names it: entry k is off by ``delta``."""
+    ``(n, k, delta)``, names it: entry k is off by ``delta``.
+
+    A Worpitzky pair ``(u, t)`` takes the fault on ``u``, and on ``t`` as
+    ``T = k * U`` carries it: ``t[k]`` is off by ``(k + 1) * delta``."""
+    if isinstance(row, tuple):
+        u, t = row
+        t_fault = fault and (fault[0], fault[1], (fault[1] + 1) * fault[2])
+        return _with_fault(n, u, fault), _with_fault(n, t, t_fault)
     if fault is not None and n == fault[0] and fault[1] < len(row):
         row = list(row)  # a copy: the memo holds this row, and a stream steps from it
         row[fault[1]] += fault[2]
@@ -362,8 +369,8 @@ def test_each_sum_perturbed_alone_is_caught(monkeypatch, stream, shift, parity, 
     else:
 
         class PerturbedRow(identities._SweepRow):
-            def __init__(self, stirling_row, u):
-                super().__init__(stirling_row, u)
+            def __init__(self, stirling_row, worpitzky):
+                super().__init__(stirling_row, worpitzky)
                 self[shift, parity] += len(stirling_row) == 10
 
         monkeypatch.setattr(identities, "_SweepRow", PerturbedRow)

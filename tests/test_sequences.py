@@ -438,7 +438,38 @@ def test_worpitzky_row_matches_entries():
 def test_worpitzky_recurrence_rows_match_worpitzky_row():
     rows = sequences._worpitzky_rows()
     for n in range(61):
-        assert next(rows) == worpitzky_row(n), n
+        u, t = next(rows)
+        assert u == worpitzky_row(n), n
+        assert t == [(k + 1) * w for k, w in enumerate(u)], n
+
+
+def test_worpitzky_rows_take_one_product_per_entry(monkeypatch):
+    # row n has n + 1 entries, and its step multiplies each once, for T
+    products = []
+
+    def counted_mul(a, b):
+        products.append(1)
+        return a * b
+
+    monkeypatch.setattr(sequences, "mul", counted_mul)
+    rows = list(itertools.islice(sequences._worpitzky_rows(), 30))
+    assert len(products) == sum(range(1, 31))
+    assert rows[-1][0] == worpitzky_row(29)
+
+
+def test_the_sweep_streams_its_rows():
+    # the sweep holds three rows' sums and the last rows of its two streams:
+    # about 5.6 U rows at n = 300, where holding every U row would take about 100
+    u, _ = next(itertools.islice(sequences._worpitzky_rows(), 299, None))
+    u_bytes = sys.getsizeof(u) + sum(map(sys.getsizeof, u))
+    tracemalloc.start()
+    try:
+        reports = identities._sweep_integers(300, identities._INTEGER_CHECKS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 8 * u_bytes
 
 
 def test_worpitzky_row_rejects_negative_like_worpitzky():
