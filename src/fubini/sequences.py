@@ -27,9 +27,10 @@ row down over the k of its parity, so each step multiplies the accumulator
 by a small integer instead of multiplying a factorial by a row entry. It
 takes the row itself, and ``_RowSums`` pairs a row with its class sums,
 each computed when first read and then kept: the one memo of a row's sums.
-``_next_stirling_row`` is the one Stirling recurrence step: the identity
-sweep streams rows through ``_stirling_rows`` without holding the
-triangle, and the memo, ``_StirlingTriangle``, steps with it too. The
+``_next_stirling_row`` is the one forward Stirling recurrence step: the
+identity sweep streams rows through ``_stirling_rows`` without holding the
+triangle, and the memo, ``_StirlingTriangle``, steps with it too; only the
+memo also steps back, with its inverse ``_prev_stirling_row``. The
 sweep wraps each streamed row in a ``_RowSums`` of its own for
 ``ordered_bell`` alone, its two factorial class walks; it takes the four
 class sums of row n as slice sums of the pair that ``_worpitzky_rows``
@@ -39,8 +40,9 @@ weights ``U(n,k) = (k-1)! * S(n,k)``, and the factorial weights
 next U row is ``T(n,k) + T(n,k-1)``. The memo is bounded: it keeps every
 16th row (a checkpoint) and the other rows inserted most recently up to a
 byte budget, first in first out, and recomputes any other row from the
-nearest held row below it. It holds each row as a ``_RowSums``, so a row's
-sums go when the row goes. A read of a held row takes no lock and writes
+nearest held row, below or above; at most ``_CHECKPOINT_EVERY // 2``
+steps below the highest checkpoint. It holds each row as a ``_RowSums``,
+so a row's sums go when the row goes. A read of a held row takes no lock and writes
 nothing: it is one list or ``OrderedDict`` read, which the GIL makes
 atomic, as ``series._pascal`` reads rely on; only a miss takes the memo's
 one lock, and checks again under it before it walks and inserts.
@@ -149,14 +151,31 @@ class SequenceTable(_FrozenRecord):
 def _next_stirling_row(prev: list[int]) -> list[int]:
     """Row n+1 of the triangle from row n, by ``S(n,k) = k*S(n-1,k) + S(n-1,k-1)``.
 
-    The one place the recurrence is computed: :func:`_stirling_rows` and
-    :class:`_StirlingTriangle` both step with it.
+    The one place the recurrence is computed forward: :func:`_stirling_rows`
+    and :class:`_StirlingTriangle` both step with it. Its inverse,
+    :func:`_prev_stirling_row`, is used by the memo alone.
     """
     m = len(prev)
     row = [0] * (m + 1)  # sized exactly: no list over-allocation in a held row
     row[m] = 1
     for k in range(1, m):
         row[k] = k * prev[k] + prev[k - 1]
+    return row
+
+
+def _prev_stirling_row(nxt: list[int]) -> list[int]:
+    """Row n of the triangle from row n+1, by ``S(n,k-1) = S(n+1,k) - k*S(n,k)``.
+
+    The recurrence of :func:`_next_stirling_row` run backward, exactly: from
+    ``S(n,n) = 1`` down to ``S(n,1)``, with ``S(n,0) = 0`` for n >= 1, so
+    row 1 gives ``[1]``. Only :class:`_StirlingTriangle` steps with it, to
+    fill a row from a held row above.
+    """
+    n = len(nxt) - 2
+    row = [0] * (n + 1)  # sized exactly, as in _next_stirling_row
+    row[n] = 1
+    for k in range(n, 1, -1):
+        row[k - 1] = nxt[k] - k * row[k]
     return row
 
 
@@ -206,12 +225,13 @@ class _RowSums(dict):
 #: The triangle keeps row n for good when n is a multiple of
 #: ``_CHECKPOINT_EVERY``, and the other rows inserted most recently up to
 #: ``_RECENT_BYTES`` in all. Chosen on perfbench lookup's seed-3 job, run in
-#: one process on a 2-vCPU host, where keeping every row peaks at 114 MB RSS
-#: and answers the queries in 108-116 ms. Spacing 16 with 8 MiB peaks at
-#: 26 MB and takes 127-129 ms, with 398 recurrence steps; spacing 8 peaks at
-#: 32 MB (123-129 ms), and 32 at 23 MB (149-153 ms). Lookup's 63 rows, less
-#: the checkpoints among them, take 4.5 MB, so a 4 MiB budget thrashes
-#: (270 ms at spacing 16, 1,839 steps) and 2 MiB more so (810 ms). At
+#: one process on a 2-vCPU host (times are the best of 8 runs), where
+#: keeping every row peaks at 114 MB RSS and answers the queries in 18 ms.
+#: Spacing 16 with 8 MiB peaks at 26 MB and takes 36 ms, with 244
+#: recurrence steps after the warm-up; spacing 8 peaks at 31 MB (28 ms, 125
+#: steps), and 32 at 23 MB (48 ms, 423 steps). Lookup's 63 rows, less the
+#: checkpoints among them, take 4.5 MB, so a 4 MiB budget thrashes (136 ms
+#: at spacing 16, 1,232 steps) and 2 MiB more so (524 ms, 6,717 steps). At
 #: n = 1000 the checkpoints every 16 rows take 12 MB (every 8: 25 MB), and
 #: all rows 198 MB.
 _CHECKPOINT_EVERY = 16
@@ -230,11 +250,15 @@ class _StirlingTriangle:
       inserted last is always kept). A hit does not refresh a row, so a
       row leaves in the order it came.
 
-    A row that is not held is recomputed from the nearest held row below it
-    with :func:`_next_stirling_row`, the step :func:`_stirling_rows` takes:
-    at most ``_CHECKPOINT_EVERY - 1`` steps below the highest row computed,
-    and above it the walk appends the checkpoints it passes. So the memo
-    holds the checkpoints, a sixteenth of the triangle, plus about
+    A row that is not held is recomputed from the nearest held row, below or
+    above: upward with :func:`_next_stirling_row`, the step
+    :func:`_stirling_rows` takes, or downward with its inverse
+    :func:`_prev_stirling_row`, from a held row no higher than the
+    checkpoint that ends the row's block, on a tie upward. So below the
+    highest checkpoint a miss takes at most ``_CHECKPOINT_EVERY // 2``
+    steps, and a downward walk passes no checkpoint; above the highest row
+    computed the walk goes up and appends the checkpoints it passes. The
+    memo thus holds the checkpoints, a sixteenth of the triangle, plus about
     ``_RECENT_BYTES``, where keeping every row would hold the whole triangle.
 
     Each row is held as a :class:`_RowSums`, which also keeps the class
@@ -267,12 +291,16 @@ class _StirlingTriangle:
             return self._checkpoints[checkpoint] if checkpoint < len(self._checkpoints) else None
         return self._recent.get(n)
 
+    def _first_held(self, indices: range) -> int | None:
+        return next((m for m in indices if self._held(m) is not None), None)
+
     def read(self, n: int) -> _RowSums:
         """Row ``n >= 0`` as its held entry; the caller has checked ``n``.
 
         A hit takes no lock and writes nothing; a miss takes the one lock,
         checks again, since another reader may have walked to row ``n``
-        meanwhile, walks, and inserts.
+        meanwhile, walks from the nearest held row, below or above, and
+        inserts.
         """
         held = self._held(n)
         if held is not None:
@@ -281,18 +309,21 @@ class _StirlingTriangle:
             held = self._held(n)
             if held is not None:
                 return held
-            start = min(n // _CHECKPOINT_EVERY, len(self._checkpoints) - 1) * _CHECKPOINT_EVERY
-            row = self._checkpoints[start // _CHECKPOINT_EVERY].row
-            for m in range(n - 1, start, -1):
-                if m in self._recent:
-                    start, row = m, self._recent[m].row
-                    break
-            for m in range(start + 1, n + 1):  # crosses a checkpoint only above the held ones
-                row = _next_stirling_row(row)
-                if m % _CHECKPOINT_EVERY == 0:
-                    self._checkpoints.append(_RowSums(row))
-            if not n % _CHECKPOINT_EVERY:
-                return self._checkpoints[-1]  # row n, appended last by the walk
+            below = self._first_held(range(n - 1, -1, -1))  # row 0 is always held
+            block_end = n - n % _CHECKPOINT_EVERY + _CHECKPOINT_EVERY  # the checkpoint above n
+            above = self._first_held(range(n + 1, block_end + 1))
+            if above is not None and above - n < n - below:
+                row = self._held(above).row
+                for _ in range(above - n):  # inside n's block: passes no checkpoint
+                    row = _prev_stirling_row(row)
+            else:
+                row = self._held(below).row
+                for m in range(below + 1, n + 1):  # crosses a checkpoint only above the held ones
+                    row = _next_stirling_row(row)
+                    if m % _CHECKPOINT_EVERY == 0:
+                        self._checkpoints.append(_RowSums(row))
+                if not n % _CHECKPOINT_EVERY:
+                    return self._checkpoints[-1]  # row n, appended last by the walk
             held = self._recent[n] = _RowSums(row)
             self._recent_bytes += _row_bytes(row)
             while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:

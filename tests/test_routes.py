@@ -120,14 +120,19 @@ def test_the_integer_sweep_reaches_no_memo():
         ("sequences", "_worpitzky_rows"),
         ("_args", "_require_at_least"),
     } <= reached
-    # ... and none of them reads the shared memo
-    assert not reached & {("sequences", "_read_row"), ("sequences", "_shared_triangle")}
+    # ... and none of them reads the shared memo, or steps down as only it does
+    assert not reached & {
+        ("sequences", "_read_row"),
+        ("sequences", "_shared_triangle"),
+        ("sequences", "_prev_stirling_row"),
+    }
 
 
 def test_the_egf_check_does_read_the_memo():
     # the same walk from the EGF verifier finds the memo reader, so the
     # integer sweep's result above is not an artefact of the walk
-    assert ("sequences", "_read_row") in _reached([("identities", "verify_egf_agreement")])
+    reached = _reached([("identities", "verify_egf_agreement")])
+    assert {("sequences", "_read_row"), ("sequences", "_prev_stirling_row")} <= reached
 
 
 def test_the_enumeration_oracles_reach_no_stirling_kernel():
@@ -148,6 +153,7 @@ def test_the_enumeration_oracles_reach_no_stirling_kernel():
         ("sequences", name)
         for name in (
             "_next_stirling_row",
+            "_prev_stirling_row",
             "_stirling_rows",
             "_row_sum",
             "_RowSums",

@@ -258,6 +258,92 @@ def test_triangle_recomputes_the_streamed_rows(monkeypatch, order):
     assert len(triangle._recent) < top + 1 - len(triangle._checkpoints)
 
 
+def test_the_backward_step_inverts_the_forward_one():
+    rows = list(itertools.islice(sequences._stirling_rows(), 202))
+    for n in range(201):
+        assert sequences._prev_stirling_row(rows[n + 1]) == rows[n], n
+
+
+def _count_steps(monkeypatch) -> collections.Counter:
+    """Wrap both recurrence steps in counters: step name -> calls."""
+    steps = collections.Counter()
+    for name in ("_next_stirling_row", "_prev_stirling_row"):
+
+        def counting(row, step=getattr(sequences, name), name=name):
+            steps[name] += 1
+            return step(row)
+
+        monkeypatch.setattr(sequences, name, counting)
+    return steps
+
+
+def test_a_miss_walks_from_the_nearest_held_row(monkeypatch):
+    # with every checkpoint up to 320 held, no row below it is more than
+    # half a block from a held row, above or below
+    top, every = 320, sequences._CHECKPOINT_EVERY
+    rows = list(itertools.islice(sequences._stirling_rows(), top + 1))
+    triangle = sequences._StirlingTriangle()
+    triangle.read(top)
+    steps = _count_steps(monkeypatch)
+    order = list(range(top))
+    random.Random(4).shuffle(order)
+    for n in order:
+        before = steps.total()
+        assert triangle.read(n).row == rows[n], n
+        assert steps.total() - before <= every // 2, n
+    assert len(triangle._checkpoints) == top // every + 1
+    # walking up from the held row below only, the same reads take 727 steps
+    assert (steps["_next_stirling_row"], steps["_prev_stirling_row"]) == (323, 158)
+
+
+def test_ascending_reads_only_step_up(monkeypatch):
+    rows = list(itertools.islice(sequences._stirling_rows(), 201))
+    triangle = sequences._StirlingTriangle()
+    steps = _count_steps(monkeypatch)
+    for n in range(201):
+        assert triangle.read(n).row == rows[n], n
+    assert (steps["_next_stirling_row"], steps["_prev_stirling_row"]) == (200, 0)
+
+
+def test_threaded_misses_walk_down_concurrently(monkeypatch):
+    # four readers miss rows below a warmed row 200 in shuffled orders, so
+    # downward walks run while other misses walk and a 16 KiB budget evicts
+    top = 200
+    rows = list(itertools.islice(sequences._stirling_rows(), top + 1))
+    triangle = sequences._StirlingTriangle()
+    triangle.read(top)
+    monkeypatch.setattr(sequences, "_RECENT_BYTES", 16 << 10)
+    steps = _count_steps(monkeypatch)
+    failures = []
+
+    def worker(seed):
+        order = list(range(top))
+        random.Random(seed).shuffle(order)
+        try:
+            for n in order:
+                assert triangle.read(n).row == rows[n], n
+        except Exception as exc:  # pragma: no cover - only on bug
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert steps["_prev_stirling_row"] > 0
+    assert len(triangle._checkpoints) == top // sequences._CHECKPOINT_EVERY + 1
+    assert triangle._recent_bytes == sum(sequences._row_bytes(s.row) for s in triangle._recent.values())
+    for n, sums in _held_entries(triangle).items():
+        assert sums.row == rows[n], n
+
+
 def test_triangle_memory_stays_within_checkpoints_and_budget():
     # keeping every row retains about 42 MB at row 600
     top, every = 600, sequences._CHECKPOINT_EVERY
