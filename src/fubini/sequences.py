@@ -42,10 +42,10 @@ next U row is ``T(n,k) + T(n,k-1)``. The memo is bounded: it keeps every
 byte budget, first in first out, and recomputes any other row from the
 nearest held row, below or above; at most ``_CHECKPOINT_EVERY // 2``
 steps below the highest checkpoint. It holds each row as a ``_RowSums``,
-so a row's sums go when the row goes. A read of a held row takes no lock and writes
-nothing: it is one list or ``OrderedDict`` read, which the GIL makes
-atomic, as ``series._pascal`` reads rely on; only a miss takes the memo's
-one lock, and checks again under it before it walks and inserts.
+so a row's sums go when the row goes. A read of a held row takes no lock
+and writes nothing: it is one list or ``OrderedDict`` read, which the GIL
+makes atomic, as ``series._pascal`` reads rely on; only a miss takes the
+memo's one lock, and checks again under it before it walks and inserts.
 ``_read_row`` is the one reader of the memo, and it hands out the held
 entry, uncopied: every public sum and every ``stirling2`` entry is one
 read of it, and ``stirling2_row`` is its copying reader. It is the one

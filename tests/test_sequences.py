@@ -339,7 +339,8 @@ def test_threaded_misses_walk_down_concurrently(monkeypatch):
     assert not failures
     assert steps["_prev_stirling_row"] > 0
     assert len(triangle._checkpoints) == top // sequences._CHECKPOINT_EVERY + 1
-    assert triangle._recent_bytes == sum(sequences._row_bytes(s.row) for s in triangle._recent.values())
+    held = triangle._recent.values()
+    assert triangle._recent_bytes == sum(sequences._row_bytes(sums.row) for sums in held)
     for n, sums in _held_entries(triangle).items():
         assert sums.row == rows[n], n
 
