@@ -6,7 +6,8 @@ trailing newline, optionally interleaved with blank lines and ``#``
 comments. Indices must be consecutive, so a parsed b-file is a
 :class:`~fubini.sequences.SequenceTable`: the sequence id, the first index
 and the values, the same record that holds a computed sequence. Emitting a
-table and parsing the text back gives an equal table.
+table with at least one value and parsing the text back gives an equal
+table; an empty table emits ``''``, which :func:`parse_bfile` refuses.
 
 Every sequence in :data:`fubini.registry.SEQUENCES` with an OEIS id ships
 its reference b-file under ``fubini/data/``, so the default test run needs
@@ -234,7 +235,10 @@ def fetch_bfile(
     ``cache_dir`` is checked first, before the network flag, the cache or
     the network: one that is not a ``str`` or ``os.PathLike`` raises
     ``TypeError``, and an empty one (which would mean the working
-    directory) raises ``ArgumentError``.
+    directory) raises ``ArgumentError``. ``network`` is checked next: any
+    value but a ``bool``, even a truthy one such as ``"no"`` or ``1``,
+    raises ``TypeError`` before the offline refusal, the cache or the
+    network.
 
     Requires ``network=True`` (the default is hermetic). A previously
     cached file short-circuits the download; cache writes go through a
@@ -250,6 +254,7 @@ def fetch_bfile(
         _require_type(cache_dir, (str, os.PathLike), "cache_dir")
         if not os.fspath(cache_dir):
             raise ArgumentError("cache_dir must not be empty")
+    _require_type(network, (bool,), "network")
     if not network:
         raise OfflineError(
             "offline mode: pass network=True to fetch from oeis.org"

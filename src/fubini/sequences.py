@@ -37,15 +37,13 @@ class sums of row n as slice sums of the pair that ``_worpitzky_rows``
 yields from its own recurrence: Worpitzky row n-1, which holds the cyclic
 weights ``U(n,k) = (k-1)! * S(n,k)``, and the factorial weights
 ``T(n,k) = k * U(n,k)``, each product computed once per row, since the
-next U row is ``T(n,k) + T(n,k-1)``. The memo is bounded: it keeps every
-16th row (a checkpoint) and the other rows inserted most recently up to a
-byte budget, first in first out, and recomputes any other row from the
-nearest held row, below or above; at most ``_CHECKPOINT_EVERY // 2``
-steps below the highest checkpoint. It holds each row as a ``_RowSums``,
-so a row's sums go when the row goes. A read of a held row takes no lock
-and writes nothing: it is one list or ``OrderedDict`` read, which the GIL
-makes atomic, as ``series._pascal`` reads rely on; only a miss takes the
-memo's one lock, and checks again under it before it walks and inserts.
+next U row is ``T(n,k) + T(n,k-1)``. The memo is bounded: one map holds
+every 16th row (a checkpoint) and the other rows inserted most recently
+up to a byte budget, first in first out, and any other row is recomputed
+from the nearest held row, below or above, so at most
+``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint. It holds
+each row as a ``_RowSums``, so a row's sums go when the row goes; a hit
+takes no lock and a miss takes one, as ``_StirlingTriangle`` sets out.
 ``_read_row`` is the one reader of the memo, and it hands out the held
 entry, uncopied: every public sum and every ``stirling2`` entry is one
 read of it, and ``stirling2_row`` is its copying reader. It is the one
@@ -222,18 +220,20 @@ class _RowSums(dict):
         return total
 
 
-#: The triangle keeps row n for good when n is a multiple of
-#: ``_CHECKPOINT_EVERY``, and the other rows inserted most recently up to
-#: ``_RECENT_BYTES`` in all. Chosen on perfbench lookup's seed-3 job, run in
-#: one process on a 2-vCPU host (times are the best of 8 runs), where
-#: keeping every row peaks at 114 MB RSS and answers the queries in 18 ms.
-#: Spacing 16 with 8 MiB peaks at 26 MB and takes 36 ms, with 244
-#: recurrence steps after the warm-up; spacing 8 peaks at 31 MB (28 ms, 125
-#: steps), and 32 at 23 MB (48 ms, 423 steps). Lookup's 63 rows, less the
-#: checkpoints among them, take 4.5 MB, so a 4 MiB budget thrashes (136 ms
-#: at spacing 16, 1,232 steps) and 2 MiB more so (524 ms, 6,717 steps). At
-#: n = 1000 the checkpoints every 16 rows take 12 MB (every 8: 25 MB), and
-#: all rows 198 MB.
+#: The triangle's one map of held rows keeps row n for good when n is a
+#: multiple of ``_CHECKPOINT_EVERY``, and the other rows inserted most
+#: recently up to ``_RECENT_BYTES`` in all. A miss walks from the nearest held
+#: row, bounded by distance, not by block: below the highest checkpoint every
+#: row lies within ``_CHECKPOINT_EVERY // 2`` rows of a checkpoint, so no miss
+#: there takes more steps. Chosen on perfbench lookup's seed-3 job, run in one
+#: process on a 2-vCPU host (times are the best of 8 runs), where keeping
+#: every row peaks at 114 MB RSS and answers the queries in 18 ms. Spacing 16
+#: with 8 MiB peaks at 26 MB and takes 36 ms, with 244 recurrence steps after
+#: the warm-up; spacing 8 peaks at 31 MB (28 ms, 125 steps), and 32 at 23 MB
+#: (48 ms, 423 steps). Lookup's 63 rows, less the checkpoints among them, take
+#: 4.5 MB, so a 4 MiB budget thrashes (136 ms at spacing 16, 1,232 steps) and
+#: 2 MiB more so (524 ms, 6,717 steps). At n = 1000 the checkpoints every 16
+#: rows take 12 MB (every 8: 25 MB), and all rows 198 MB.
 _CHECKPOINT_EVERY = 16
 _RECENT_BYTES = 8 << 20
 
@@ -241,24 +241,26 @@ _RECENT_BYTES = 8 << 20
 class _StirlingTriangle:
     """Rows of second-kind partition counts, with a bounded memo.
 
-    Row ``n`` is ``S(n, 0..n)``. The memo keeps two kinds of rows:
+    Row ``n`` is ``S(n, 0..n)``. The memo holds every row it keeps in one
+    map, ``_rows``, from row index to entry, and keeps two kinds of rows:
 
-    * checkpoints: every row whose index is a multiple of
+    * checkpoints: row 0 and every row whose index is a multiple of
       ``_CHECKPOINT_EVERY``, up to the highest row computed;
     * recent rows: the other rows most recently inserted, first in first
       out once their total size passes ``_RECENT_BYTES`` bytes (the one
-      inserted last is always kept). A hit does not refresh a row, so a
-      row leaves in the order it came.
+      inserted last is always kept). ``_recent`` maps each to its size,
+      oldest first. A hit does not refresh a row, so a row leaves in the
+      order it came.
 
     A row that is not held is recomputed from the nearest held row, below or
-    above: upward with :func:`_next_stirling_row`, the step
-    :func:`_stirling_rows` takes, or downward with its inverse
-    :func:`_prev_stirling_row`, from a held row no higher than the
-    checkpoint that ends the row's block, on a tie upward. So below the
-    highest checkpoint a miss takes at most ``_CHECKPOINT_EVERY // 2``
-    steps, and a downward walk passes no checkpoint; above the highest row
-    computed the walk goes up and appends the checkpoints it passes. The
-    memo thus holds the checkpoints, a sixteenth of the triangle, plus about
+    above, on a tie from below: upward with :func:`_next_stirling_row`, the
+    step :func:`_stirling_rows` takes, inserting the checkpoints it passes,
+    or downward with its inverse :func:`_prev_stirling_row`. Only an upward
+    walk raises the highest row computed, so every checkpoint below it is
+    held; a downward walk thus starts no higher than the checkpoint that
+    ends its row's block and passes none, and below the highest checkpoint
+    a miss takes at most ``_CHECKPOINT_EVERY // 2`` steps. The memo holds
+    the checkpoints, a sixteenth of the triangle, plus about
     ``_RECENT_BYTES``, where keeping every row would hold the whole triangle.
 
     Each row is held as a :class:`_RowSums`, which also keeps the class
@@ -267,68 +269,55 @@ class _StirlingTriangle:
     :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
     instance and hands out the held entry.
 
-    A hit takes no lock and writes nothing: it is a single list or
-    ``OrderedDict`` read, which the GIL makes atomic, as ``series._pascal``
-    reads rely on. That is safe because held rows are never mutated and
-    checkpoints are only appended; a hit whose recent row is evicted just
-    after its read still holds the right entry. A miss takes the one lock,
-    checks again, and walks; the lock serializes walks, inserts and
-    evictions, so an instance is safe to use from several threads. A sum
-    is computed outside the lock: two readers who miss the same sum at once
-    both compute it and store the same value.
+    A hit takes no lock and writes nothing: it is one ``dict`` read, which
+    the GIL makes atomic, as ``series._pascal`` reads rely on. That is safe
+    because held rows are never mutated; a hit whose recent row is evicted
+    just after its read still holds the right entry. A miss takes the one
+    lock, checks again, since another reader may have walked to the row
+    meanwhile, then walks and inserts; the lock serializes walks, inserts
+    and evictions, and guards ``_recent``, so an instance is safe to use
+    from several threads. A sum is computed outside the lock: two readers
+    who miss the same sum at once both compute it and store the same value.
     """
 
     def __init__(self):
-        self._checkpoints: list[_RowSums] = [_RowSums([1])]
-        self._recent: OrderedDict[int, _RowSums] = OrderedDict()
+        self._rows: dict[int, _RowSums] = {0: _RowSums([1])}
+        self._recent: OrderedDict[int, int] = OrderedDict()
         self._recent_bytes = 0
         self._lock = threading.Lock()
 
-    def _held(self, n: int) -> _RowSums | None:
-        # no lock needed: a hit is one list or OrderedDict read, and writes nothing
-        checkpoint, offset = divmod(n, _CHECKPOINT_EVERY)
-        if not offset:
-            return self._checkpoints[checkpoint] if checkpoint < len(self._checkpoints) else None
-        return self._recent.get(n)
-
-    def _first_held(self, indices: range) -> int | None:
-        return next((m for m in indices if self._held(m) is not None), None)
-
     def read(self, n: int) -> _RowSums:
-        """Row ``n >= 0`` as its held entry; the caller has checked ``n``.
-
-        A hit takes no lock and writes nothing; a miss takes the one lock,
-        checks again, since another reader may have walked to row ``n``
-        meanwhile, walks from the nearest held row, below or above, and
-        inserts.
-        """
-        held = self._held(n)
+        """Row ``n >= 0`` as its held entry; the caller has checked ``n``."""
+        held = self._rows.get(n)
         if held is not None:
             return held
         with self._lock:
-            held = self._held(n)
+            held = self._rows.get(n)
             if held is not None:
                 return held
-            below = self._first_held(range(n - 1, -1, -1))  # row 0 is always held
-            block_end = n - n % _CHECKPOINT_EVERY + _CHECKPOINT_EVERY  # the checkpoint above n
-            above = self._first_held(range(n + 1, block_end + 1))
-            if above is not None and above - n < n - below:
-                row = self._held(above).row
-                for _ in range(above - n):  # inside n's block: passes no checkpoint
+            rows = self._rows
+            below = next(m for m in range(n - 1, -1, -1) if m in rows)  # row 0 is always held
+            # a held row above only if strictly nearer: upward on a tie
+            above = next((m for m in range(n + 1, 2 * n - below) if m in rows), None)
+            if above is not None:
+                row = rows[above].row
+                for _ in range(above - n):  # passes no checkpoint: all below the top are held
                     row = _prev_stirling_row(row)
             else:
-                row = self._held(below).row
-                for m in range(below + 1, n + 1):  # crosses a checkpoint only above the held ones
+                row = rows[below].row
+                for m in range(below + 1, n + 1):
                     row = _next_stirling_row(row)
                     if m % _CHECKPOINT_EVERY == 0:
-                        self._checkpoints.append(_RowSums(row))
+                        rows[m] = _RowSums(row)
                 if not n % _CHECKPOINT_EVERY:
-                    return self._checkpoints[-1]  # row n, appended last by the walk
-            held = self._recent[n] = _RowSums(row)
-            self._recent_bytes += _row_bytes(row)
+                    return rows[n]  # row n, inserted last by the walk
+            held = rows[n] = _RowSums(row)
+            self._recent[n] = size = _row_bytes(row)
+            self._recent_bytes += size
             while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:
-                _, old = self._recent.popitem(last=False)
-                self._recent_bytes -= _row_bytes(old.row)
+                old, size = self._recent.popitem(last=False)
+                del rows[old]
+                self._recent_bytes -= size
             return held
 
 
@@ -345,10 +334,7 @@ def _read_row(n: int) -> _RowSums:
     :func:`worpitzky`, :func:`worpitzky_row` and the columns of
     ``identities.verify_egf_agreement``. The entry is handed out, not
     copied: callers have checked ``n`` and must not mutate ``.row``. The
-    global ``_shared_triangle`` is looked up at call time. A held row is read
-    without a lock and without a write, by one list or ``OrderedDict`` read
-    that the GIL makes atomic; a miss takes the memo's one lock, checks
-    again, walks and inserts.
+    global ``_shared_triangle`` is looked up at call time.
     """
     return _shared_triangle.read(n)
 

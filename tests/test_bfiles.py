@@ -515,6 +515,21 @@ def test_fetch_checks_cache_dir_first(monkeypatch, tmp_path, cache_dir, error, m
     assert sorted(path.name for path in tmp_path.iterdir()) == ["b000670.txt"]
 
 
+@pytest.mark.parametrize("network", ["no", 1, None], ids=["str", "int", "None"])
+def test_fetch_takes_only_a_bool_network(monkeypatch, tmp_path, network):
+    # a truthy non-bool once read the cache, and on a miss would have downloaded
+    (tmp_path / "b000670.txt").write_text("0 1\n1 1\n", "ascii")
+    monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+    message = f"^network must be bool, got {type(network).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        fetch_bfile("A000670", network=network, cache_dir=tmp_path)
+    with pytest.raises(TypeError, match=message):
+        fetch_bfile("A000670", network=network, cache_dir=tmp_path / "missing")
+    with pytest.raises(TypeError, match="^cache_dir must be str or PathLike, got int$"):
+        fetch_bfile("A000670", network=network, cache_dir=123)  # cache_dir is checked first
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["b000670.txt"]
+
+
 _NON_ASCII_DIGITS = "A\u0660\u0660\u0660\u0666\u0667\u0660"  # A000670 in Arabic-Indic digits
 
 

@@ -137,7 +137,7 @@ def test_a_bool_is_held_under_its_int(monkeypatch):
     triangle = fubini.sequences._StirlingTriangle()
     monkeypatch.setattr(fubini.sequences, "_shared_triangle", triangle)
     assert fubini.stirling2_row(True) == [0, 1]
-    assert all(type(n) is int for n in triangle._recent)
+    assert all(type(n) is int for n in triangle._rows)
 
 
 @pytest.mark.parametrize("name", ["cyclic", "stirling-row"])

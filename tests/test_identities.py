@@ -316,7 +316,7 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
     # never read
     assert summed == {(n, (0, parity)): 1 for n in range(1, 31) for parity in (0, 1)}
     # the sweep ran past the memo's last row without extending it
-    assert len(sequences._shared_triangle._checkpoints) == 1
+    assert sequences._shared_triangle._rows.keys() == {0}
     assert not sequences._shared_triangle._recent
 
 

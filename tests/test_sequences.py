@@ -121,7 +121,7 @@ def test_triangle_concurrent_extension():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    assert max(_held_entries(triangle)) >= 119
+    assert max(triangle._rows) >= 119
 
 
 def test_a_held_row_is_read_without_the_lock():
@@ -167,12 +167,16 @@ def test_a_hit_writes_nothing():
     triangle = sequences._StirlingTriangle()
     for n in (37, 38, 33):
         triangle.read(n)
-    order, checkpoints = list(triangle._recent), len(triangle._checkpoints)
+    held, recent = dict(triangle._rows), dict(triangle._recent)
     recent_bytes = triangle._recent_bytes
     for n in (37, 32, 33, 16, 38, 0):  # recent rows and checkpoints, all held
-        assert triangle.read(n).row == rows[n], n
-    assert list(triangle._recent) == order == [37, 38, 33]
-    assert len(triangle._checkpoints) == checkpoints == 3
+        assert triangle.read(n) is held[n], n
+        assert held[n].row == rows[n], n
+    assert triangle._rows.keys() == held.keys()
+    assert all(triangle._rows[n] is held[n] for n in held)
+    assert list(triangle._recent.items()) == list(recent.items())
+    assert list(recent) == [37, 38, 33]
+    assert len(_checkpoints(triangle)) == 3
     assert triangle._recent_bytes == recent_bytes
 
 
@@ -224,10 +228,23 @@ def test_threaded_hits_race_evictions(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    held = triangle._recent.values()
-    assert triangle._recent_bytes == sum(sequences._row_bytes(sums.row) for sums in held)
-    for n, sums in _held_entries(triangle).items():
+    _assert_bookkeeping(triangle)
+    for n, sums in triangle._rows.items():
         assert sums.row == rows[n], n
+
+
+def _checkpoints(triangle) -> list[int]:
+    """The held rows whose index is a multiple of the spacing, ascending."""
+    return sorted(n for n in triangle._rows if n % sequences._CHECKPOINT_EVERY == 0)
+
+
+def _assert_bookkeeping(triangle):
+    """The recent rows are held, their sizes add up, and the other held rows are checkpoints."""
+    recent = triangle._recent
+    sizes = [sequences._row_bytes(triangle._rows[n].row) for n in recent]
+    assert list(recent.values()) == sizes
+    assert triangle._recent_bytes == sum(sizes)
+    assert all(n % sequences._CHECKPOINT_EVERY == 0 for n in triangle._rows.keys() - recent.keys())
 
 
 def _read_orders(top: int) -> dict[str, list[int]]:
@@ -245,17 +262,20 @@ def _read_orders(top: int) -> dict[str, list[int]]:
 def test_triangle_recomputes_the_streamed_rows(monkeypatch, order):
     # rows 0..420 hold about 15 MB, so reading them all passes 26
     # checkpoints and evicts recent rows past the byte budget
-    top = 420
+    top, every = 420, sequences._CHECKPOINT_EVERY
     expected = list(itertools.islice(sequences._stirling_rows(), top + 1))
     triangle = sequences._StirlingTriangle()
     monkeypatch.setattr(sequences, "_shared_triangle", triangle)
     for n in _read_orders(top)[order]:
         assert stirling2_row(n) == expected[n], n
         assert stirling2(n, n // 3) == expected[n][n // 3], n
+        # what the nearest-row search relies on: no checkpoint below the
+        # highest held row is missing, so a downward walk passes none
+        assert _checkpoints(triangle) == list(range(0, max(triangle._rows) + 1, every)), n
     # the walk reached the last checkpoint at or below top, and none above it
-    assert len(triangle._checkpoints) == top // sequences._CHECKPOINT_EVERY + 1
+    assert len(_checkpoints(triangle)) == top // every + 1
     assert triangle._recent_bytes <= sequences._RECENT_BYTES
-    assert len(triangle._recent) < top + 1 - len(triangle._checkpoints)
+    assert len(triangle._recent) < top + 1 - len(_checkpoints(triangle))
 
 
 def test_the_backward_step_inverts_the_forward_one():
@@ -291,7 +311,7 @@ def test_a_miss_walks_from_the_nearest_held_row(monkeypatch):
         before = steps.total()
         assert triangle.read(n).row == rows[n], n
         assert steps.total() - before <= every // 2, n
-    assert len(triangle._checkpoints) == top // every + 1
+    assert _checkpoints(triangle) == list(range(0, top + 1, every))
     # walking up from the held row below only, the same reads take 727 steps
     assert (steps["_next_stirling_row"], steps["_prev_stirling_row"]) == (323, 158)
 
@@ -303,6 +323,23 @@ def test_ascending_reads_only_step_up(monkeypatch):
     for n in range(201):
         assert triangle.read(n).row == rows[n], n
     assert (steps["_next_stirling_row"], steps["_prev_stirling_row"]) == (200, 0)
+
+
+def test_a_miss_above_the_top_checkpoint_walks_down_from_a_recent_row(monkeypatch):
+    # rows 45 and 47 are recent rows above checkpoint 32; row 40 is nearer
+    # to 45 than to 32, and row 48, the next checkpoint, is one step above 47
+    rows = list(itertools.islice(sequences._stirling_rows(), 49))
+    triangle = sequences._StirlingTriangle()
+    steps = _count_steps(monkeypatch)
+    walks = []
+    for n in (45, 40, 47, 48):
+        before = steps.copy()
+        assert triangle.read(n).row == rows[n], n
+        taken = steps - before
+        walks.append((n, taken["_next_stirling_row"], taken["_prev_stirling_row"]))
+    assert walks == [(45, 45, 0), (40, 0, 5), (47, 2, 0), (48, 1, 0)]
+    assert 48 in triangle._rows and 48 not in triangle._recent
+    assert _checkpoints(triangle) == [0, 16, 32, 48]
 
 
 def test_threaded_misses_walk_down_concurrently(monkeypatch):
@@ -338,10 +375,9 @@ def test_threaded_misses_walk_down_concurrently(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not failures
     assert steps["_prev_stirling_row"] > 0
-    assert len(triangle._checkpoints) == top // sequences._CHECKPOINT_EVERY + 1
-    held = triangle._recent.values()
-    assert triangle._recent_bytes == sum(sequences._row_bytes(sums.row) for sums in held)
-    for n, sums in _held_entries(triangle).items():
+    assert _checkpoints(triangle) == list(range(0, top + 1, sequences._CHECKPOINT_EVERY))
+    _assert_bookkeeping(triangle)
+    for n, sums in triangle._rows.items():
         assert sums.row == rows[n], n
 
 
@@ -360,7 +396,7 @@ def test_triangle_memory_stays_within_checkpoints_and_budget():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert max(_held_entries(triangle)) == top
+    assert max(triangle._rows) == top
     assert retained < checkpoint_bytes + sequences._RECENT_BYTES
 
 
@@ -774,13 +810,6 @@ def test_no_sum_copies_a_row(monkeypatch):
     assert all(r.passed for r in identities.verify_egf_agreement(12))
 
 
-def _held_entries(triangle):
-    """Row index -> the triangle's held entry (the row and its sums read so far)."""
-    every = sequences._CHECKPOINT_EVERY
-    checkpoints = {n * every: sums for n, sums in enumerate(triangle._checkpoints)}
-    return checkpoints | dict(triangle._recent)
-
-
 def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
     # Each held row keeps at most 4 sums, none larger than ordered_bell(n),
     # plus their dict: under 10% of the row's own bytes from n = 140 on, and
@@ -805,7 +834,7 @@ def test_sums_go_with_their_rows_and_stay_small(monkeypatch):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    held = _held_entries(triangle)
+    held = dict(triangle._rows)
     assert len(held) < top // 3  # rows were evicted, and their sums with them
     assert all(sorted(sums) == CLASSES for n, sums in held.items() if n)
     assert retained < 1.1 * (checkpoint_bytes + budget)
@@ -844,7 +873,7 @@ def test_threaded_sums_match_the_reference(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    for n, sums in _held_entries(triangle).items():
+    for n, sums in triangle._rows.items():
         assert sums.row == rows[n], n
         for (shift, parity), total in sums.items():
             assert total == _reference_sum(rows[n], shift, parity, False), (n, shift, parity)
