@@ -13,38 +13,29 @@ failed yet. So a report's failure is at its smallest failing n, and an
 identity is not checked past it. The b-file crosscheck
 (``bfiles.crosscheck``) runs through the same loop.
 
-The seven integer identities are checks on a window of three rows' sums
-(``_SweepRow``), for n-1, n and n+1, that slides forward over n in one
-pass. Row n's sums come from two streams, each built from its own
-recurrence, not read from the shared memo: Stirling row n
-(``sequences._stirling_rows``) and the pair ``(u, t)`` that
-``sequences._worpitzky_rows`` yields for Worpitzky row n-1. ``u`` is that
-row, U(n,k) = (k-1)! S(n,k) for k = 1..n, since W(n-1,k-1) = (k-1)! S(n,k),
-and ``t`` is T(n,k) = k! S(n,k) = k U(n,k): the stream computes each
-product once per row and builds the next U row as
-U(n+1,k) = T(n,k) + T(n,k-1). Every sum is one parity class of the row,
-keyed ``(shift, parity)`` as ``sequences._RowSums`` keys its own, or two
-classes added or subtracted. The four class sums are C-level sums over
-slices: the cyclic classes (shift 1) take the even and odd k of ``u``, the
-factorial ones (shift 0) those of ``t``, with T(n,0) = S(n,0) taken from
-the Stirling row. ``ordered_bell`` alone is read from the Stirling row: it
-is the sum of the two factorial class walks over it
-(``sequences._row_sum``), the kernel ``compute bell`` prints from, run
-when an identity first reads it. It is never the sum of the factorial
-classes of ``t``, which would reduce ``bell.parity-split`` to
-``alternating.factorial``. So the five identities that read
-``ordered_bell`` compare the two recurrences; the two alternating ones
-check the weighted rows alone. ``alternating.cyclic`` holds on every U
-row after the first by how the row is built, since each T(n,j) lands once
-in an entry of even k and once in one of odd k: it catches a fault in the
-first row, or between the stream and the class sums, but none in the
-step. The paper's identity is still checked across the two routes, by
-``cyclic.parity-equal`` and ``bell.shifted-cyclic``, against the Horner
-``ordered_bell``. A row is dropped when the window leaves it. Each of the
+The seven integer identities are checks on a window of three rows' sums,
+for n-1, n and n+1, that slides forward over n in one pass. Row n's sums
+come from one stream, Stirling row n of ``sequences._stirling_rows``,
+built by its own recurrence, not read from the shared memo, and wrapped in
+a ``sequences._RowSums``. Every sum is one parity class of the row, keyed
+``(shift, parity)``, or two classes added or subtracted: ``ordered_bell``
+is the two factorial classes (shift 0) added, the cyclic total the two
+cyclic ones (shift 1), and the alternating sums subtract them. Each class
+sum is the Horner walk ``sequences._row_sum``, the kernel that ``compute``
+prints from, run once per row, when an identity first reads it. So the
+paper's identity checks the cyclic walks of row n+1 against the factorial
+walks of row n at every n of the sweep, past ``--order``, where no EGF
+checks them. A row is dropped when the window leaves it.
+
+On one stream, two groups of ids read the same sums: ``bell.parity-split``
+and ``alternating.factorial`` both compare the two factorial classes of
+row n; ``bell.shifted-cyclic``, ``cyclic.parity-equal`` and
+``worpitzky.parity-rows`` all compare ``ordered_bell(m)`` with the cyclic
+classes of row m+1, and only the ends of their ranges differ. Each of the
 four integer verifiers names its own identities and runs them through the
-same pass, and ``verify_all`` runs all seven in one. Reports follow
-``_INTEGER_CHECKS`` order, which the integer targets of
-``registry.VERIFY_TARGETS`` follow in turn.
+same pass, walking only the classes they read, and ``verify_all`` runs all
+seven in one. Reports follow ``_INTEGER_CHECKS`` order, which the integer
+targets of ``registry.VERIFY_TARGETS`` follow in turn.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
 builds each registry EGF once, up front, and shares it between the checks;
@@ -67,8 +58,9 @@ The full registry of identity ids:
 * ``alternating.factorial`` sum((-1)^k k! S(n,k)) == (-1)^n
 * ``alternating.cyclic``    sum((-1)^k (k-1)! S(n,k)) == -1 at n=1, else 0
 * ``worpitzky.parity-rows`` even- and odd-index Worpitzky row sums both
-  equal ordered_bell(n); Worpitzky row n is the U row of n+1, so these are
-  the pairs ``bell.shifted-cyclic`` compares, odd-block first
+  equal ordered_bell(n); Worpitzky row n is k! S(n+1,k+1), so its sums are
+  the cyclic classes of Stirling row n+1, the pairs ``bell.shifted-cyclic``
+  compares, odd-block first
 * ``egf.agreement``         every generating function extracts the matching
   directly computed sequence
 * ``egf.parity-split``      even-egf + odd-egf == cyclic-egf
@@ -173,23 +165,27 @@ def _require_range(n_max, name: str = "n_max") -> int:
 
 
 # Each integer identity's checks at one n: ``check(n, prev, cur, nxt)`` yields
-# ``(expected, actual)`` pairs in order, from the ``_SweepRow`` sums of n-1, n
-# and n+1 (``prev`` is None at n = 1).
+# ``(expected, actual)`` pairs in order, from the ``_RowSums`` of Stirling rows
+# n-1, n and n+1 (``prev`` is None at n = 1).
+
+
+def _ordered_bell(sums):
+    return sums[0, 0] + sums[0, 1]
 
 
 def _bell_parity_split(n, prev, cur, nxt):
-    b, sign = cur.ordered_bell, (-1) ** n
+    b, sign = _ordered_bell(cur), (-1) ** n
     yield b, -sign + 2 * cur[0, 0]
     yield b, sign + 2 * cur[0, 1]
 
 
 def _bell_shifted_cyclic(n, prev, cur, nxt):
-    yield cur.ordered_bell, nxt[1, 0]
-    yield cur.ordered_bell, nxt[1, 1]
+    yield _ordered_bell(cur), nxt[1, 0]
+    yield _ordered_bell(cur), nxt[1, 1]
 
 
 def _cyclic_doubling(n, prev, cur, nxt):
-    yield 1 if n == 1 else 2 * prev.ordered_bell, cur[1, 0] + cur[1, 1]
+    yield 1 if n == 1 else 2 * _ordered_bell(prev), cur[1, 0] + cur[1, 1]
 
 
 def _alternating_factorial(n, prev, cur, nxt):
@@ -201,15 +197,16 @@ def _alternating_cyclic(n, prev, cur, nxt):
 
 
 def _cyclic_parity_equal(n, prev, cur, nxt):
-    even, odd = (0, 1) if n == 1 else (prev.ordered_bell,) * 2
+    even, odd = (0, 1) if n == 1 else (_ordered_bell(prev),) * 2
     yield even, cur[1, 0]
     yield odd, cur[1, 1]
 
 
 def _worpitzky_parity_rows(n, prev, cur, nxt):
-    # Worpitzky row n's even-index entries are U(n+1, k) at odd k, its odd-index ones at even k
-    yield cur.ordered_bell, nxt[1, 1]
-    yield cur.ordered_bell, nxt[1, 0]
+    # W(n, k) = k! S(n+1, k+1), so Worpitzky row n's even-index sum is the odd
+    # cyclic class of row n+1, and its odd-index sum the even one
+    yield _ordered_bell(cur), nxt[1, 1]
+    yield _ordered_bell(cur), nxt[1, 0]
 
 
 #: Integer identity id -> its checks at one n, in report order.
@@ -226,48 +223,18 @@ _INTEGER_CHECKS = {
 IDENTITY_IDS = frozenset(_INTEGER_CHECKS) | {"egf.agreement", "egf.parity-split", "egf.derivative"}
 
 
-class _SweepRow(dict):
-    """Row n's sums in the sweep: the four class sums of ``worpitzky``, the
-    pair ``(u, t)`` that ``sequences._worpitzky_rows`` yields for Worpitzky
-    row n-1, keyed by ``(shift, parity)``; and ``ordered_bell``, the two
-    factorial class walks over Stirling row n, each run when first read and
-    then kept in ``stirling``, the row's ``sequences._RowSums``.
-
-    ``u[i]`` is ``U(n, i+1) = i! * S(n, i+1)`` and ``t[i]`` is
-    ``T(n, i+1) = (i+1) * u[i]``, computed once per entry by the stream; the
-    cyclic classes (shift 1) are slices of ``u``, the factorial ones
-    (shift 0) slices of ``t``, and ``T(n, 0) = S(n, 0)`` is the Stirling
-    row's own entry.
-    """
-
-    __slots__ = ("stirling",)
-
-    def __init__(self, stirling_row: list[int], worpitzky: tuple[list[int], list[int]]):
-        u, t = worpitzky
-        self[0, 0], self[0, 1] = stirling_row[0] + sum(t[1::2]), sum(t[0::2])
-        self[1, 0], self[1, 1] = sum(u[1::2]), sum(u[0::2])
-        self.stirling = sequences._RowSums(stirling_row)
-
-    @property
-    def ordered_bell(self) -> int:
-        return self.stirling[0, 0] + self.stirling[0, 1]
-
-
 def _row_windows():
     """Yield the integer checks' rows after n, ``(prev, cur, nxt)``, for
     n = 1, 2, ...
 
-    Stirling rows 1, 2, ... come from ``sequences._stirling_rows`` and
-    Worpitzky rows 0, 1, ... from ``sequences._worpitzky_rows``, both looked
-    up here, not from the shared memo, and mapped in step: row m's sums are
-    the ``_SweepRow`` of Stirling row m and Worpitzky row m-1. Only rows
-    n-1, n and n+1 are live, and no streamed row is held past its
-    ``_SweepRow``, so the Worpitzky step builds its next pair with only its
-    own last pair alive. Each recurrence steps once per row, when the window
-    for the n before it is pulled.
+    Stirling rows 1, 2, ... come from ``sequences._stirling_rows``, looked
+    up here, not from the shared memo, each wrapped in a
+    ``sequences._RowSums`` that walks a class when a check first reads it.
+    Only rows n-1, n and n+1 are live, and the recurrence steps once per row,
+    when the window for the n before it is pulled.
     """
     stirling_rows = itertools.islice(sequences._stirling_rows(), 1, None)
-    rows = map(_SweepRow, stirling_rows, sequences._worpitzky_rows())
+    rows = map(sequences._RowSums, stirling_rows)
     prev, cur = None, next(rows)
     for nxt in rows:
         yield prev, cur, nxt

@@ -31,15 +31,11 @@ each computed when first read and then kept: the one memo of a row's sums.
 identity sweep streams rows through ``_stirling_rows`` without holding the
 triangle, and the memo, ``_StirlingTriangle``, steps with it too; only the
 memo also steps back, with its inverse ``_prev_stirling_row``. The
-sweep wraps each streamed row in a ``_RowSums`` of its own for
-``ordered_bell`` alone, its two factorial class walks; it takes the four
-class sums of row n as slice sums of the pair that ``_worpitzky_rows``
-yields from its own recurrence: Worpitzky row n-1, which holds the cyclic
-weights ``U(n,k) = (k-1)! * S(n,k)``, and the factorial weights
-``T(n,k) = k * U(n,k)``, each product computed once per row, since the
-next U row is ``T(n,k) + T(n,k-1)``. The memo is bounded: one map holds
-every 16th row (a checkpoint) and the other rows inserted most recently
-up to a byte budget, first in first out, and any other row is recomputed
+sweep wraps each streamed row in a ``_RowSums`` of its own and reads all
+four class sums from it, so every sum it checks is a ``_row_sum`` walk,
+the kernel of every public sum. The memo is bounded: one map holds every
+16th row (a checkpoint) and the other rows inserted most recently up to a
+byte budget, first in first out, and any other row is recomputed
 from the nearest held row, below or above, so at most
 ``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint. It holds
 each row as a ``_RowSums``, so a row's sums go when the row goes; a hit
@@ -68,11 +64,10 @@ names, so ``fubini.ArgumentError`` is ``sequences.ArgumentError``.
 import sys
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from functools import cache
 from itertools import permutations
 from math import factorial
-from operator import add, mul
 
 from fubini import _EXPORTS
 from fubini._args import ArgumentError, _require_at_least, _require_int, _require_type
@@ -130,13 +125,19 @@ class _FrozenRecord:
 
 
 class SequenceTable(_FrozenRecord):
-    """A named run of exact integer values; index i holds a(offset + i)."""
+    """A named run of exact integer values; index i holds a(offset + i).
+
+    ``values`` is taken in its iteration order, so a set or a mapping, whose
+    order is not that of the indices, is refused.
+    """
 
     __slots__ = ("name", "offset", "values")
 
     def __init__(self, name: str, offset: int, values: tuple[int, ...]):
         _require_type(name, (str,), "name")
         _require_type(values, (Iterable,), "values")
+        if isinstance(values, (Set, Mapping)):
+            raise TypeError(f"values must be an ordered Iterable, got {type(values).__name__}")
         values = tuple(_require_int(value, "value") for value in values)
         self._set(name, _require_int(offset, "offset"), values)
 
@@ -206,8 +207,7 @@ class _RowSums(dict):
     parity)``: a miss runs :func:`_row_sum` once and stores the result, so
     an entry holds at most four sums. The row is never mutated, so a stored
     sum stays right. The memo holds its rows this way, and the identity
-    sweep wraps each streamed row in one for the two factorial classes
-    that make up ``ordered_bell``.
+    sweep wraps each streamed row in one and reads all four classes from it.
     """
 
     __slots__ = ("row",)
@@ -422,30 +422,6 @@ def worpitzky_row(n: int) -> list[int]:
             weight *= k
         values.append(weight * row[k + 1])
     return values
-
-
-def _worpitzky_rows():
-    """Yield the Worpitzky rows n = 0, 1, 2, ..., each as a pair ``(u, t)``.
-
-    ``u`` is row n, which is ``U(n+1, k) = (k-1)! * S(n+1, k)`` for
-    k = 1..n+1, since ``W(n, k-1) = (k-1)! * S(n+1, k)``, and ``t[i]`` is
-    ``T(n+1, i+1) = (i+1) * u[i]``, the weight ``k!`` in place of
-    ``(k-1)!``. The Stirling recurrence times ``(k-1)!`` reads
-    ``U(n+2, k) = T(n+1, k) + T(n+1, k-1)``, so each product is computed
-    once, for ``t``, and the next row adds neighbours of ``t``: the
-    recurrence ``W(n,k) = (k+1)*W(n-1,k) + k*W(n-1,k-1)`` (Worpitzky 1883;
-    OEIS A028246/A130850) with its products shared: n+1 per step where
-    it takes 2n+1. No Stirling row is read, and the old pair is dropped
-    before the next ``t`` is built. Slices of ``u`` give the identity
-    sweep's cyclic class sums of row n+1, and slices of ``t`` its factorial
-    ones. Callers must not mutate a yielded row: the next one is built from
-    it.
-    """
-    u = [1]
-    while True:
-        t = list(map(mul, range(1, len(u) + 1), u))
-        yield u, t
-        u, t = [*map(add, [0, *t], [*t, 0])], None
 
 
 def alternating_factorial_sum(n: int) -> int:

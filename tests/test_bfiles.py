@@ -42,6 +42,13 @@ from fubini.sequences import SequenceTable
         (lambda: load_fixture(None), "sequence_id must be str, got NoneType"),
         (lambda: SequenceTable(5, 0, ()), "name must be str, got int"),
         (lambda: SequenceTable("A", 0, 5), "values must be Iterable, got int"),
+        # a set would be stored, and emitted as indices 0..n-1, in hash order;
+        # a mapping would give its keys
+        (
+            lambda: SequenceTable("A", 0, {10**20 + 7, 3, 2**70}),
+            "values must be an ordered Iterable, got set",
+        ),
+        (lambda: SequenceTable("A", 0, {3: 0, 1: 0}), "values must be an ordered Iterable, got dict"),
     ],
     ids=[
         "parse_bfile",
@@ -52,6 +59,8 @@ from fubini.sequences import SequenceTable
         "load_fixture",
         "SequenceTable-name",
         "SequenceTable-values",
+        "SequenceTable-values-set",
+        "SequenceTable-values-dict",
     ],
 )
 def test_bfile_api_names_the_expected_type(call, message):

@@ -130,50 +130,41 @@ def test_report_serialization_roundtrip():
 
 # -- fault injection -------------------------------------------------------
 
+#: The four class sums of a row, as ``(shift, parity)``.
+CLASSES = [(shift, parity) for shift in (0, 1) for parity in (0, 1)]
+
 
 def _with_fault(n, row, fault):
     """``row``, which is row ``n``, or a corrupted copy of it if ``fault``,
-    ``(n, k, delta)``, names it: entry k is off by ``delta``.
-
-    A Worpitzky pair ``(u, t)`` takes the fault on ``u``, and on ``t`` as
-    ``T = k * U`` carries it: ``t[k]`` is off by ``(k + 1) * delta``."""
-    if isinstance(row, tuple):
-        u, t = row
-        t_fault = fault and (fault[0], fault[1], (fault[1] + 1) * fault[2])
-        return _with_fault(n, u, fault), _with_fault(n, t, t_fault)
+    ``(n, k, delta)``, names it: entry k is off by ``delta``."""
     if fault is not None and n == fault[0] and fault[1] < len(row):
         row = list(row)  # a copy: the memo holds this row, and a stream steps from it
         row[fault[1]] += fault[2]
     return row
 
 
-def _patch_stream(patch, name, fault=None):
-    """Make the row stream ``sequences.<name>`` yield each row through
+def _patch_stream(patch, fault=None):
+    """Make the row stream ``sequences._stirling_rows`` yield each row through
     ``_with_fault``; the returned list gets each row's n as it is pulled."""
-    pulled, real_rows = [], getattr(sequences, name)
+    pulled, real_rows = [], sequences._stirling_rows
 
     def patched():
         for n, row in enumerate(real_rows()):
             pulled.append(n)
             yield _with_fault(n, row, fault)
 
-    patch.setattr(sequences, name, patched)
+    patch.setattr(sequences, "_stirling_rows", patched)
     return pulled
 
 
 def _corrupt_stirling_row(monkeypatch, target_n, target_k, delta):
-    """Corrupt S(target_n, target_k) on every Stirling route: the memo's seam
-    ``_read_row``, and the two streams that the sweep reads, ``_stirling_rows``
-    and ``_worpitzky_rows``, whose row target_n - 1 holds
-    U(target_n, k) = (k-1)! * S(target_n, k) for k >= 1 at index k - 1."""
+    """Corrupt S(target_n, target_k) on both Stirling routes: the memo's seam
+    ``_read_row``, and the stream that the sweep reads, ``_stirling_rows``."""
     real_read, fault = sequences._read_row, (target_n, target_k, delta)
     monkeypatch.setattr(
         sequences, "_read_row", lambda n: sequences._RowSums(_with_fault(n, real_read(n).row, fault))
     )
-    _patch_stream(monkeypatch, "_stirling_rows", fault)
-    if target_k:
-        u_fault = (target_n - 1, target_k - 1, delta * factorial(target_k - 1))
-        _patch_stream(monkeypatch, "_worpitzky_rows", u_fault)
+    _patch_stream(monkeypatch, fault)
 
 
 def test_corrupted_row_fails_cyclic_doubling(monkeypatch):
@@ -210,60 +201,39 @@ def test_corrupted_direct_route_fails_egf_agreement(monkeypatch):
 
 
 def test_corrupted_stirling_entry_fails_worpitzky(monkeypatch):
-    # S(7, 3) on the Stirling stream alone enters ordered_bell(7), the side of
-    # the Worpitzky row sums that reads Stirling rows; the Worpitzky rows come
-    # from their own recurrence
-    _patch_stream(monkeypatch, "_stirling_rows", (7, 3, 1))
+    # S(7, 3) on the stream is W(6, 2) / 2!: worpitzky.parity-rows sums row 6
+    # by its definition, the cyclic odd-block walk of Stirling row 7, so at
+    # n = 6 that sum is ordered_bell(6) = 4683 plus 2!
+    _patch_stream(monkeypatch, (7, 3, 1))
     reports = {r.identity_id: r for r in verify_parity_split(20)}
-    bell = sequences.ordered_bell(7)
-    assert reports["worpitzky.parity-rows"].first_failure == (7, bell + factorial(3), bell)
+    assert reports["worpitzky.parity-rows"].first_failure == (6, 4683, 4685)
 
 
-def test_corrupted_worpitzky_row_fails_worpitzky(monkeypatch):
-    # W(7, 2) = U(8, 3) += 1 on the Worpitzky stream alone: worpitzky.parity-rows
-    # sums row 7 at n = 7, and the cyclic odd-block sum of row 8 takes it at n = 8
-    pulled = _patch_stream(monkeypatch, "_worpitzky_rows", (7, 2, 1))
-    reports = {r.identity_id: r for r in verify_parity_split(20)}
-    bell = sequences.ordered_bell(7)
-    assert reports["worpitzky.parity-rows"].first_failure == (7, bell, bell + 1)
-    assert reports["cyclic.parity-equal"].first_failure == (8, bell, bell + 1)
-    # once both have failed, no further row is pulled: row 8 is the U row of n + 1 = 9
-    assert pulled == list(range(9))
-
-
-def test_a_sweep_pulls_each_worpitzky_row_once(monkeypatch):
-    # one Worpitzky stream feeds every sum and worpitzky.parity-rows, so its
-    # recurrence steps once per n, whichever identities are checked
-    for identity_ids in (("bell.parity-split", "bell.shifted-cyclic"), identities._INTEGER_CHECKS):
+def test_a_sweep_pulls_each_stirling_row_once(monkeypatch):
+    # one Stirling stream feeds every sum, so its recurrence steps once per
+    # n, whichever identities are checked; bell.shifted-cyclic and
+    # worpitzky.parity-rows read row n_max + 1, which every window holds
+    for identity_ids in (("alternating.factorial",), identities._INTEGER_CHECKS):
         with monkeypatch.context() as patch:
-            pulled = _patch_stream(patch, "_worpitzky_rows")
+            pulled = _patch_stream(patch)
             assert all(r.passed for r in identities._sweep_integers(30, identity_ids))
-        assert pulled == list(range(31)), identity_ids
+        assert pulled == list(range(32)), identity_ids
 
 
-#: A fault on one stream alone -> the (identity, first failing n) pairs of the sweep to 20.
-ONE_STREAM_FAILURES = {
-    # S(7, 3) += 1 reaches ordered_bell(7) alone, which the alternating identities do not read
-    ("_stirling_rows", (7, 3, 1)): {
-        ("bell.parity-split", 7), ("bell.shifted-cyclic", 7), ("cyclic.doubling", 8),
-        ("cyclic.parity-equal", 8), ("worpitzky.parity-rows", 7),
-    },
-    # W(7, 2) += 1 is U(8, 3): it reaches every odd-block sum of row 8, and
-    # worpitzky.parity-rows through row 7 itself
-    ("_worpitzky_rows", (7, 2, 1)): {
-        ("bell.parity-split", 8), ("bell.shifted-cyclic", 7), ("cyclic.doubling", 8),
-        ("alternating.factorial", 8), ("alternating.cyclic", 8), ("cyclic.parity-equal", 8),
-        ("worpitzky.parity-rows", 7),
-    },
-}
-
-
-@pytest.mark.parametrize("stream, fault", sorted(ONE_STREAM_FAILURES))
-def test_a_fault_on_one_stream_fails_its_identities(monkeypatch, stream, fault):
-    _patch_stream(monkeypatch, stream, fault)
+def test_a_fault_on_one_stream_fails_its_identities(monkeypatch):
+    # S(7, 3) += 1 enters every class sum of row 7 of the one stream: the
+    # factorial classes at n = 7, and the cyclic ones as row n + 1 of n = 6
+    _patch_stream(monkeypatch, (7, 3, 1))
     reports = identities._sweep_integers(20, identities._INTEGER_CHECKS)
-    failed = {(r.identity_id, r.first_failure[0]) for r in reports if not r.passed}
-    assert failed == ONE_STREAM_FAILURES[stream, fault]
+    assert {r.identity_id: r.first_failure and r.first_failure[0] for r in reports} == {
+        "bell.parity-split": 7,
+        "bell.shifted-cyclic": 6,
+        "cyclic.doubling": 7,
+        "alternating.factorial": 7,
+        "alternating.cyclic": 7,
+        "cyclic.parity-equal": 7,
+        "worpitzky.parity-rows": 6,
+    }
 
 
 FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.json"
@@ -272,9 +242,8 @@ FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.js
 def test_corrupted_rows_give_the_frozen_reports(monkeypatch):
     """``verify_all(20, 8)`` under S(row, k) += 1, for rows 2..9 and every k,
     against the reports captured at commit bb992ed, before the one-pass
-    sweep, when the Worpitzky side read Stirling rows: ``_corrupt_stirling_row``
-    carries the fault into the Worpitzky stream as U(row, k) += (k-1)!, so
-    every report is as it was then.
+    sweep, when every identity read Stirling rows, as the sweep's one stream
+    does again.
     """
     for case in json.loads(FROZEN_REPORTS.read_text()):
         row, k = case["row"], case["k"]
@@ -311,72 +280,98 @@ def test_sweep_reads_each_stirling_row_once(monkeypatch):
     assert memo_reads == Counter()
     # bell.shifted-cyclic reads the cyclic sums at n_max + 1
     assert taken == Counter(range(32))
-    # the only Horner walks are ordered_bell's two factorial classes per row,
-    # each computed once though the checks at n and n+1 read it; row 31's are
-    # never read
-    assert summed == {(n, (0, parity)): 1 for n in range(1, 31) for parity in (0, 1)}
+    # each class of rows 1..30 is walked once, though the checks at n-1, n
+    # and n+1 read it; of row 31 only the cyclic classes are read
+    expected = {(n, key): 1 for n in range(1, 31) for key in CLASSES}
+    expected.update({(31, (1, 0)): 1, (31, (1, 1)): 1})
+    assert summed == expected and sum(summed.values()) == 122
     # the sweep ran past the memo's last row without extending it
     assert sequences._shared_triangle._rows.keys() == {0}
     assert not sequences._shared_triangle._recent
 
 
-def test_the_alternating_identities_walk_no_stirling_row(monkeypatch):
-    # they read the U row's classes alone, so ordered_bell's walks stay unrun
-    def no_walk(row, *key):
-        raise AssertionError(f"_row_sum over row {len(row) - 1} at {key}")
+def test_the_alternating_identities_walk_each_class_once(monkeypatch):
+    # they read all four classes of row n alone: row 31, which the window
+    # holds as n + 1, is never walked
+    summed, real_sum = Counter(), sequences._row_sum
 
-    monkeypatch.setattr(sequences, "_row_sum", no_walk)
+    def counted_sum(row, *key):
+        summed[len(row) - 1, key] += 1
+        return real_sum(row, *key)
+
+    monkeypatch.setattr(sequences, "_row_sum", counted_sum)
     assert all(r.passed for r in verify_alternating_sums(30))
+    assert summed == {(n, key): 1 for n in range(1, 31) for key in CLASSES}
+    assert sum(summed.values()) == 120
 
 
 #: What one class sum perturbed at row 9 fails: the (identity, first failing n)
 #: pairs of the sweep to 12. A class of odd k enters the same sums as its even
 #: partner, so it fails the same way. Every other sum of the sweep is two
 #: classes added or subtracted, so it cannot be perturbed alone.
-ORDERED_BELL_WALK_FAILURES = {
+FACTORIAL_CLASS_FAILURES = {
     ("bell.parity-split", 9), ("bell.shifted-cyclic", 9), ("cyclic.doubling", 10),
-    ("cyclic.parity-equal", 10), ("worpitzky.parity-rows", 9),
+    ("alternating.factorial", 9), ("cyclic.parity-equal", 10), ("worpitzky.parity-rows", 9),
 }
-FACTORIAL_CLASS_FAILURES = {("bell.parity-split", 9), ("alternating.factorial", 9)}
 CYCLIC_CLASS_FAILURES = {
     ("bell.shifted-cyclic", 8), ("cyclic.doubling", 9), ("alternating.cyclic", 9),
     ("cyclic.parity-equal", 9), ("worpitzky.parity-rows", 8),
 }
-#: ``(stream, shift, parity)`` of each class the sweep computes: a U class is
-#: named for the public sum it equals, a Stirling class is one of the two
-#: walks that make up ordered_bell.
+#: ``(shift, parity)`` of each class a ``_RowSums`` walks, named for the
+#: public sum it equals.
 PERTURBED_CLASSES = [
-    pytest.param("stirling", 0, 0, ORDERED_BELL_WALK_FAILURES, id="ordered_bell_even_walk"),
-    pytest.param("stirling", 0, 1, ORDERED_BELL_WALK_FAILURES, id="ordered_bell_odd_walk"),
-    pytest.param("u", 0, 0, FACTORIAL_CLASS_FAILURES, id="ordered_bell_even"),
-    pytest.param("u", 0, 1, FACTORIAL_CLASS_FAILURES, id="ordered_bell_odd"),
-    pytest.param("u", 1, 0, CYCLIC_CLASS_FAILURES, id="cyclic_ordered_bell_even"),
-    pytest.param("u", 1, 1, CYCLIC_CLASS_FAILURES, id="cyclic_ordered_bell_odd"),
+    pytest.param(0, 0, FACTORIAL_CLASS_FAILURES, id="ordered_bell_even"),
+    pytest.param(0, 1, FACTORIAL_CLASS_FAILURES, id="ordered_bell_odd"),
+    pytest.param(1, 0, CYCLIC_CLASS_FAILURES, id="cyclic_ordered_bell_even"),
+    pytest.param(1, 1, CYCLIC_CLASS_FAILURES, id="cyclic_ordered_bell_odd"),
 ]
 
 
-@pytest.mark.parametrize("stream, shift, parity, expected", PERTURBED_CLASSES)
-def test_each_sum_perturbed_alone_is_caught(monkeypatch, stream, shift, parity, expected):
-    # one class sum is off by one at row 9, where the sweep computes it: the
-    # Stirling classes in their Horner walks, the U classes in _SweepRow
-    if stream == "stirling":
-        real_sum = sequences._row_sum
+@pytest.mark.parametrize("shift, parity, expected", PERTURBED_CLASSES)
+def test_each_sum_perturbed_alone_is_caught(monkeypatch, shift, parity, expected):
+    # one class sum is off by one at row 9, in the Horner walk that computes it
+    real_sum = sequences._row_sum
 
-        def perturbed_sum(row, *key):
-            return real_sum(row, *key) + (len(row) == 10 and key == (shift, parity))
+    def perturbed_sum(row, *key):
+        return real_sum(row, *key) + (len(row) == 10 and key == (shift, parity))
 
-        monkeypatch.setattr(sequences, "_row_sum", perturbed_sum)
-    else:
-
-        class PerturbedRow(identities._SweepRow):
-            def __init__(self, stirling_row, worpitzky):
-                super().__init__(stirling_row, worpitzky)
-                self[shift, parity] += len(stirling_row) == 10
-
-        monkeypatch.setattr(identities, "_SweepRow", PerturbedRow)
+    monkeypatch.setattr(sequences, "_row_sum", perturbed_sum)
     reports = identities._sweep_integers(12, identities._INTEGER_CHECKS)
     failed = {(r.identity_id, r.first_failure[0]) for r in reports if not r.passed}
     assert failed == expected
+
+
+def _escaped_row_sum(row, shift, parity):
+    """``sequences._row_sum`` with one fault in its step: the weight is off
+    at k = 401 of the cyclic classes, above every ``--order``."""
+    low = shift + (parity - shift) % 2
+    total = 0
+    for k in reversed(range(low, len(row), 2)):
+        j = k - shift
+        total *= (j + 1) * (j + 2) + (shift == 1 and k == 401)
+        total += row[k]
+    return total
+
+
+def test_a_cyclic_walk_fault_past_the_order_fails_verify_all(monkeypatch):
+    # the fault reaches the odd cyclic class from row 403 on, where k = 401 is
+    # not the top kept k; the sweep checks that class as row n + 1 of n = 402
+    # and as row n of n = 403, and no factorial class or EGF check reads it
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
+    monkeypatch.setattr(sequences, "_row_sum", _escaped_row_sum)
+    reports = verify_all(1000, 8)
+    assert {r.identity_id: r.first_failure and r.first_failure[0] for r in reports} == {
+        "bell.parity-split": None,
+        "bell.shifted-cyclic": 402,
+        "cyclic.doubling": 403,
+        "alternating.factorial": None,
+        "alternating.cyclic": 403,
+        "cyclic.parity-equal": 403,
+        "worpitzky.parity-rows": 402,
+        "egf.agreement": None,
+        "egf.parity-split": None,
+        "egf.derivative": None,
+    }
 
 
 def test_chained_stirling_columns_match_powers():

@@ -117,7 +117,6 @@ def test_the_integer_sweep_reaches_no_memo():
         ("sequences", "_stirling_rows"),
         ("sequences", "_next_stirling_row"),
         ("sequences", "_row_sum"),
-        ("sequences", "_worpitzky_rows"),
         ("_args", "_require_at_least"),
     } <= reached
     # ... and none of them reads the shared memo, or steps down as only it does

@@ -559,32 +559,21 @@ def test_worpitzky_row_matches_entries():
 
 
 def test_worpitzky_recurrence_rows_match_worpitzky_row():
-    rows = sequences._worpitzky_rows()
+    # W(n, k) = (k+1) * W(n-1, k) + k * W(n-1, k-1) (Worpitzky 1883; OEIS
+    # A028246/A130850), stepped here from W(0, 0) = 1, reads no Stirling row
+    row = [1]
     for n in range(61):
-        u, t = next(rows)
-        assert u == worpitzky_row(n), n
-        assert t == [(k + 1) * w for k, w in enumerate(u)], n
-
-
-def test_worpitzky_rows_take_one_product_per_entry(monkeypatch):
-    # row n has n + 1 entries, and its step multiplies each once, for T
-    products = []
-
-    def counted_mul(a, b):
-        products.append(1)
-        return a * b
-
-    monkeypatch.setattr(sequences, "mul", counted_mul)
-    rows = list(itertools.islice(sequences._worpitzky_rows(), 30))
-    assert len(products) == sum(range(1, 31))
-    assert rows[-1][0] == worpitzky_row(29)
+        if n:
+            padded = [0, *row, 0]
+            row = [(k + 1) * padded[k + 1] + k * padded[k] for k in range(n + 1)]
+        assert worpitzky_row(n) == row, n
 
 
 def test_the_sweep_streams_its_rows():
-    # the sweep holds three rows' sums and the last rows of its two streams:
-    # about 5.6 U rows at n = 300, where holding every U row would take about 100
-    u, _ = next(itertools.islice(sequences._worpitzky_rows(), 299, None))
-    u_bytes = sys.getsizeof(u) + sum(map(sys.getsizeof, u))
+    # the sweep holds three rows' sums and the last row of its stream: about
+    # 4 Stirling rows at n = 300, where holding every row would take about 100
+    row = sequences.stirling2_row(300)
+    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
     tracemalloc.start()
     try:
         reports = identities._sweep_integers(300, identities._INTEGER_CHECKS)
@@ -592,7 +581,7 @@ def test_the_sweep_streams_its_rows():
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in reports)
-    assert peak < 8 * u_bytes
+    assert peak < 5 * row_bytes
 
 
 def test_worpitzky_row_rejects_negative_like_worpitzky():
@@ -699,10 +688,10 @@ def test_weighted_sums_match_factorial_reference(func, shift, parity, alternatin
 
 @pytest.mark.parametrize("delta", [0, 1])
 def test_sweep_sums_match_factorial_reference(monkeypatch, delta):
-    # the identity sweep sums row n from Stirling row n and Worpitzky row n-1;
-    # S(n, 0) += delta, on the Stirling stream alone, is the one entry of the
-    # row that no Worpitzky row holds, and it must reach the even factorial
-    # class as well as ordered_bell
+    # the identity sweep sums row n from the _RowSums of Stirling row n on its
+    # stream; S(n, 0) += delta, on the stream alone, is the one entry of the
+    # row that only the even factorial class weighs, and it must reach that
+    # class and ordered_bell
     real_rows = sequences._stirling_rows
     monkeypatch.setattr(
         sequences, "_stirling_rows", lambda: ([row[0] + delta, *row[1:]] for row in real_rows())
@@ -712,10 +701,11 @@ def test_sweep_sums_match_factorial_reference(monkeypatch, delta):
         _, sums, _ = next(windows)
         row = stirling2_row(n)
         row[0] += delta
-        assert sums.ordered_bell == _reference_sum(row, 0, None, False), n
-        assert sorted(sums) == CLASSES, n
+        assert sums.row == row, n
+        assert identities._ordered_bell(sums) == _reference_sum(row, 0, None, False), n
         for shift, parity in CLASSES:
             assert sums[shift, parity] == _reference_sum(row, shift, parity, False), n
+        assert sorted(sums) == CLASSES, n
 
 
 @pytest.mark.parametrize("func, shift, parity, alternating", WEIGHTED_SUMS)
