@@ -220,20 +220,37 @@ def test_a_sweep_pulls_each_stirling_row_once(monkeypatch):
         assert pulled == list(range(32)), identity_ids
 
 
-def test_a_fault_on_one_stream_fails_its_identities(monkeypatch):
-    # S(7, 3) += 1 enters every class sum of row 7 of the one stream: the
-    # factorial classes at n = 7, and the cyclic ones as row n + 1 of n = 6
-    _patch_stream(monkeypatch, (7, 3, 1))
-    reports = identities._sweep_integers(20, identities._INTEGER_CHECKS)
-    assert {r.identity_id: r.first_failure and r.first_failure[0] for r in reports} == {
-        "bell.parity-split": 7,
-        "bell.shifted-cyclic": 6,
-        "cyclic.doubling": 7,
-        "alternating.factorial": 7,
-        "alternating.cyclic": 7,
-        "cyclic.parity-equal": 7,
+#: A fault ``(n, k, delta)`` on the one stream -> each identity's first
+#: failing n in the sweep to 20, or None where it passes.
+ONE_STREAM_FAILURES = [
+    # S(7, 3) += 1 enters every class sum of row 7: the factorial classes at
+    # n = 7, and the cyclic ones as row n + 1 of n = 6
+    pytest.param((7, 3, 1), {
+        "bell.parity-split": 7, "bell.shifted-cyclic": 6, "cyclic.doubling": 7,
+        "alternating.factorial": 7, "alternating.cyclic": 7, "cyclic.parity-equal": 7,
         "worpitzky.parity-rows": 6,
-    }
+    }, id="inner-entry"),
+    # S(8, 0) += 1 enters only the even factorial class of row 8: the cyclic
+    # walks start at k = 1, so alternating.cyclic, which reads them alone, passes
+    pytest.param((8, 0, 1), {
+        "bell.parity-split": 8, "bell.shifted-cyclic": 8, "cyclic.doubling": 9,
+        "alternating.factorial": 8, "alternating.cyclic": None, "cyclic.parity-equal": 9,
+        "worpitzky.parity-rows": 8,
+    }, id="k0-entry"),
+    # S(8, 8) += 1 is the top entry of row 8, where each class's Horner walk starts
+    pytest.param((8, 8, 1), {
+        "bell.parity-split": 8, "bell.shifted-cyclic": 7, "cyclic.doubling": 8,
+        "alternating.factorial": 8, "alternating.cyclic": 8, "cyclic.parity-equal": 8,
+        "worpitzky.parity-rows": 7,
+    }, id="top-entry"),
+]
+
+
+@pytest.mark.parametrize("fault, expected", ONE_STREAM_FAILURES)
+def test_a_fault_on_one_stream_fails_its_identities(monkeypatch, fault, expected):
+    _patch_stream(monkeypatch, fault)
+    reports = identities._sweep_integers(20, identities._INTEGER_CHECKS)
+    assert {r.identity_id: r.first_failure and r.first_failure[0] for r in reports} == expected
 
 
 FROZEN_REPORTS = Path(__file__).parent / "data" / "corrupted_stirling_reports.json"
