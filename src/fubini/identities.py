@@ -15,27 +15,31 @@ identity is not checked past it. The b-file crosscheck
 
 The seven integer identities are checks on a window of three rows' sums,
 for n-1, n and n+1, that slides forward over n in one pass. Row n's sums
-come from one stream, Stirling row n of ``sequences._stirling_rows``,
-built by its own recurrence, not read from the shared memo, and wrapped in
-a ``sequences._RowSums``. Every sum is one parity class of the row, keyed
-``(shift, parity)``, or two classes added or subtracted: ``ordered_bell``
-is the two factorial classes (shift 0) added, the cyclic total the two
-cyclic ones (shift 1), and the alternating sums subtract them. Each class
-sum is the Horner walk ``sequences._row_sum``, the kernel that ``compute``
-prints from, run once per row, when an identity first reads it. So the
-paper's identity checks the cyclic walks of row n+1 against the factorial
-walks of row n at every n of the sweep, past ``--order``, where no EGF
-checks them. A row is dropped when the window leaves it.
+come from one stream, ``sequences._rows``, the range reader: Stirling row
+n of ``sequences._stirling_rows``, built by its own recurrence, not read
+from the shared memo, and wrapped in a ``sequences._RowSums``. Every sum
+is read by its ``_RowSums`` key: ``(shift, parity)`` is one parity class
+of the row, and ``(shift, None)`` the two classes added, so
+``ordered_bell`` is ``(0, None)`` and the cyclic total ``(1, None)``; the
+alternating sums subtract the two classes. Each class sum is the Horner
+walk ``sequences._row_sum``, run once per row, when an identity first
+reads it. So the paper's identity checks the cyclic walks of row n+1
+against the factorial walks of row n at every n of the sweep, past
+``--order``, where no EGF checks them. A row is dropped when the window
+leaves it. ``compute --max`` and the b-file tools print from the same
+range reader, so the values they print are these sums, read by the same
+keys off the same stream.
 
 On one stream, two groups of ids read the same sums: ``bell.parity-split``
 and ``alternating.factorial`` both compare the two factorial classes of
 row n; ``bell.shifted-cyclic``, ``cyclic.parity-equal`` and
-``worpitzky.parity-rows`` all compare ``ordered_bell(m)`` with the cyclic
-classes of row m+1, and only the ends of their ranges differ. Each of the
-four integer verifiers names its own identities and runs them through the
-same pass, walking only the classes they read, and ``verify_all`` runs all
-seven in one. Reports follow ``_INTEGER_CHECKS`` order, which the integer
-targets of ``registry.VERIFY_TARGETS`` follow in turn.
+``worpitzky.parity-rows`` all compare the ``(0, None)`` sum of row m with
+the cyclic classes of row m+1, and only the ends of their ranges differ.
+Each of the four integer verifiers names its own identities and runs them
+through the same pass, walking only the classes they read, and
+``verify_all`` runs all seven in one. Reports follow ``_INTEGER_CHECKS``
+order, which the integer targets of ``registry.VERIFY_TARGETS`` follow in
+turn.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
 builds each registry EGF once, up front, and shares it between the checks;
@@ -169,23 +173,19 @@ def _require_range(n_max, name: str = "n_max") -> int:
 # n-1, n and n+1 (``prev`` is None at n = 1).
 
 
-def _ordered_bell(sums):
-    return sums[0, 0] + sums[0, 1]
-
-
 def _bell_parity_split(n, prev, cur, nxt):
-    b, sign = _ordered_bell(cur), (-1) ** n
+    b, sign = cur[0, None], (-1) ** n
     yield b, -sign + 2 * cur[0, 0]
     yield b, sign + 2 * cur[0, 1]
 
 
 def _bell_shifted_cyclic(n, prev, cur, nxt):
-    yield _ordered_bell(cur), nxt[1, 0]
-    yield _ordered_bell(cur), nxt[1, 1]
+    yield cur[0, None], nxt[1, 0]
+    yield cur[0, None], nxt[1, 1]
 
 
 def _cyclic_doubling(n, prev, cur, nxt):
-    yield 1 if n == 1 else 2 * _ordered_bell(prev), cur[1, 0] + cur[1, 1]
+    yield 1 if n == 1 else 2 * prev[0, None], cur[1, None]
 
 
 def _alternating_factorial(n, prev, cur, nxt):
@@ -197,7 +197,7 @@ def _alternating_cyclic(n, prev, cur, nxt):
 
 
 def _cyclic_parity_equal(n, prev, cur, nxt):
-    even, odd = (0, 1) if n == 1 else (_ordered_bell(prev),) * 2
+    even, odd = (0, 1) if n == 1 else (prev[0, None],) * 2
     yield even, cur[1, 0]
     yield odd, cur[1, 1]
 
@@ -205,8 +205,8 @@ def _cyclic_parity_equal(n, prev, cur, nxt):
 def _worpitzky_parity_rows(n, prev, cur, nxt):
     # W(n, k) = k! S(n+1, k+1), so Worpitzky row n's even-index sum is the odd
     # cyclic class of row n+1, and its odd-index sum the even one
-    yield _ordered_bell(cur), nxt[1, 1]
-    yield _ordered_bell(cur), nxt[1, 0]
+    yield cur[0, None], nxt[1, 1]
+    yield cur[0, None], nxt[1, 0]
 
 
 #: Integer identity id -> its checks at one n, in report order.
@@ -227,14 +227,13 @@ def _row_windows():
     """Yield the integer checks' rows after n, ``(prev, cur, nxt)``, for
     n = 1, 2, ...
 
-    Stirling rows 1, 2, ... come from ``sequences._stirling_rows``, looked
-    up here, not from the shared memo, each wrapped in a
-    ``sequences._RowSums`` that walks a class when a check first reads it.
-    Only rows n-1, n and n+1 are live, and the recurrence steps once per row,
-    when the window for the n before it is pulled.
+    The ``_RowSums`` of Stirling rows 1, 2, ... come from
+    ``sequences._rows``, the range reader, looked up here, not from the
+    shared memo; each walks a class when a check first reads it. Only rows
+    n-1, n and n+1 are live, and the recurrence steps once per row, when
+    the window for the n before it is pulled.
     """
-    stirling_rows = itertools.islice(sequences._stirling_rows(), 1, None)
-    rows = map(sequences._RowSums, stirling_rows)
+    rows = sequences._rows(1)
     prev, cur = None, next(rows)
     for nxt in rows:
         yield prev, cur, nxt

@@ -19,34 +19,43 @@ Each weighted sum is one parity class of row n, or two added or
 subtracted: the class sum ``(shift, parity)`` is the sum of
 ``(k-shift)! * S(n,k)`` over the k of that parity, with shift 0 for the
 ordered weight ``k!`` and 1 for the cyclic weight ``(k-1)!``. So a row
-has four class sums; ``ordered_bell`` is the two of shift 0 added, and
-``alternating_factorial_sum`` the odd one subtracted from the even one,
-and likewise the cyclic total and ``alternating_cyclic_sum`` at shift 1.
-``_row_sum`` computes one class sum in Horner form, from the top of the
-row down over the k of its parity, so each step multiplies the accumulator
-by a small integer instead of multiplying a factorial by a row entry. It
-takes the row itself, and ``_RowSums`` pairs a row with its class sums,
-each computed when first read and then kept: the one memo of a row's sums.
-``_next_stirling_row`` is the one forward Stirling recurrence step: the
-identity sweep streams rows through ``_stirling_rows`` without holding the
-triangle, and the memo, ``_StirlingTriangle``, steps with it too; only the
-memo also steps back, with its inverse ``_prev_stirling_row``. The
-sweep wraps each streamed row in a ``_RowSums`` of its own and reads all
-four class sums from it, so every sum it checks is a ``_row_sum`` walk,
-the kernel of every public sum. The memo is bounded: one map holds every
-16th row (a checkpoint) and the other rows inserted most recently up to a
-byte budget, first in first out, and any other row is recomputed
-from the nearest held row, below or above, so at most
-``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint. It holds
-each row as a ``_RowSums``, so a row's sums go when the row goes; a hit
-takes no lock and a miss takes one, as ``_StirlingTriangle`` sets out.
+has four class sums, and the key ``(shift, None)`` names the two of one
+shift added: ``ordered_bell`` is ``(0, None)`` and the cyclic total
+``(1, None)``, while ``alternating_factorial_sum`` is the odd class of
+shift 0 subtracted from the even one, and ``alternating_cyclic_sum``
+likewise at shift 1. ``_row_sum`` computes one class sum in Horner form,
+from the top of the row down over the k of its parity, so each step
+multiplies the accumulator by a small integer instead of multiplying a
+factorial by a row entry. It takes the row itself, and ``_RowSums`` pairs
+a row with its sums, each computed when first read and then kept: the one
+memo of a row's sums.
+
+``_next_stirling_row`` is the one forward Stirling recurrence step. There
+are two ways to read rows, and both step with it:
+
+* ``_rows(first)``, the one range reader, wraps each row of one
+  ``_stirling_rows`` stream, from row ``first`` on, in a ``_RowSums`` of
+  its own and holds none of them. The identity sweep reads its rows here,
+  and so does ``registry.Sequence.terms``, which ``compute --max``,
+  ``bfile export`` and ``bfile check`` print the scalar sequences
+  through: every value they print is a sum the sweep checks, a
+  ``_row_sum`` walk over a streamed row.
+* The memo, ``_StirlingTriangle``, serves point reads; only it also steps
+  back, with the inverse ``_prev_stirling_row``. It is bounded: one map
+  holds every 16th row (a checkpoint) and the other rows inserted most
+  recently up to a byte budget, first in first out, and any other row is
+  recomputed from the nearest held row, below or above, so at most
+  ``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint. It holds
+  each row as a ``_RowSums``, so a row's sums go when the row goes; a hit
+  takes no lock and a miss takes one, as ``_StirlingTriangle`` sets out.
+
 ``_read_row`` is the one reader of the memo, and it hands out the held
 entry, uncopied: every public sum and every ``stirling2`` entry is one
 read of it, and ``stirling2_row`` is its copying reader. It is the one
 seam for memo rows, so a patched ``_read_row`` returning a ``_RowSums`` of
 a corrupted row reaches every entry, every sum, the row readers, the
-Worpitzky numbers and the EGF check's columns. The identity sweep never
-touches this memo.
+Worpitzky numbers and the EGF check's columns. Neither the identity sweep
+nor a range read touches this memo.
 
 One brute-force enumerator lives alongside, so the closed-form routines
 can be tested against an independent route: ``set_partitions`` walks
@@ -66,7 +75,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Set
 from functools import cache
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 from fubini import _EXPORTS
@@ -201,13 +210,14 @@ def _row_bytes(row: list[int]) -> int:
 
 
 class _RowSums(dict):
-    """One Stirling row and its class sums, each computed when first read.
+    """One Stirling row and its sums, each computed when first read.
 
     ``sums[shift, parity]`` is the class sum ``_row_sum(sums.row, shift,
-    parity)``: a miss runs :func:`_row_sum` once and stores the result, so
-    an entry holds at most four sums. The row is never mutated, so a stored
-    sum stays right. The memo holds its rows this way, and the identity
-    sweep wraps each streamed row in one and reads all four classes from it.
+    parity)``, and ``sums[shift, None]`` the two classes of that shift
+    added. A miss computes the sum once and stores it, so an entry holds at
+    most six sums, and a hit is one ``dict`` read. The row is never
+    mutated, so a stored sum stays right. The memo holds its rows this way,
+    and :func:`_rows` wraps each streamed row in one.
     """
 
     __slots__ = ("row",)
@@ -215,9 +225,22 @@ class _RowSums(dict):
     def __init__(self, row: list[int]):
         self.row = row
 
-    def __missing__(self, key: tuple[int, int]) -> int:
-        total = self[key] = _row_sum(self.row, *key)
-        return total
+    def __missing__(self, key: tuple[int, int | None]) -> int:
+        shift, parity = key
+        total = self[shift, 0] + self[shift, 1] if parity is None else _row_sum(self.row, *key)
+        return self.setdefault(key, total)
+
+
+def _rows(first: int):
+    """The :class:`_RowSums` of Stirling rows first, first+1, ..., off one
+    :func:`_stirling_rows` stream: the one range reader.
+
+    Each entry is made as it is pulled and is held by the caller alone, so
+    a caller that drops it holds two rows at most, its own and the one the
+    stream steps from. The identity sweep and ``registry.Sequence.terms``
+    read their rows here, and neither touches the memo.
+    """
+    return map(_RowSums, islice(_stirling_rows(), first, None))
 
 
 #: The triangle's one map of held rows keeps row n for good when n is a
@@ -263,8 +286,8 @@ class _StirlingTriangle:
     the checkpoints, a sixteenth of the triangle, plus about
     ``_RECENT_BYTES``, where keeping every row would hold the whole triangle.
 
-    Each row is held as a :class:`_RowSums`, which also keeps the class
-    sums read so far, at most 4 ints, so a recent row's sums go when the
+    Each row is held as a :class:`_RowSums`, which also keeps the sums
+    read so far, at most 6 ints, so a recent row's sums go when the
     row is evicted and a checkpoint keeps its sums.
     :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
     instance and hands out the held entry.
@@ -332,9 +355,11 @@ def _read_row(n: int) -> _RowSums:
     its own, whose sums are computed over that row, so the corrupted row
     reaches :func:`stirling2`, :func:`stirling2_row`, every weighted sum,
     :func:`worpitzky`, :func:`worpitzky_row` and the columns of
-    ``identities.verify_egf_agreement``. The entry is handed out, not
-    copied: callers have checked ``n`` and must not mutate ``.row``. The
-    global ``_shared_triangle`` is looked up at call time.
+    ``identities.verify_egf_agreement``. It serves point reads only: the
+    sequences that ``compute --max`` and the b-file tools print read their
+    rows off :func:`_rows`, and never reach it. The entry is handed out,
+    not copied: callers have checked ``n`` and must not mutate ``.row``.
+    The global ``_shared_triangle`` is looked up at call time.
     """
     return _shared_triangle.read(n)
 
@@ -371,8 +396,7 @@ def _row_sum(row: list[int], shift: int, parity: int) -> int:
 
 def ordered_bell(n: int) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
-    sums = _read_row(_require_at_least(n, 0))
-    return sums[0, 0] + sums[0, 1]
+    return _read_row(_require_at_least(n, 0))[0, None]
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -388,8 +412,7 @@ def ordered_bell_parity(n: int, parity: str) -> int:
 
 def cyclic_ordered_bell(n: int) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
-    sums = _read_row(_require_at_least(n, 1))
-    return sums[1, 0] + sums[1, 1]
+    return _read_row(_require_at_least(n, 1))[1, None]
 
 
 def cyclic_ordered_bell_even(n: int) -> int:

@@ -46,6 +46,67 @@ def test_compute_cyclic_parities(capsys):
     assert out == "1 1\n2 1\n"
 
 
+def _fault_on_the_stream(monkeypatch, n, k):
+    """Make the Stirling stream yield S(n, k) + 1 in row n, in a copy: the
+    rows above it are stepped from the true row."""
+    real_rows = sequences._stirling_rows
+
+    def rows():
+        for m, row in enumerate(real_rows()):
+            if m == n:
+                row = list(row)
+                row[k] += 1
+            yield row
+
+    monkeypatch.setattr(sequences, "_stirling_rows", rows)
+
+
+def test_one_fault_on_the_stream_reaches_compute_and_verify(capsys, monkeypatch):
+    # compute prints off the Stirling stream that the sweep checks, so one
+    # wrong entry there changes a printed line and fails an identity
+    _, genuine, _ = run_cli(capsys, "compute", "bell", "--max", "120")
+    _fault_on_the_stream(monkeypatch, 100, 50)
+    code, out, _ = run_cli(capsys, "compute", "bell", "--max", "120")
+    assert code == 0 and out.count("\n") == genuine.count("\n") == 121
+    changed = [a for a, b in zip(out.splitlines(), genuine.splitlines()) if a != b]
+    assert [line.split()[0] for line in changed] == ["100"]
+    code, out, _ = run_cli(
+        capsys, "verify", "all", "--max", "120", "--order", "24", "--format", "structured"
+    )
+    assert code == 1
+    failures = [r["first_failure"]["n"] for r in json.loads(out) if r["first_failure"]]
+    assert failures and min(failures) <= 100
+
+
+#: SHA-256 of the stdout of ``compute <sequence> --max 300``, captured when
+#: compute still read each value from the memo, one point read per n.
+COMPUTE_300_DIGESTS = {
+    "bell": "dbdd3446aab14bb46849948c5fb0507c1868d1f67d88c4b3778698b41a3a6890",
+    "cyclic": "ffd024a5164411d676af4d2d90e66bcd72de3a3566c8837edb63a6a4f6c3236f",
+    "cyclic-even": "654041f3cc3faaf28acab172e51de890b27c282dd69ef1595ee4d0e4946a061c",
+    "cyclic-odd": "dd926c047bbecb117e2f66654e9a8960679dd4dab94eb67aee051c3858cb8de2",
+}
+
+
+def test_range_reads_never_touch_the_memo(capsys, monkeypatch):
+    def no_memo(n):
+        raise AssertionError(f"_read_row({n}) was called")
+
+    monkeypatch.setattr(sequences, "_read_row", no_memo)
+    for sequence, digest in COMPUTE_300_DIGESTS.items():
+        code, out, err = run_cli(capsys, "compute", sequence, "--max", "300")
+        assert (code, err) == (0, ""), sequence
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, sequence
+    assert run_cli(capsys, "bfile", "check", "A000670") == (0, "oeis.A000670 n=0..29 pass\n", "")
+
+
+@pytest.mark.parametrize("name", [name for name, s in SEQUENCES.items() if s.route and not s.row])
+def test_range_reads_agree_with_the_point_routes(name):
+    # pins each scalar entry's key against the public function that verify egf checks
+    s = SEQUENCES[name]
+    assert s.terms(300) == [s.route(n) for n in range(s.first, 301)]
+
+
 def test_compute_rows(capsys):
     code, out, _ = run_cli(capsys, "compute", "stirling-row", "--n", "4")
     assert code == 0
@@ -440,12 +501,23 @@ _FIXTURE_LAST_ROW = {"A000670": 29, "A008277": 13, "A130850": 12}
 
 @pytest.mark.parametrize("sequence_id", sorted(_FIXTURE_LAST_ROW))
 def test_bfile_check_computes_only_what_the_fixture_holds(monkeypatch, capsys, sequence_id):
+    # A000670 is read off the Stirling stream, the triangles row by row from
+    # the memo: each path stops at the last row the fixture needs, and the
+    # other is not taken
     code, out, _ = run_cli(capsys, "bfile", "check", sequence_id)
     assert code == 0
-    rows, real_read = [], sequences._read_row
-    monkeypatch.setattr(sequences, "_read_row", lambda n: rows.append(n) or real_read(n))
+    read, streamed = [], []
+    real_read, real_rows = sequences._read_row, sequences._stirling_rows
+    monkeypatch.setattr(sequences, "_read_row", lambda n: read.append(n) or real_read(n))
+    monkeypatch.setattr(
+        sequences,
+        "_stirling_rows",
+        lambda: (streamed.append(len(row) - 1) or row for row in real_rows()),
+    )
     assert run_cli(capsys, "bfile", "check", sequence_id, "--limit", "1000") == (0, out, "")
+    rows, other = (streamed, read) if sequence_id == "A000670" else (read, streamed)
     assert max(rows) == _FIXTURE_LAST_ROW[sequence_id]
+    assert other == []
 
 
 def test_bfile_export(capsys):
@@ -579,15 +651,11 @@ def test_bfile_unknown_ids(capsys):
 
 
 def test_bfile_check_detects_mismatch(capsys, monkeypatch):
-    real = sequences.ordered_bell
-
-    def corrupted(n):
-        return real(n) + (n == 5)
-
-    monkeypatch.setattr(sequences, "ordered_bell", corrupted)
+    # S(5, 2) + 1 on the stream adds 2! to B(5) = 541
+    _fault_on_the_stream(monkeypatch, 5, 2)
     code, out, _ = run_cli(capsys, "bfile", "check", "A000670", "--limit", "10")
     assert code == 1
-    assert "fail" in out
+    assert out == "oeis.A000670 n=0..10 fail first_failure: n=5 expected=541 actual=543\n"
 
 
 # -- help --------------------------------------------------------------------
