@@ -7,18 +7,18 @@ and wraps each in ``_late(module, name)``, as :data:`VERIFY_TARGETS` does
 for each verifier in ``identities``. A late call imports
 ``fubini.<module>`` and looks ``name`` up each time it is called, so a
 patched or traced function runs. The registry holds no arithmetic, so
-the routes stay independent. Each route reads its row through
-``sequences._read_row``, the seam for memo rows (``stirling-row`` through
-its copying reader ``stirling2_row``), so a row fed in there reaches every
-route. A range of a scalar sequence is read instead off the one Stirling
-stream the identity sweep checks: :meth:`Sequence.terms` takes each row
-entry from ``sequences._rows`` and reads the sequence's ``key`` there, so
-``compute --max``, ``bfile export`` and ``bfile check`` print the sums
-that ``verify`` checks, and a row fed in at ``sequences._stirling_rows``
-reaches both. :data:`VERIFY_TARGETS` maps each ``fubini verify``
-choice, ``"all"`` first, to ``(verifier, flags)``, where ``flags`` names
-the parsed arguments the verifier takes, which are also the only flags
-``fubini verify`` accepts for that target.
+the routes stay independent. Called with n alone, a route reads its row
+through ``sequences._read_row``, the seam for memo rows (``stirling-row``
+through its copying reader ``stirling2_row``), so a row fed in there
+reaches every route. A range of a scalar sequence is read instead off the
+one Stirling stream the identity sweep checks: :meth:`Sequence.terms`
+pulls each row entry from ``sequences._rows`` and calls the route with
+it, so ``compute --max``, ``bfile export`` and ``bfile check`` print the
+sums that ``verify`` checks, and a row fed in at
+``sequences._stirling_rows`` reaches both. :data:`VERIFY_TARGETS` maps
+each ``fubini verify`` choice, ``"all"`` first, to ``(verifier, flags)``,
+where ``flags`` names the parsed arguments the verifier takes, which are
+also the only flags ``fubini verify`` accepts for that target.
 
 Loading the registry loads no arithmetic: ``sequences`` is imported by the
 first direct route called, ``series`` by the first EGF built and
@@ -39,27 +39,25 @@ class Sequence:
     ``n >= first`` or, if ``row``, the triangle row k = 0..n; ``egf(order)``
     builds the exponential generating function. The constructor takes the
     route's name in ``sequences`` and the builder's name in ``series``, or
-    None for a route or builder the sequence lacks. ``key`` is a scalar
-    route's sum as a ``sequences._RowSums`` key ``(shift, parity)``, where
-    parity None means the two classes added: ``route(n)`` reads it from
-    Stirling row n.
+    None for a route or builder the sequence lacks. A scalar route is a
+    one-argument public sum of ``sequences``, so it also takes row n's entry,
+    ``route(n, sums)``, and reads its sum there.
     """
 
-    __slots__ = ("name", "first", "route", "egf", "key", "oeis_id", "row")
+    __slots__ = ("name", "first", "route", "egf", "oeis_id", "row")
 
-    def __init__(self, name, first, route=None, egf=None, key=None, oeis_id=None, row=False):
-        self.name, self.first, self.key, self.oeis_id, self.row = name, first, key, oeis_id, row
-        self.route = route and _late("sequences", route)
-        self.egf = egf and _late("series", egf)
+    def __init__(self, name, first, route=None, egf=None, oeis_id=None, row=False):
+        self.name, self.first, self.oeis_id, self.row = name, first, oeis_id, row
+        self.route, self.egf = route and _late("sequences", route), egf and _late("series", egf)
 
     def terms(self, n_max: int, name: str = "n_max") -> list[int]:
-        """a(first..n_max): a scalar sequence reads ``key`` from the row
-        entries of ``sequences._rows``, one stream, and never reaches the
-        memo; a triangle is read by rows n >= first, each from k = first."""
+        """a(first..n_max): a scalar sequence calls ``route(n, sums)`` with
+        the row entries of ``sequences._rows``, one stream, and never reaches
+        the memo; a triangle is read by rows n >= first, each from k = first."""
         last = _require_at_least(n_max, self.first, name)
         if not self.row:
             rows = import_module("fubini.sequences")._rows(self.first)
-            return [sums[self.key] for _, sums in zip(range(self.first, last + 1), rows)]
+            return list(map(self.route, range(self.first, last + 1), rows))
         values, n = [], self.first
         while self.first + len(values) <= last:
             values += self.route(n)[self.first:]
@@ -82,10 +80,10 @@ def _late(module: str, name: str):
 
 #: Every named sequence by CLI name, in the order the CLI lists them.
 SEQUENCES = {s.name: s for s in (
-    Sequence("bell", 0, "ordered_bell", "ordered_bell_egf", (0, None), "A000670"),
-    Sequence("cyclic", 1, "cyclic_ordered_bell", "cyclic_ordered_bell_egf", (1, None)),
-    Sequence("cyclic-even", 1, "cyclic_ordered_bell_even", "cyclic_ordered_bell_even_egf", (1, 0)),
-    Sequence("cyclic-odd", 1, "cyclic_ordered_bell_odd", "cyclic_ordered_bell_odd_egf", (1, 1)),
+    Sequence("bell", 0, "ordered_bell", "ordered_bell_egf", "A000670"),
+    Sequence("cyclic", 1, "cyclic_ordered_bell", "cyclic_ordered_bell_egf"),
+    Sequence("cyclic-even", 1, "cyclic_ordered_bell_even", "cyclic_ordered_bell_even_egf"),
+    Sequence("cyclic-odd", 1, "cyclic_ordered_bell_odd", "cyclic_ordered_bell_odd_egf"),
     Sequence("double-shifted-bell", 1, egf="double_shifted_bell_egf"),
     Sequence("stirling-row", 1, "stirling2_row", oeis_id="A008277", row=True),
     Sequence("worpitzky-row", 0, "worpitzky_row", oeis_id="A130850", row=True),

@@ -38,8 +38,9 @@ are two ways to read rows, and both step with it:
   its own and holds none of them. The identity sweep reads its rows here,
   and so does ``registry.Sequence.terms``, which ``compute --max``,
   ``bfile export`` and ``bfile check`` print the scalar sequences
-  through: every value they print is a sum the sweep checks, a
-  ``_row_sum`` walk over a streamed row.
+  through: it calls each one-argument public sum as ``f(n, sums)`` with
+  the entry of row n, so every value they print is a sum the sweep
+  checks, a ``_row_sum`` walk over a streamed row.
 * The memo, ``_StirlingTriangle``, serves point reads; only it also steps
   back, with the inverse ``_prev_stirling_row``. It is bounded: one map
   holds every 16th row (a checkpoint) and the other rows inserted most
@@ -50,12 +51,13 @@ are two ways to read rows, and both step with it:
   takes no lock and a miss takes one, as ``_StirlingTriangle`` sets out.
 
 ``_read_row`` is the one reader of the memo, and it hands out the held
-entry, uncopied: every public sum and every ``stirling2`` entry is one
-read of it, and ``stirling2_row`` is its copying reader. It is the one
-seam for memo rows, so a patched ``_read_row`` returning a ``_RowSums`` of
-a corrupted row reaches every entry, every sum, the row readers, the
-Worpitzky numbers and the EGF check's columns. Neither the identity sweep
-nor a range read touches this memo.
+entry, uncopied: every public sum called with n alone and every
+``stirling2`` entry is one read of it, and ``stirling2_row`` is its
+copying reader. It is the one seam for memo rows, so a patched
+``_read_row`` returning a ``_RowSums`` of a corrupted row reaches every
+entry, every sum, the row readers, the Worpitzky numbers and the EGF
+check's columns. Neither the identity sweep nor a range read touches this
+memo.
 
 One brute-force enumerator lives alongside, so the closed-form routines
 can be tested against an independent route: ``set_partitions`` walks
@@ -238,7 +240,8 @@ def _rows(first: int):
     Each entry is made as it is pulled and is held by the caller alone, so
     a caller that drops it holds two rows at most, its own and the one the
     stream steps from. The identity sweep and ``registry.Sequence.terms``
-    read their rows here, and neither touches the memo.
+    read their rows here, and neither touches the memo: ``terms`` hands
+    each entry to a public sum, as its ``sums`` argument.
     """
     return map(_RowSums, islice(_stirling_rows(), first, None))
 
@@ -356,10 +359,11 @@ def _read_row(n: int) -> _RowSums:
     reaches :func:`stirling2`, :func:`stirling2_row`, every weighted sum,
     :func:`worpitzky`, :func:`worpitzky_row` and the columns of
     ``identities.verify_egf_agreement``. It serves point reads only: the
-    sequences that ``compute --max`` and the b-file tools print read their
-    rows off :func:`_rows`, and never reach it. The entry is handed out,
-    not copied: callers have checked ``n`` and must not mutate ``.row``.
-    The global ``_shared_triangle`` is looked up at call time.
+    sequences that ``compute --max`` and the b-file tools print pass each
+    public sum its row's entry off :func:`_rows`, so they never reach it.
+    The entry is handed out, not copied: callers have checked ``n`` and
+    must not mutate ``.row``. The global ``_shared_triangle`` is looked up
+    at call time.
     """
     return _shared_triangle.read(n)
 
@@ -394,9 +398,16 @@ def _row_sum(row: list[int], shift: int, parity: int) -> int:
     return total
 
 
-def ordered_bell(n: int) -> int:
+def _entry(n: int, first: int, sums: _RowSums | None) -> _RowSums:
+    """Row n's entry for a one-argument public sum: ``sums``, the entry that
+    a range read pulled off :func:`_rows` for row n, or else the memo's.
+    ``n`` is checked when the memo is read; a range read checked its bounds."""
+    return _read_row(_require_at_least(n, first)) if sums is None else sums
+
+
+def ordered_bell(n: int, sums: _RowSums | None = None) -> int:
     """Number of ordered set partitions of an n-element set: sum of k!*S(n,k)."""
-    return _read_row(_require_at_least(n, 0))[0, None]
+    return _entry(n, 0, sums)[0, None]
 
 
 def ordered_bell_parity(n: int, parity: str) -> int:
@@ -410,19 +421,19 @@ def ordered_bell_parity(n: int, parity: str) -> int:
     return _read_row(n)[0, 0 if parity == "even" else 1]
 
 
-def cyclic_ordered_bell(n: int) -> int:
+def cyclic_ordered_bell(n: int, sums: _RowSums | None = None) -> int:
     """Set partitions of [n] with blocks arranged in a cycle: sum of (k-1)!*S(n,k)."""
-    return _read_row(_require_at_least(n, 1))[1, None]
+    return _entry(n, 1, sums)[1, None]
 
 
-def cyclic_ordered_bell_even(n: int) -> int:
+def cyclic_ordered_bell_even(n: int, sums: _RowSums | None = None) -> int:
     """Cyclic arrangements with an even number of blocks: sum of (k-1)!*S(n,k), k even."""
-    return _read_row(_require_at_least(n, 1))[1, 0]
+    return _entry(n, 1, sums)[1, 0]
 
 
-def cyclic_ordered_bell_odd(n: int) -> int:
+def cyclic_ordered_bell_odd(n: int, sums: _RowSums | None = None) -> int:
     """Cyclic arrangements with an odd number of blocks: sum of (k-1)!*S(n,k), k odd."""
-    return _read_row(_require_at_least(n, 1))[1, 1]
+    return _entry(n, 1, sums)[1, 1]
 
 
 def worpitzky(n: int, k: int) -> int:
@@ -447,19 +458,19 @@ def worpitzky_row(n: int) -> list[int]:
     return values
 
 
-def alternating_factorial_sum(n: int) -> int:
+def alternating_factorial_sum(n: int, sums: _RowSums | None = None) -> int:
     """``sum((-1)^k * k! * S(n,k))``; equals (-1)^n for every n >= 1."""
-    sums = _read_row(_require_at_least(n, 1))
+    sums = _entry(n, 1, sums)
     return sums[0, 0] - sums[0, 1]
 
 
-def alternating_cyclic_sum(n: int) -> int:
+def alternating_cyclic_sum(n: int, sums: _RowSums | None = None) -> int:
     """``sum((-1)^k * (k-1)! * S(n,k))`` over k >= 1.
 
     Equals the even-block cyclic count minus the odd-block one: -1 at n=1
     and 0 for all n >= 2.
     """
-    sums = _read_row(_require_at_least(n, 1))
+    sums = _entry(n, 1, sums)
     return sums[1, 0] - sums[1, 1]
 
 

@@ -102,9 +102,25 @@ def test_range_reads_never_touch_the_memo(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", [name for name, s in SEQUENCES.items() if s.route and not s.row])
 def test_range_reads_agree_with_the_point_routes(name):
-    # pins each scalar entry's key against the public function that verify egf checks
+    # the public sum that verify egf checks gives the same value from the
+    # stream's entry as from the memo's
     s = SEQUENCES[name]
     assert s.terms(300) == [s.route(n) for n in range(s.first, 301)]
+
+
+def test_compute_calls_the_public_sum_once_per_n(capsys, monkeypatch):
+    # the registry looks its route up by name, so a patched or traced sum
+    # runs once per printed n, handed its row's entry off the stream
+    calls, real = [], sequences.ordered_bell
+
+    def recorded(n, sums=None):
+        calls.append((n, sums is None))
+        return real(n, sums)
+
+    monkeypatch.setattr(sequences, "ordered_bell", recorded)
+    code, out, _ = run_cli(capsys, "compute", "bell", "--max", "5")
+    assert (code, out) == (0, "0 1\n1 1\n2 3\n3 13\n4 75\n5 541\n")
+    assert calls == [(n, False) for n in range(6)]
 
 
 def test_compute_rows(capsys):

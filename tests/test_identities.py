@@ -94,6 +94,13 @@ def test_a_sequence_takes_its_route_and_builder_by_name():
     assert registry.Sequence("bell", 0, "ordered_bell").route(3) == 13
 
 
+@pytest.mark.parametrize("route", ["alternating_factorial_sum", "alternating_cyclic_sum"])
+def test_any_one_argument_sum_is_a_scalar_route(route):
+    # an entry needs no more than the sum's name to read a range off the stream
+    function = getattr(sequences, route)
+    assert registry.Sequence("x", 1, route).terms(12) == [function(n) for n in range(1, 13)]
+
+
 def test_reports_are_deterministic():
     assert verify_all(12, 8) == verify_all(12, 8)
 
