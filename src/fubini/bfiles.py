@@ -33,7 +33,6 @@ from pathlib import Path
 
 from fubini import _EXPORTS
 from fubini._args import ArgumentError, _require_type
-from fubini.identities import VerificationReport, _sweep
 from fubini.registry import BY_OEIS_ID
 from fubini.sequences import SequenceTable
 
@@ -174,14 +173,17 @@ def computed_table(sequence_id: str, limit: int) -> SequenceTable:
     return SequenceTable(sequence_id, sequence.first, tuple(sequence.terms(limit, "limit")))
 
 
-def crosscheck(computed: SequenceTable, reference: SequenceTable) -> VerificationReport:
-    """Compare a computed table against a reference table, entry by entry.
+def crosscheck(computed: SequenceTable, reference: SequenceTable) -> "VerificationReport":
+    """Compare a computed table against a reference table, entry by entry, in
+    an :class:`~fubini.identities.VerificationReport`.
 
     The comparison covers the overlap of both index ranges, so a shorter
     table bounds it; an empty overlap is an error, not a failure. The
     report is named after the reference, or the computed table if the
     reference has no name.
     """
+    from fubini.identities import _sweep  # only a crosscheck loads the identity sweep
+
     _require_type(computed, (SequenceTable,), "computed")
     _require_type(reference, (SequenceTable,), "reference")
     lo = max(computed.offset, reference.offset)

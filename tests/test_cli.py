@@ -704,6 +704,57 @@ def test_help_shows_the_placeholder_the_usage_errors_name(capsys, command):
     assert expected and expected <= shown
 
 
+def test_top_level_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("compute", "verify", "egf", "bfile"):
+        assert f"\n    {command} " in out, command
+
+
+# -- argument forms ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "bell", "--max=3"],
+        ["compute", "--max", "3", "bell"],
+        ["compute", "bell", "--max", "2", "--max", "3"],
+    ],
+    ids=" ".join,
+)
+def test_each_valid_form_of_a_flag_gives_the_same_command(capsys, argv):
+    # --flag=value, a flag before the positional, and a repeated flag whose last value wins
+    assert run_cli(capsys, *argv) == (0, "0 1\n1 1\n2 3\n3 13\n", "")
+
+
+def test_a_negative_value_reaches_the_library(capsys):
+    assert run_cli(capsys, "compute", "bell", "--max", "-3") == (
+        2,
+        "",
+        "error: n_max must be >= 0, got -3\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "bell", "--max", "3", "--"], "unrecognized arguments: --"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["trailing --", "empty argv"],
+)
+def test_a_parse_error_exits_2_with_an_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}\n" in captured.err
+
+
 # -- hostile input -----------------------------------------------------------
 
 #: Each subcommand's positional arguments, valid and not.
@@ -753,7 +804,7 @@ def _hostile_argv(draw):
 def _exit_code(argv):
     try:
         return main(argv)
-    except SystemExit as exc:  # argparse's usage errors and --help
+    except SystemExit as exc:  # the parser's usage errors and --help
         return exc.code
 
 

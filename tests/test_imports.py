@@ -118,6 +118,23 @@ def test_no_command_loads_dataclasses(argv):
     assert "dataclasses" not in _loaded_by(argv)
 
 
+@pytest.mark.parametrize(
+    "argv", [*ARGVS, ["compute", "--help"], ["compute", "bell", "--ma", "3"]], ids=" ".join
+)
+def test_no_command_loads_an_argument_parser(argv):
+    assert not _loaded_by(argv) & {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bfile", "export", "A130850", "--limit", "5"], ["bfile", "fetch", "A000670"]],
+    ids=" ".join,
+)
+def test_bfile_export_and_fetch_load_no_identities(argv):
+    # only crosscheck, and so only bfile check, reads the identity sweep
+    assert "fubini.identities" not in _loaded_by(argv)
+
+
 def test_bfiles_defers_tempfile_and_resources():
     # without site, nothing else has loaded them
     modules = _loaded("import fubini.bfiles", "-I", "-S")
