@@ -38,6 +38,12 @@ nor ``identities``, ``compute``, in either format, loads neither
 ``check`` loads ``identities``. ``verify TARGET`` runs the verifier of
 ``registry.VERIFY_TARGETS[TARGET]`` with the parsed flags it names, the
 only flags the target takes.
+
+Every Stirling row a command prints from or checks, a ``compute`` point
+row included, comes off one ``sequences._rows`` stream, through
+``registry.Sequence.read`` or a verifier, so no command reads the row
+memo, which serves the library's point reads only, and one row fed in on
+the stream reaches every command.
 """
 
 import os
@@ -91,7 +97,7 @@ def _cmd_compute(args) -> int:
     sequence = SEQUENCES[args["sequence"]]
     # plain and b-file output are the same "index value" lines
     if sequence.row:
-        _print_lines(0, sequence.route(args["row_n"]))
+        _print_lines(0, next(sequence.read(args["row_n"])))
     else:
         _print_lines(sequence.first, sequence.terms(args["n_max"]))
     return EXIT_OK

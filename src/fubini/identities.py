@@ -15,7 +15,7 @@ identity is not checked past it. The b-file crosscheck
 
 The seven integer identities are checks on a window of three rows' sums,
 for n-1, n and n+1, that slides forward over n in one pass. Row n's sums
-come from one stream, ``sequences._rows``, the range reader: Stirling row
+come from one stream, ``sequences._rows``, the stream reader: Stirling row
 n of ``sequences._stirling_rows``, built by its own recurrence, not read
 from the shared memo, and wrapped in a ``sequences._RowSums``. Every sum
 is read by its ``_RowSums`` key: ``(shift, parity)`` is one parity class
@@ -26,9 +26,9 @@ walk ``sequences._row_sum``, run once per row, when an identity first
 reads it. So the paper's identity checks the cyclic walks of row n+1
 against the factorial walks of row n at every n of the sweep, past
 ``--order``, where no EGF checks them. A row is dropped when the window
-leaves it. ``compute --max`` and the b-file tools print from the same
-range reader, so the values they print are these sums, read by the same
-keys off the same stream.
+leaves it. ``compute`` and the b-file tools print from the same stream
+reader, so the values they print are these sums, read by the same keys off
+the same stream.
 
 On one stream, two groups of ids read the same sums: ``bell.parity-split``
 and ``alternating.factorial`` both compare the two factorial classes of
@@ -43,11 +43,13 @@ turn.
 
 The three EGF identities are checked by ``verify_egf_agreement``, which
 builds each registry EGF once, up front, and shares it between the checks;
-at each n it reads Stirling row n once from the shared memo, through
-``sequences._read_row`` (the seam for memo rows; ``stirling2_row`` is its
-copying reader), for the columns' direct side. Two whole series are
-compared with ``==`` once (exact, since their storage is canonical), and
-only two that differ are compared coefficient by coefficient.
+at each n it takes Stirling row n's entry once off its own
+``sequences._rows`` stream, hands it to each registry route and to the
+alternating cyclic sum, as their ``sums``, and reads the columns' direct
+side from its row, so no EGF check reads the shared memo. Two whole
+series are compared with ``==`` once (exact, since their storage is
+canonical), and only two that differ are compared coefficient by
+coefficient.
 
 The full registry of identity ids:
 
@@ -228,7 +230,7 @@ def _row_windows():
     n = 1, 2, ...
 
     The ``_RowSums`` of Stirling rows 1, 2, ... come from
-    ``sequences._rows``, the range reader, looked up here, not from the
+    ``sequences._rows``, the stream reader, looked up here, not from the
     shared memo; each walks a class when a check first reads it. Only rows
     n-1, n and n+1 are live, and the recurrence steps once per row, when
     the window for the n before it is pulled.
@@ -295,14 +297,15 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
 
     The registry EGFs are built once, in registry order, then the Stirling
     columns, then the derivative's two sides; its right side is the
-    ordered-Bell EGF cut to ``order - 1``. The checks run n-major: at each
-    n every registry route, then Stirling row n, read once through
-    ``sequences._read_row``, the seam for memo rows, for the columns'
-    direct side. The derivative's two sides, and the cyclic EGF and the sum
-    of its even and odd parts, are compared with ``==`` once, and compared
-    at each n only if they differ. An EGF's terms
-    ``n! * coefficient`` are compared as they are, so a non-integral term
-    is a failed report rather than an error.
+    ordered-Bell EGF cut to ``order - 1``. The checks run n-major over one
+    ``sequences._rows`` stream, each n's state the entry of Stirling row
+    n, pulled once: every registry route and the alternating cyclic sum
+    take it as their ``sums``, and its row is the columns' direct side.
+    The derivative's two sides, and the cyclic EGF and the sum of its even
+    and odd parts, are compared with ``==`` once, and compared at each n
+    only if they differ. An EGF's terms ``n! * coefficient`` are compared
+    as they are, so a non-integral term is a failed report rather than an
+    error.
     """
     from fubini import series
 
@@ -314,27 +317,27 @@ def verify_egf_agreement(order: int) -> list[VerificationReport]:
     lhs = series.double_shifted_bell_egf(order).derivative()
     rhs = 2 * egfs["bell"].truncate(order - 1)
     total, even, odd = egfs["cyclic"], egfs["cyclic-even"], egfs["cyclic-odd"]
-    sums, difference = even + odd, series._egf_terms(even - odd)
-    sums_differ, sides_differ = total != sums, rhs != lhs
+    parts, difference = even + odd, series._egf_terms(even - odd)
+    parts_differ, sides_differ = total != parts, rhs != lhs
 
-    def agreement(n):
+    def agreement(n, sums):
         for s, values in zip(routes, terms):  # the EGF's coefficients below first are 0
-            yield s.route(n) if n >= s.first else 0, values[n]
-        row = sequences._read_row(n).row
+            yield s.route(n, sums) if n >= s.first else 0, values[n]
         for k, values in enumerate(columns):
-            yield row[k] if k <= n else 0, values[n]
+            yield sums.row[k] if k <= n else 0, values[n]
 
-    def parity_split(n):
-        if sums_differ:
-            yield total[n], sums[n]
-        yield sequences.alternating_cyclic_sum(n) if n else 0, difference[n]
+    def parity_split(n, sums):
+        if parts_differ:
+            yield total[n], parts[n]
+        yield sequences.alternating_cyclic_sum(n, sums) if n else 0, difference[n]
 
     def derivative(n):
         if sides_differ:
             yield rhs[n], lhs[n]
 
     checks = {"egf.agreement": agreement, "egf.parity-split": parity_split}
-    return _sweep(0, order, checks) + _sweep(0, order - 1, {"egf.derivative": derivative})
+    rows = zip(sequences._rows(0))  # one-tuples: each n's state is row n's entry
+    return _sweep(0, order, checks, rows) + _sweep(0, order - 1, {"egf.derivative": derivative})
 
 
 def verify_all(n_max: int, order: int) -> list[VerificationReport]:

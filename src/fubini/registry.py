@@ -7,27 +7,27 @@ and wraps each in ``_late(module, name)``, as :data:`VERIFY_TARGETS` does
 for each verifier in ``identities``. A late call imports
 ``fubini.<module>`` and looks ``name`` up each time it is called, so a
 patched or traced function runs. The registry holds no arithmetic, so
-the routes stay independent. Called with n alone, a route reads its row
-through ``sequences._read_row``, the seam for memo rows (``stirling-row``
-through its copying reader ``stirling2_row``), so a row fed in there
-reaches every route. A range of a scalar sequence is read instead off the
-one Stirling stream the identity sweep checks: :meth:`Sequence.terms`
-pulls each row entry from ``sequences._rows`` and calls the route with
-it, so ``compute --max``, ``bfile export`` and ``bfile check`` print the
-sums that ``verify`` checks, and a row fed in at
-``sequences._stirling_rows`` reaches both. :data:`VERIFY_TARGETS` maps
-each ``fubini verify`` choice, ``"all"`` first, to ``(verifier, flags)``,
-where ``flags`` names the parsed arguments the verifier takes, which are
-also the only flags ``fubini verify`` accepts for that target.
+the routes stay independent. Every route is called ``route(n, sums)``,
+with the entry of the Stirling row it reads: :meth:`Sequence.read` pulls
+each entry off ``sequences._rows``, the one Stirling stream the identity
+sweep checks, so ``compute``, ``bfile export`` and ``bfile check`` print
+the sums and rows that ``verify`` checks, and a row fed in at
+``sequences._stirling_rows`` reaches all of them. No command reads the
+memo, which serves a route called with n alone, a library point read.
+:data:`VERIFY_TARGETS` maps each ``fubini verify`` choice, ``"all"``
+first, to ``(verifier, flags)``, where ``flags`` names the parsed
+arguments the verifier takes, which are also the only flags ``fubini
+verify`` accepts for that target.
 
 Loading the registry loads no arithmetic: ``sequences`` is imported by the
-first direct route called, ``series`` by the first EGF built and
+first stream read or route called, ``series`` by the first EGF built and
 ``identities`` by the first verify target run. So ``fubini egf`` never
 loads ``sequences`` or ``identities``, and ``fubini compute`` never loads
 ``series`` or ``identities``.
 """
 
 from importlib import import_module
+from itertools import chain, count, islice
 
 from fubini._args import _require_at_least
 
@@ -39,9 +39,10 @@ class Sequence:
     ``n >= first`` or, if ``row``, the triangle row k = 0..n; ``egf(order)``
     builds the exponential generating function. The constructor takes the
     route's name in ``sequences`` and the builder's name in ``series``, or
-    None for a route or builder the sequence lacks. A scalar route is a
-    one-argument public sum of ``sequences``, so it also takes row n's entry,
-    ``route(n, sums)``, and reads its sum there.
+    None for a route or builder the sequence lacks. A route also takes the
+    entry of the Stirling row it reads, ``route(n, sums)``, and reads its
+    value there; :meth:`read` hands it one off the stream, and a route called
+    with n alone reads the memo.
     """
 
     __slots__ = ("name", "first", "route", "egf", "oeis_id", "row")
@@ -51,18 +52,23 @@ class Sequence:
         self.route, self.egf = route and _late("sequences", route), egf and _late("series", egf)
 
     def terms(self, n_max: int, name: str = "n_max") -> list[int]:
-        """a(first..n_max): a scalar sequence calls ``route(n, sums)`` with
-        the row entries of ``sequences._rows``, one stream, and never reaches
-        the memo; a triangle is read by rows n >= first, each from k = first."""
+        """a(first..n_max), off :meth:`read`: a triangle's rows n >= first,
+        each from k = first, flattened; no row past the last needed is pulled."""
         last = _require_at_least(n_max, self.first, name)
-        if not self.row:
-            rows = import_module("fubini.sequences")._rows(self.first)
-            return list(map(self.route, range(self.first, last + 1), rows))
-        values, n = [], self.first
-        while self.first + len(values) <= last:
-            values += self.route(n)[self.first:]
-            n += 1
-        return values[: last - self.first + 1]
+        rows = self.read(self.first)
+        values = chain.from_iterable(row[self.first:] for row in rows) if self.row else rows
+        return list(islice(values, last - self.first + 1))
+
+    def read(self, n: int):
+        """``route(m, sums)`` for m = n, n+1, ..., lazily, off one
+        ``sequences._rows`` stream: ``sums`` is the entry of the Stirling row
+        that route m reads, row m, or for a triangle row m + 1 - first
+        (A008277's row m is S(m, k) from k = 1, A130850's k! S(m+1, k+1)
+        from k = 0). The stream starts no lower than row 0: a route refuses
+        an ``n`` below 0 itself, before it reads its row."""
+        start = n + 1 - self.first if self.row else n
+        rows = import_module("fubini.sequences")._rows(max(start, 0))
+        return map(self.route, count(n), rows)
 
 
 def _late(module: str, name: str):

@@ -33,31 +33,35 @@ memo of a row's sums.
 ``_next_stirling_row`` is the one forward Stirling recurrence step. There
 are two ways to read rows, and both step with it:
 
-* ``_rows(first)``, the one range reader, wraps each row of one
+* ``_rows(first)``, the stream reader, wraps each row of one
   ``_stirling_rows`` stream, from row ``first`` on, in a ``_RowSums`` of
   its own and holds none of them. The identity sweep reads its rows here,
-  and so does ``registry.Sequence.terms``, which ``compute --max``,
-  ``bfile export`` and ``bfile check`` print the scalar sequences
-  through: it calls each one-argument public sum as ``f(n, sums)`` with
-  the entry of row n, so every value they print is a sum the sweep
-  checks, a ``_row_sum`` walk over a streamed row.
-* The memo, ``_StirlingTriangle``, serves point reads; only it also steps
-  back, with the inverse ``_prev_stirling_row``. It is bounded: one map
-  holds every 16th row (a checkpoint) and the other rows inserted most
-  recently up to a byte budget, first in first out, and any other row is
-  recomputed from the nearest held row, below or above, so at most
-  ``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint. It holds
-  each row as a ``_RowSums``, so a row's sums go when the row goes; a hit
-  takes no lock and a miss takes one, as ``_StirlingTriangle`` sets out.
+  and so does every CLI command: ``verify egf`` and
+  ``registry.Sequence.read``, which ``compute`` and the b-file tools print
+  every sequence through, hand each route the entry of the row it reads,
+  as its ``sums`` argument, so every value they print or check is read off
+  a streamed row, and every sum is a ``_row_sum`` walk the sweep checks.
+* The memo, ``_StirlingTriangle``, serves the library's point reads only;
+  only it also steps back, with the inverse ``_prev_stirling_row``. It is
+  bounded: one map holds every 16th row (a checkpoint) and the other rows
+  inserted most recently up to a byte budget, first in first out, and any
+  other row is recomputed from the nearest held row, below or above, so
+  at most ``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint.
+  It holds each row as a ``_RowSums``, so a row's sums go when the row
+  goes; a hit takes no lock and a miss takes one, as
+  ``_StirlingTriangle`` sets out.
+
+Every route, the five one-argument public sums and the two row readers
+``stirling2_row`` and ``worpitzky_row``, is called ``route(n, sums=None)``
+and finds its row through ``_entry``: the ``sums`` given, checked to be
+the entry of the row it reads, or else the memo's.
 
 ``_read_row`` is the one reader of the memo, and it hands out the held
-entry, uncopied: every public sum called with n alone and every
-``stirling2`` entry is one read of it, and ``stirling2_row`` is its
-copying reader. It is the one seam for memo rows, so a patched
+entry, uncopied: every route called with n alone and every ``stirling2``
+entry is one read of it. It is the one seam for memo rows, so a patched
 ``_read_row`` returning a ``_RowSums`` of a corrupted row reaches every
-entry, every sum, the row readers, the Worpitzky numbers and the EGF
-check's columns. Neither the identity sweep nor a range read touches this
-memo.
+point read: every entry, every sum and the Worpitzky numbers. Neither the
+identity sweep nor any CLI command touches this memo.
 
 One brute-force enumerator lives alongside, so the closed-form routines
 can be tested against an independent route: ``set_partitions`` walks
@@ -235,13 +239,15 @@ class _RowSums(dict):
 
 def _rows(first: int):
     """The :class:`_RowSums` of Stirling rows first, first+1, ..., off one
-    :func:`_stirling_rows` stream: the one range reader.
+    :func:`_stirling_rows` stream: the stream reader.
 
     Each entry is made as it is pulled and is held by the caller alone, so
     a caller that drops it holds two rows at most, its own and the one the
-    stream steps from. The identity sweep and ``registry.Sequence.terms``
-    read their rows here, and neither touches the memo: ``terms`` hands
-    each entry to a public sum, as its ``sums`` argument.
+    stream steps from. The identity sweep, ``verify egf`` and
+    ``registry.Sequence.read`` read their rows here, and none touches the
+    memo: ``verify egf`` and ``read`` hand each entry to a route, as its
+    ``sums`` argument, a point read included, which pulls rows up to its
+    own and takes that one.
     """
     return map(_RowSums, islice(_stirling_rows(), first, None))
 
@@ -265,7 +271,8 @@ _RECENT_BYTES = 8 << 20
 
 
 class _StirlingTriangle:
-    """Rows of second-kind partition counts, with a bounded memo.
+    """Rows of second-kind partition counts, with a bounded memo: the rows
+    of the library's point reads, and of no CLI command.
 
     Row ``n`` is ``S(n, 0..n)``. The memo holds every row it keeps in one
     map, ``_rows``, from row index to entry, and keeps two kinds of rows:
@@ -356,11 +363,12 @@ def _read_row(n: int) -> _RowSums:
     The one reader of memo rows, and so the one seam where a test feeds in
     a corrupted row: a patched ``_read_row`` returns a :class:`_RowSums` of
     its own, whose sums are computed over that row, so the corrupted row
-    reaches :func:`stirling2`, :func:`stirling2_row`, every weighted sum,
-    :func:`worpitzky`, :func:`worpitzky_row` and the columns of
-    ``identities.verify_egf_agreement``. It serves point reads only: the
-    sequences that ``compute --max`` and the b-file tools print pass each
-    public sum its row's entry off :func:`_rows`, so they never reach it.
+    reaches :func:`stirling2`, :func:`ordered_bell_parity`, :func:`worpitzky`
+    and every route called with n alone: each weighted sum,
+    :func:`stirling2_row` and :func:`worpitzky_row`. It serves the
+    library's point reads only: every CLI command, ``verify egf`` and the
+    point rows of ``compute`` included, hands each route its row's entry
+    off :func:`_rows`, so none reaches it.
     The entry is handed out, not copied: callers have checked ``n`` and
     must not mutate ``.row``. The global ``_shared_triangle`` is looked up
     at call time.
@@ -374,9 +382,10 @@ def stirling2(n: int, k: int) -> int:
     return _read_row(n).row[k] if k <= n else 0
 
 
-def stirling2_row(n: int) -> list[int]:
-    """The full row ``[S(n,0), ..., S(n,n)]`` as a fresh list: the copying reader of the memo."""
-    return list(_read_row(_require_at_least(n, 0, "row index")).row)
+def stirling2_row(n: int, sums: _RowSums | None = None) -> list[int]:
+    """The full row ``[S(n,0), ..., S(n,n)]`` as a fresh list, copied from
+    ``sums``, row n's entry, or else from the memo."""
+    return list(_entry(n, 0, sums, "row index").row)
 
 
 def _row_sum(row: list[int], shift: int, parity: int) -> int:
@@ -398,11 +407,19 @@ def _row_sum(row: list[int], shift: int, parity: int) -> int:
     return total
 
 
-def _entry(n: int, first: int, sums: _RowSums | None) -> _RowSums:
-    """Row n's entry for a one-argument public sum: ``sums``, the entry that
-    a range read pulled off :func:`_rows` for row n, or else the memo's.
-    ``n`` is checked when the memo is read; a range read checked its bounds."""
-    return _read_row(_require_at_least(n, first)) if sums is None else sums
+def _entry(n: int, first: int, sums: _RowSums | None, name: str = "n") -> _RowSums:
+    """Row n's entry for a route: ``sums``, the entry that a stream read
+    pulled off :func:`_rows` for row n, or else the memo's. ``n >= first``
+    is checked either way, and first, so a bad ``n`` is named as such; then
+    ``sums`` that is not a :class:`_RowSums`, or is the entry of another
+    row, is refused, so no route sums the wrong row."""
+    n = _require_at_least(n, first, name)
+    if sums is None:
+        return _read_row(n)
+    _require_type(sums, (_RowSums,), "sums")
+    if len(sums.row) != n + 1:
+        raise ArgumentError(f"sums must be the entry of row {n}, got row {len(sums.row) - 1}")
+    return sums
 
 
 def ordered_bell(n: int, sums: _RowSums | None = None) -> int:
@@ -442,13 +459,14 @@ def worpitzky(n: int, k: int) -> int:
     return factorial(k) * stirling2(n + 1, k + 1) if k <= n else 0
 
 
-def worpitzky_row(n: int) -> list[int]:
-    """The row ``[worpitzky(n, 0), ..., worpitzky(n, n)]``, from one read of row n+1.
+def worpitzky_row(n: int, sums: _RowSums | None = None) -> list[int]:
+    """The row ``[worpitzky(n, 0), ..., worpitzky(n, n)]``, from one read of
+    Stirling row n+1: ``sums``, that row's entry, or else the memo's.
 
     ``k!`` is carried along the row as a running product.
     """
     n = _require_at_least(n, 0)
-    row = _read_row(n + 1).row
+    row = _entry(n + 1, 1, sums).row
     values = []
     weight = 1
     for k in range(n + 1):

@@ -7,6 +7,7 @@ import sys
 import urllib.request
 from datetime import timedelta
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -62,50 +63,82 @@ def _fault_on_the_stream(monkeypatch, n, k):
 
 
 def test_one_fault_on_the_stream_reaches_compute_and_verify(capsys, monkeypatch):
-    # compute prints off the Stirling stream that the sweep checks, so one
-    # wrong entry there changes a printed line and fails an identity
-    _, genuine, _ = run_cli(capsys, "compute", "bell", "--max", "120")
-    _fault_on_the_stream(monkeypatch, 100, 50)
-    code, out, _ = run_cli(capsys, "compute", "bell", "--max", "120")
-    assert code == 0 and out.count("\n") == genuine.count("\n") == 121
-    changed = [a for a, b in zip(out.splitlines(), genuine.splitlines()) if a != b]
-    assert [line.split()[0] for line in changed] == ["100"]
-    code, out, _ = run_cli(
-        capsys, "verify", "all", "--max", "120", "--order", "24", "--format", "structured"
-    )
-    assert code == 1
-    failures = [r["first_failure"]["n"] for r in json.loads(out) if r["first_failure"]]
-    assert failures and min(failures) <= 100
+    # every command prints off or checks the Stirling stream that the sweep
+    # checks, so one wrong entry there, S(40, 20), changes a printed line of
+    # each and fails an identity of each verify
+    commands = {
+        "compute bell --max 120": ["40"],
+        "compute stirling-row --n 40": ["20"],
+        "compute worpitzky-row --n 39": ["19"],  # 19! S(40, 20)
+        "bfile export A008277 --limit 1000": ["800"],  # rows 1..39 hold 780 entries
+        "bfile export A130850 --limit 1000": ["799"],  # rows 0..38 hold 780 entries
+    }
+    genuine = {command: run_cli(capsys, *command.split()) for command in commands}
+    _fault_on_the_stream(monkeypatch, 40, 20)
+    for command, lines in commands.items():
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0 and out.count("\n") == genuine[command][1].count("\n"), command
+        changed = [a for a, b in zip(out.splitlines(), genuine[command][1].splitlines()) if a != b]
+        assert [line.split()[0] for line in changed] == lines, command
+    # the sweep's shifted identities read row 40 at n = 39
+    for command, first in (("verify all --max 120 --order 24", 39), ("verify egf --order 64", 40)):
+        code, out, _ = run_cli(capsys, *command.split(), "--format", "structured")
+        assert code == 1, command
+        failures = [r["first_failure"]["n"] for r in json.loads(out) if r["first_failure"]]
+        assert min(failures) == first, command
 
 
-#: SHA-256 of the stdout of ``compute <sequence> --max 300``, captured when
-#: compute still read each value from the memo, one point read per n.
-COMPUTE_300_DIGESTS = {
-    "bell": "dbdd3446aab14bb46849948c5fb0507c1868d1f67d88c4b3778698b41a3a6890",
-    "cyclic": "ffd024a5164411d676af4d2d90e66bcd72de3a3566c8837edb63a6a4f6c3236f",
-    "cyclic-even": "654041f3cc3faaf28acab172e51de890b27c282dd69ef1595ee4d0e4946a061c",
-    "cyclic-odd": "dd926c047bbecb117e2f66654e9a8960679dd4dab94eb67aee051c3858cb8de2",
+#: SHA-256 of the stdout of every CLI command that does arithmetic, at a
+#: size that reads rows past the memo's first checkpoints. The ``compute
+#: --max`` digests were captured when compute still read each value from the
+#: memo, one point read per n; the others when the triangle rows, the
+#: triangle b-files and ``verify egf`` still read it.
+MEMO_FREE_DIGESTS = {
+    "compute bell --max 300": "dbdd3446aab14bb46849948c5fb0507c1868d1f67d88c4b3778698b41a3a6890",
+    "compute cyclic --max 300": "ffd024a5164411d676af4d2d90e66bcd72de3a3566c8837edb63a6a4f6c3236f",
+    "compute cyclic-even --max 300":
+        "654041f3cc3faaf28acab172e51de890b27c282dd69ef1595ee4d0e4946a061c",
+    "compute cyclic-odd --max 300":
+        "dd926c047bbecb117e2f66654e9a8960679dd4dab94eb67aee051c3858cb8de2",
+    "compute stirling-row --n 300":
+        "5d6099012bd9fd1bcdf8939c2158aa6c13fa9c1c4120c9dd71797b7dd84e558e",
+    "compute worpitzky-row --n 300":
+        "5c717c48a47b0b5e30763c07d85a89f7d767832ea65a593c9b290e3a582ab53b",
+    "bfile export A000670 --limit 300":
+        "dbdd3446aab14bb46849948c5fb0507c1868d1f67d88c4b3778698b41a3a6890",
+    "bfile export A008277 --limit 300":
+        "058d128aa5d6be72c26fa14036c4e04597baf15f5fd28dbfa70345930f14556b",
+    "bfile export A130850 --limit 300":
+        "9325234d04753886fb1a00fc537a2ee41a762727e617e95f37d3971ef90b444c",
+    "verify egf --order 64": "3cc86e75ff95f31ce70d491b73278af649aed39dd29f62b7acd0797ec591c1f6",
+    "verify all --max 300 --order 24":
+        "1788cb5519ccc0ee571e12df5ff6c231f96cc6d9b183b2220108c94ece60beff",
 }
 
 
 def test_range_reads_never_touch_the_memo(capsys, monkeypatch):
+    # no command reads the memo: every row a command prints from or checks
+    # comes off the one Stirling stream
     def no_memo(n):
         raise AssertionError(f"_read_row({n}) was called")
 
     monkeypatch.setattr(sequences, "_read_row", no_memo)
-    for sequence, digest in COMPUTE_300_DIGESTS.items():
-        code, out, err = run_cli(capsys, "compute", sequence, "--max", "300")
-        assert (code, err) == (0, ""), sequence
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, sequence
-    assert run_cli(capsys, "bfile", "check", "A000670") == (0, "oeis.A000670 n=0..29 pass\n", "")
+    for command, digest in MEMO_FREE_DIGESTS.items():
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    for sequence_id, checked in (("A000670", "0..29"), ("A008277", "1..91"), ("A130850", "0..77")):
+        line = f"oeis.{sequence_id} n={checked} pass\n"
+        assert run_cli(capsys, "bfile", "check", sequence_id) == (0, line, "")
 
 
-@pytest.mark.parametrize("name", [name for name, s in SEQUENCES.items() if s.route and not s.row])
+@pytest.mark.parametrize("name", [name for name, s in SEQUENCES.items() if s.route])
 def test_range_reads_agree_with_the_point_routes(name):
-    # the public sum that verify egf checks gives the same value from the
-    # stream's entry as from the memo's
+    # each route gives the same value, or row, from the stream's entry as
+    # from the memo's, the row routes from row 0, which compute prints too
     s = SEQUENCES[name]
-    assert s.terms(300) == [s.route(n) for n in range(s.first, 301)]
+    first = 0 if s.row else s.first
+    assert list(islice(s.read(first), 301 - first)) == [s.route(n) for n in range(first, 301)]
 
 
 def test_compute_calls_the_public_sum_once_per_n(capsys, monkeypatch):
@@ -313,22 +346,7 @@ def test_verify_target_structured(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    real_read, real_rows = sequences._read_row, sequences._stirling_rows
-
-    def corrupted(n, row):
-        if n == 6:
-            row = list(row)  # a copy: the memo holds this row, and the stream steps from it
-            row[2] += 1
-        return row
-
-    monkeypatch.setattr(
-        sequences, "_read_row", lambda n: sequences._RowSums(corrupted(n, real_read(n).row))
-    )
-    monkeypatch.setattr(
-        sequences,
-        "_stirling_rows",
-        lambda: (corrupted(n, row) for n, row in enumerate(real_rows())),
-    )
+    _fault_on_the_stream(monkeypatch, 6, 2)
     code, out, _ = run_cli(capsys, "verify", "cyclic", "--max", "10")
     assert code == 1
     assert "fail" in out
@@ -517,23 +535,18 @@ _FIXTURE_LAST_ROW = {"A000670": 29, "A008277": 13, "A130850": 12}
 
 @pytest.mark.parametrize("sequence_id", sorted(_FIXTURE_LAST_ROW))
 def test_bfile_check_computes_only_what_the_fixture_holds(monkeypatch, capsys, sequence_id):
-    # A000670 is read off the Stirling stream, the triangles row by row from
-    # the memo: each path stops at the last row the fixture needs, and the
-    # other is not taken
+    # each sequence is read off the Stirling stream, which stops at the last
+    # row the fixture needs
     code, out, _ = run_cli(capsys, "bfile", "check", sequence_id)
     assert code == 0
-    read, streamed = [], []
-    real_read, real_rows = sequences._read_row, sequences._stirling_rows
-    monkeypatch.setattr(sequences, "_read_row", lambda n: read.append(n) or real_read(n))
+    streamed, real_rows = [], sequences._stirling_rows
     monkeypatch.setattr(
         sequences,
         "_stirling_rows",
         lambda: (streamed.append(len(row) - 1) or row for row in real_rows()),
     )
     assert run_cli(capsys, "bfile", "check", sequence_id, "--limit", "1000") == (0, out, "")
-    rows, other = (streamed, read) if sequence_id == "A000670" else (read, streamed)
-    assert max(rows) == _FIXTURE_LAST_ROW[sequence_id]
-    assert other == []
+    assert streamed == list(range(_FIXTURE_LAST_ROW[sequence_id] + 1))
 
 
 def test_bfile_export(capsys):

@@ -203,3 +203,40 @@ def test_a_library_fault_is_not_an_argument_error():
         fubini.TruncatedSeries.constant(2, 3).log()
     assert not isinstance(info.value, fubini.ArgumentError)
     assert issubclass(fubini.BFileParseError, fubini.ArgumentError)
+
+
+
+#: Each route that takes a row's entry as ``sums`` -> its least n, and the
+#: Stirling row its n reads, less n.
+_SUMS_ROUTES = {
+    "ordered_bell": (0, 0),
+    "cyclic_ordered_bell": (1, 0),
+    "cyclic_ordered_bell_even": (1, 0),
+    "cyclic_ordered_bell_odd": (1, 0),
+    "alternating_factorial_sum": (1, 0),
+    "alternating_cyclic_sum": (1, 0),
+    "stirling2_row": (0, 0),
+    "worpitzky_row": (0, 1),
+}
+
+
+@pytest.mark.parametrize("name", _SUMS_ROUTES)
+def test_a_route_refuses_sums_that_are_not_the_entry_of_its_row(name):
+    # a route handed another row's entry raises a named error, never a bare
+    # KeyError or the value of another row
+    route, (first, shift) = getattr(fubini, name), _SUMS_ROUTES[name]
+    entry = [fubini.sequences._RowSums(fubini.stirling2_row(m)) for m in range(6)]
+    n = 3
+    assert route(n, entry[n + shift]) == route(n)
+    with pytest.raises(TypeError, match=r"^sums must be _RowSums, got dict$"):
+        route(n, {})
+    with pytest.raises(TypeError, match=r"^sums must be _RowSums, got list$"):
+        route(n, entry[n + shift].row)
+    for other in (n + shift - 1, n + shift + 1):
+        message = f"sums must be the entry of row {n + shift}, got row {other}"
+        with pytest.raises(fubini.ArgumentError, match=f"^{message}$"):
+            route(n, entry[other])
+    # n is checked first, as when the memo is read
+    message = f"{'row index' if name == 'stirling2_row' else 'n'} must be >= {first}, got {first - 1}"
+    with pytest.raises(fubini.ArgumentError, match=f"^{message}$"):
+        route(first - 1, entry[max(first - 1 + shift, 0)])

@@ -1,7 +1,6 @@
 """Verifier behavior: passing sweeps, registry completeness, fault injection."""
 
 import json
-import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -165,13 +164,9 @@ def _patch_stream(patch, fault=None):
 
 
 def _corrupt_stirling_row(monkeypatch, target_n, target_k, delta):
-    """Corrupt S(target_n, target_k) on both Stirling routes: the memo's seam
-    ``_read_row``, and the stream that the sweep reads, ``_stirling_rows``."""
-    real_read, fault = sequences._read_row, (target_n, target_k, delta)
-    monkeypatch.setattr(
-        sequences, "_read_row", lambda n: sequences._RowSums(_with_fault(n, real_read(n).row, fault))
-    )
-    _patch_stream(monkeypatch, fault)
+    """Corrupt S(target_n, target_k) on the one Stirling stream,
+    ``_stirling_rows``, which every verifier reads."""
+    _patch_stream(monkeypatch, (target_n, target_k, delta))
 
 
 def test_corrupted_row_fails_cyclic_doubling(monkeypatch):
@@ -451,24 +446,25 @@ def test_each_egf_is_built_once(monkeypatch):
 
 
 def test_egf_columns_read_each_stirling_row_once(monkeypatch):
-    # count the reads made by the verifier itself, not by the direct routes' sums
-    rows, entries = Counter(), Counter()
+    # the routes and the columns read rows 0..order off one stream, each once,
+    # and neither the memo nor a Stirling entry
+    memo_reads, entries = Counter(), Counter()
     real_read, real_entry = sequences._read_row, sequences.stirling2
 
     def counted_read(n):
-        if sys._getframe(1).f_globals["__name__"] == identities.__name__:
-            rows[n] += 1
+        memo_reads[n] += 1
         return real_read(n)
 
     def counted_entry(n, k):
         entries[n, k] += 1
         return real_entry(n, k)
 
+    pulled = _patch_stream(monkeypatch)
     monkeypatch.setattr(sequences, "_read_row", counted_read)
     monkeypatch.setattr(sequences, "stirling2", counted_entry)
     assert all(r.passed for r in verify_egf_agreement(12))
-    assert rows == Counter(range(13))
-    assert entries == Counter()
+    assert pulled == list(range(13))
+    assert memo_reads == entries == Counter()
 
 
 def test_a_non_integral_egf_is_a_failed_report(monkeypatch):
@@ -497,7 +493,7 @@ def _off_by_one(patch, name, at):
     """Make ``sequences.<name>`` return one more at n = ``at``; the registry
     routes look it up at each call, so they take the fault."""
     real = getattr(sequences, name)
-    patch.setattr(sequences, name, lambda n: real(n) + (n == at))
+    patch.setattr(sequences, name, lambda n, sums=None: real(n, sums) + (n == at))
 
 
 def test_egf_agreement_reports_its_smallest_failing_n(monkeypatch):
