@@ -6,8 +6,8 @@ importing or running it, and pin what must not be shared:
 
 * ``series`` (the EGF route) imports nothing of the package but the leaf
   ``_args`` and the ``_EXPORTS`` table, so no builder reaches a direct kernel;
-* the integer sweep reaches neither the shared Stirling memo nor its reader,
-  and the modules behind the CLI name neither;
+* the integer sweep reaches neither the shared Stirling memo, its reader
+  nor its held entries, and the modules behind the CLI name none of them;
 * the enumeration oracles reach no Stirling kernel, memo or row sum;
 * the benchmark oracle and the fixture generator import nothing from fubini;
 * the fixture tests' ``independent_stirling`` calls nothing from fubini;
@@ -120,11 +120,13 @@ def test_the_integer_sweep_reaches_no_memo():
         ("sequences", "_row_sum"),
         ("_args", "_require_at_least"),
     } <= reached
-    # ... and none of them reads the shared memo, or steps down as only it does
+    # ... and none of them reads the shared memo, steps down or fills a
+    # weight's two classes at once as only it does
     assert not reached & {
         ("sequences", "_read_row"),
         ("sequences", "_shared_triangle"),
         ("sequences", "_prev_stirling_row"),
+        ("sequences", "_HeldRowSums"),
     }
 
 
@@ -132,13 +134,18 @@ def test_only_the_library_point_reads_name_the_memo():
     # the same walk from a public sum finds the memo reader, so the integer
     # sweep's result above is not an artefact of the walk ...
     reached = _reached([("sequences", "ordered_bell")])
-    assert {("sequences", "_read_row"), ("sequences", "_prev_stirling_row")} <= reached
+    assert {
+        ("sequences", "_read_row"),
+        ("sequences", "_prev_stirling_row"),
+        ("sequences", "_HeldRowSums"),
+    } <= reached
     # ... while the modules behind the CLI name neither the memo nor its
     # reader: they hand each route its row's entry off the stream
     for module in ("identities", "registry", "bfiles", "cli"):
         tree = _tree(PACKAGE / f"{module}.py")
         names = {getattr(leaf, "attr", getattr(leaf, "id", None)) for leaf in ast.walk(tree)}
-        assert not names & {"_read_row", "_shared_triangle", "_StirlingTriangle"}, module
+        memo = {"_read_row", "_shared_triangle", "_StirlingTriangle", "_HeldRowSums"}
+        assert not names & memo, module
 
 
 def test_the_enumeration_oracles_reach_no_stirling_kernel():

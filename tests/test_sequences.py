@@ -768,6 +768,39 @@ def test_repeated_sums_sum_each_row_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_a_held_row_walks_a_weights_two_classes_at_once(monkeypatch):
+    # a class miss on a memo row walks both parities of that weight, so the
+    # eight point routes on one row walk each class once, in two reads ...
+    calls = collections.Counter()  # (shift, parity) -> calls of _row_sum
+    row_sum = sequences._row_sum
+
+    def counting(row, *weights):
+        calls[weights] += 1
+        return row_sum(row, *weights)
+
+    monkeypatch.setattr(sequences, "_row_sum", counting)
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
+    n = 40
+    row = stirling2_row(n)
+    first = ["parity_even", "cyclic_even"]
+    reads = sorted(WEIGHTED_SUMS, key=lambda p: first.index(p.id) if p.id in first else 2)
+    walking = []
+    for param in reads:
+        func, *weights = param.values
+        before = calls.total()
+        assert func(n) == _reference_sum(row, *weights), param.id
+        if calls.total() > before:
+            walking.append(param.id)
+    assert calls == dict.fromkeys(CLASSES, 1)
+    assert walking == first
+    # ... while a streamed entry walks only the class read
+    calls.clear()
+    sums = next(sequences._rows(n))
+    assert type(sums) is sequences._RowSums
+    assert sums[1, 0] == cyclic_ordered_bell_even(n)
+    assert calls == {(1, 0): 1}
+
+
 def test_a_memoized_sum_never_hides_a_changed_row(monkeypatch):
     monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
     genuine = ordered_bell(7)
@@ -868,3 +901,43 @@ def test_threaded_sums_match_the_reference(monkeypatch):
         assert sums.row == rows[n], n
         for (shift, parity), total in sums.items():
             assert total == _reference_sum(rows[n], shift, parity, False), (n, shift, parity)
+
+
+def test_concurrent_class_reads_of_one_held_row():
+    # threads read every key of one held row at once, both classes of each
+    # weight among them: each gets its sum, and the entry ends holding each
+    # key once, the one value that every reader of it got
+    rows = list(itertools.islice(sequences._stirling_rows(), 201))
+    triangle = sequences._StirlingTriangle()
+    keys = sorted(KEYS, key=str) * 2
+    failures = []
+
+    def worker(entry, barrier, got, i):
+        try:
+            barrier.wait(timeout=60)
+            got[i] = entry[keys[i]]
+        except Exception as exc:  # pragma: no cover - only on bug
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in range(150, 201, 5):
+            entry, got = triangle.read(n), [None] * len(keys)
+            barrier = threading.Barrier(len(keys))
+            threads = [
+                threading.Thread(target=worker, args=(entry, barrier, got, i))
+                for i in range(len(keys))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures
+            assert set(entry) == KEYS, n
+            for key, value in zip(keys, got):
+                assert value is entry[key], (n, key)
+                assert value == _reference_sum(rows[n], *key, False), (n, key)
+    finally:
+        sys.setswitchinterval(interval)
