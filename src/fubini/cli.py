@@ -24,10 +24,17 @@ The parser is the CLI's own: :func:`_parse` reads argv left to right
 against :data:`_COMMANDS`, which names each subcommand's positionals and
 their choices, the :data:`_FLAGS` entries it defines and its ``--format``
 choices, and :func:`_help` lays out ``--help`` from the same tables. It
-keeps argparse's grammar (``--flag=value``, flags before or after the
-positionals, the last of a repeated flag, ``-3`` as a value, ``--``) and
-its messages, and prints each parse error as one ``error:`` line. So no
-command loads ``argparse``, ``gettext`` or ``locale``.
+reads argv as argparse reads it (``--flag=value``, flags before or after
+the positionals, the last of a repeated flag, ``-3`` as a value, ``--``),
+with argparse's messages, each parse error on one ``error:`` line. The
+tests hold it to that: ``_argparse_oracle`` in ``tests/test_cli.py``
+builds an argparse parser from the same tables, and each exit code,
+parsed argument and ``--help`` at 80 columns must match, except in three
+classes that argparse reads differently: a single-dash cluster such as
+``-hh``, which argparse reads as ``-h`` twice; a leading ``--``, which
+argparse takes for the command; and help wrapped to the terminal width,
+where this layout is always argparse's at 80 columns. So no command
+loads ``argparse``, ``gettext`` or ``locale``.
 
 At import the CLI loads only ``registry`` and ``_args`` of the package.
 Each command imports what only it needs (``sequences``, ``series``,

@@ -22,13 +22,13 @@ is read by its ``_RowSums`` key: ``(shift, parity)`` is one parity class
 of the row, and ``(shift, None)`` the two classes added, so
 ``ordered_bell`` is ``(0, None)`` and the cyclic total ``(1, None)``; the
 alternating sums subtract the two classes. Each class sum is the Horner
-walk ``sequences._row_sum``, run once per row, when an identity first
-reads it. So the paper's identity checks the cyclic walks of row n+1
-against the factorial walks of row n at every n of the sweep, past
-``--order``, where no EGF checks them. A row is dropped when the window
-leaves it. ``compute`` and the b-file tools print from the same stream
-reader, so the values they print are these sums, read by the same keys off
-the same stream.
+walk ``sequences._row_sum``, run once per row: the first read of either
+class of a weight walks both classes of that weight. So the paper's
+identity checks the cyclic walks of row n+1 against the factorial walks
+of row n at every n of the sweep, past ``--order``, where no EGF checks
+them. A row is dropped when the window leaves it. ``compute`` and the
+b-file tools print from the same stream reader, so the values they print
+are these sums, read by the same keys off the same stream.
 
 On one stream, two groups of ids read the same sums: ``bell.parity-split``
 and ``alternating.factorial`` both compare the two factorial classes of
@@ -36,7 +36,7 @@ row n; ``bell.shifted-cyclic``, ``cyclic.parity-equal`` and
 ``worpitzky.parity-rows`` all compare the ``(0, None)`` sum of row m with
 the cyclic classes of row m+1, and only the ends of their ranges differ.
 Each of the four integer verifiers names its own identities and runs them
-through the same pass, walking only the classes they read, and
+through the same pass, walking only the weights they read, and
 ``verify_all`` runs all seven in one. Reports follow ``_INTEGER_CHECKS``
 order, which the integer targets of ``registry.VERIFY_TARGETS`` follow in
 turn.
@@ -231,9 +231,9 @@ def _row_windows():
 
     The ``_RowSums`` of Stirling rows 1, 2, ... come from
     ``sequences._rows``, the stream reader, looked up here, not from the
-    shared memo; each walks a class when a check first reads it. Only rows
-    n-1, n and n+1 are live, and the recurrence steps once per row, when
-    the window for the n before it is pulled.
+    shared memo; each walks both classes of a weight when a check first
+    reads either. Only rows n-1, n and n+1 are live, and the recurrence
+    steps once per row, when the window for the n before it is pulled.
     """
     rows = sequences._rows(1)
     prev, cur = None, next(rows)

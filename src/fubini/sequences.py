@@ -28,9 +28,9 @@ from the top of the row down over the k of its parity, so each step
 multiplies the accumulator by a small integer instead of multiplying a
 factorial by a row entry. It takes the row itself, and ``_RowSums`` pairs
 a row with its sums, each kept once computed: the one memo of a row's
-sums. A streamed entry walks a class when that class is first read; a
-memo entry, a ``_HeldRowSums``, walks both classes of a weight when
-either is first read, since most point reads of a row read both.
+sums, and the one entry type of both row readers below. The first read
+of either class of a weight walks both classes of that weight, since
+most readers of a row read both.
 
 ``_next_stirling_row`` is the one forward Stirling recurrence step. There
 are two ways to read rows, and both step with it:
@@ -49,7 +49,7 @@ are two ways to read rows, and both step with it:
   inserted most recently up to a byte budget, first in first out, and any
   other row is recomputed from the nearest held row, below or above, so
   at most ``_CHECKPOINT_EVERY // 2`` steps below the highest checkpoint.
-  It holds each row as a ``_HeldRowSums``, so a row's sums go when the
+  It holds each row as its ``_RowSums``, so a row's sums go when the
   row goes; a hit takes no lock and a miss takes one, as
   ``_StirlingTriangle`` sets out.
 
@@ -218,15 +218,17 @@ def _row_bytes(row: list[int]) -> int:
 
 
 class _RowSums(dict):
-    """One Stirling row and its sums, each class walked when first read.
+    """One Stirling row and its sums, a weight's two classes walked together.
 
     ``sums[shift, parity]`` is the class sum ``_row_sum(sums.row, shift,
     parity)``, and ``sums[shift, None]`` the two classes of that shift
-    added. A miss computes the sum once and stores it, so an entry holds at
+    added. The first read of either class of a shift walks both classes of
+    that shift and stores them, since most readers of a row read both: a
+    whole sum, the alternating sums and the paper's identity all do, so a
+    row's four walks come in at most two misses. An entry thus holds at
     most six sums, and a hit is one ``dict`` read. The row is never
     mutated, so a stored sum stays right. :func:`_rows` wraps each streamed
-    row in one, which walks only the classes its reader reads; the memo
-    holds its rows as :class:`_HeldRowSums`.
+    row in one, and the memo holds each of its rows as one.
     """
 
     __slots__ = ("row",)
@@ -236,28 +238,11 @@ class _RowSums(dict):
 
     def __missing__(self, key: tuple[int, int | None]) -> int:
         shift, parity = key
-        total = self[shift, 0] + self[shift, 1] if parity is None else _row_sum(self.row, *key)
-        return self.setdefault(key, total)
-
-
-class _HeldRowSums(_RowSums):
-    """A memo row's entry: a class miss walks both classes of its weight.
-
-    A held row serves many point reads, and most of the library's sums
-    read both parities of one weight, so the first read of a class also
-    walks the other class of its shift: the row's four walks come in two
-    reads, not up to four, which would each stall a request. The stream
-    keeps one walk per class read, since a stream reader reads a class of
-    each row once, and often one class alone.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple[int, int | None]) -> int:
-        shift, parity = key
-        if parity is not None and (shift, 1 - parity) not in self:
-            self.setdefault((shift, 1 - parity), _row_sum(self.row, shift, 1 - parity))
-        return super().__missing__(key)
+        if parity is None:
+            return self.setdefault(key, self[shift, 0] + self[shift, 1])
+        for walked in 1 - parity, parity:  # the other class of the weight, then this one
+            self.setdefault((shift, walked), _row_sum(self.row, shift, walked))
+        return self[key]
 
 
 def _rows(first: int):
@@ -270,7 +255,8 @@ def _rows(first: int):
     ``registry.Sequence.read`` read their rows here, and none touches the
     memo: ``verify egf`` and ``read`` hand each entry to a route, as its
     ``sums`` argument, a point read included, which pulls rows up to its
-    own and takes that one.
+    own and takes that one. An entry walks a weight's two classes on the
+    first read of either, as a held row does.
     """
     return map(_RowSums, islice(_stirling_rows(), first, None))
 
@@ -319,10 +305,10 @@ class _StirlingTriangle:
     the checkpoints, a sixteenth of the triangle, plus about
     ``_RECENT_BYTES``, where keeping every row would hold the whole triangle.
 
-    Each row is held as a :class:`_HeldRowSums`, which also keeps the
-    sums computed so far, at most 6 ints, a weight's two classes walked
-    together, so a recent row's sums go when the row is evicted and a
-    checkpoint keeps its sums.
+    Each row is held as its :class:`_RowSums`, the entry type of the
+    stream too, which also keeps the sums computed so far, at most 6 ints,
+    a weight's two classes walked together, so a recent row's sums go when
+    the row is evicted and a checkpoint keeps its sums.
     :meth:`read` is the one way in: :func:`_read_row` calls it on the shared
     instance and hands out the held entry.
 
@@ -339,12 +325,12 @@ class _StirlingTriangle:
     """
 
     def __init__(self):
-        self._rows: dict[int, _HeldRowSums] = {0: _HeldRowSums([1])}
+        self._rows: dict[int, _RowSums] = {0: _RowSums([1])}
         self._recent: OrderedDict[int, int] = OrderedDict()
         self._recent_bytes = 0
         self._lock = threading.Lock()
 
-    def read(self, n: int) -> _HeldRowSums:
+    def read(self, n: int) -> _RowSums:
         """Row ``n >= 0`` as its held entry; the caller has checked ``n``."""
         held = self._rows.get(n)
         if held is not None:
@@ -366,10 +352,10 @@ class _StirlingTriangle:
                 for m in range(below + 1, n + 1):
                     row = _next_stirling_row(row)
                     if m % _CHECKPOINT_EVERY == 0:
-                        rows[m] = _HeldRowSums(row)
+                        rows[m] = _RowSums(row)
                 if not n % _CHECKPOINT_EVERY:
                     return rows[n]  # row n, inserted last by the walk
-            held = rows[n] = _HeldRowSums(row)
+            held = rows[n] = _RowSums(row)
             self._recent[n] = size = _row_bytes(row)
             self._recent_bytes += size
             while self._recent_bytes > _RECENT_BYTES and len(self._recent) > 1:

@@ -1,16 +1,21 @@
 """End-to-end CLI behavior: outputs, exit codes, round trips."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import urllib.request
 from datetime import timedelta
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fubini import bfiles, cli, identities, sequences, series
@@ -298,19 +303,19 @@ def test_each_choice_refuses_the_flags_it_does_not_take_and_needs_the_rest(
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "argv, flag, cap",
-    [
-        (("compute", "bell", "--max"), "--max", MAX_INDEX),
-        (("compute", "stirling-row", "--n"), "--n", MAX_INDEX),
-        (("verify", "all", "--max"), "--max", MAX_INDEX),
-        (("verify", "egf", "--order"), "--order", MAX_ORDER),
-        (("egf", "cyclic-odd", "--order"), "--order", MAX_ORDER),
-        (("egf", "stirling-col", "--order", "8", "--k"), "--k", MAX_ORDER),
-        (("bfile", "export", "A000670", "--limit"), "--limit", MAX_INDEX),
-        (("bfile", "check", "A008277", "--limit"), "--limit", MAX_INDEX),
-    ],
-)
+_OVER_CAP = [
+    (("compute", "bell", "--max"), "--max", MAX_INDEX),
+    (("compute", "stirling-row", "--n"), "--n", MAX_INDEX),
+    (("verify", "all", "--max"), "--max", MAX_INDEX),
+    (("verify", "egf", "--order"), "--order", MAX_ORDER),
+    (("egf", "cyclic-odd", "--order"), "--order", MAX_ORDER),
+    (("egf", "stirling-col", "--order", "8", "--k"), "--k", MAX_ORDER),
+    (("bfile", "export", "A000670", "--limit"), "--limit", MAX_INDEX),
+    (("bfile", "check", "A008277", "--limit"), "--limit", MAX_INDEX),
+]
+
+
+@pytest.mark.parametrize("argv, flag, cap", _OVER_CAP)
 def test_flags_above_their_cap_exit_2(capsys, argv, flag, cap):
     code, out, err = run_cli(capsys, *argv, str(cap + 1))
     assert code == 2
@@ -756,16 +761,40 @@ def test_a_negative_value_reaches_the_library(capsys):
     [
         (["compute", "bell", "--max", "3", "--"], "unrecognized arguments: --"),
         ([], "the following arguments are required: command"),
+        (["verify", "all", "-h=x"], "argument -h: ignored explicit argument 'x'"),
+        (
+            ["bfile", "fetch", "A000670", "--network=1"],
+            "argument --network: ignored explicit argument '1'",
+        ),
     ],
-    ids=["trailing --", "empty argv"],
+    ids=["trailing --", "empty argv", "-h=x", "--network=1"],
 )
-def test_a_parse_error_exits_2_with_an_error_line(capsys, argv, message):
+def test_a_parse_error_exits_2_with_an_error_line(capsys, monkeypatch, argv, message):
+    # a value for -h or --network is refused: neither the help nor a fetch,
+    # which alone reads the cache or the network
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("fetch_bfile was called")
+
+    monkeypatch.setattr(bfiles, "fetch_bfile", no_fetch)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["compute", "--max", "3", "bell", "--"], "0 1\n1 1\n2 3\n3 13\n"),  # right after one
+        (["compute", "--max", "3", "--", "bell"], "0 1\n1 1\n2 3\n3 13\n"),  # right before one
+        (["bfile", "check", "--", "A000670"], "oeis.A000670 n=0..29 pass\n"),  # between two
+    ],
+    ids=" ".join,
+)
+def test_a_double_dash_next_to_a_positional_goes_with_it(capsys, argv, out):
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 # -- hostile input -----------------------------------------------------------
@@ -825,6 +854,116 @@ def _exit_code(argv):
 @given(argv=_hostile_argv())
 def test_hostile_argv_exits_with_a_code(argv):
     assert _exit_code(argv) in (0, 1, 2, 3), argv
+
+
+# -- the parser against argparse -------------------------------------------------
+
+
+def _argparse_oracle():
+    """An argparse parser built from the CLI's own tables, in the tests only.
+
+    Every flag defaults to None, ``--network`` included, so a flag left out
+    is dropped from the parsed dict, as :func:`cli._parse` leaves it out;
+    ``allow_abbrev=False`` refuses an abbreviated flag, as the CLI does.
+    ``_DESCRIPTION`` is joined onto one line, so argparse wraps it itself.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fubini", description=" ".join(cli._DESCRIPTION.split("\n")), allow_abbrev=False
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, line, positionals, flags, formats) in cli._COMMANDS.items():
+        sub = commands.add_parser(command, help=line, allow_abbrev=False)
+        for dest, choices in positionals:
+            if choices:
+                sub.add_argument(dest, choices=choices)
+            else:
+                sub.add_argument(dest, metavar=dest.upper())
+        for dest, text in flags.items():
+            flag, metavar, _ = cli._FLAGS[dest]
+            if metavar is None:
+                sub.add_argument(flag, dest=dest, action="store_true", default=None, help=text)
+            else:
+                kind = None if dest == "cache_dir" else int
+                sub.add_argument(flag, dest=dest, metavar=metavar, type=kind, help=text)
+        if formats:
+            sub.add_argument("--format", choices=formats)
+    return parser
+
+
+def _oracle_parse(argv) -> dict:
+    namespace = _argparse_oracle().parse_args(argv)
+    return {dest: value for dest, value in vars(namespace).items() if value is not None}
+
+
+def _outcome(parse, argv, columns="80"):
+    """``parse(argv)``'s exit code, then the parsed dict on success or else
+    stdout: the help on exit 0, nothing on a parse error."""
+    out = io.StringIO()
+    with (
+        mock.patch.dict(os.environ, COLUMNS=columns),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            return 0, parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+
+def _read_differently(argv) -> bool:
+    """Whether ``argv`` holds a class that argparse reads differently, as
+    CHANGES.md lists them; :func:`test_the_carve_outs_are_read_as_the_cli_reads_them`
+    pins the CLI's reading of each. Help wrapped to the terminal width, the
+    third class, is no argv: the oracle is compared at 80 columns."""
+    # a single-dash cluster: argparse reads -hh as -h twice and prints the help
+    cluster = any(token[:2] == "-h" and token[2:3] not in ("", "=") for token in argv)
+    # a leading --: argparse takes it for the command and refuses it
+    return cluster or argv[:1] == ["--"]
+
+
+_PARSED = [
+    *(argv for argv, _ in _REFUSED),
+    *([*argv, str(cap + 1)] for argv, _, cap in _OVER_CAP),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSED, ids=" ".join)
+def test_the_parser_agrees_with_argparse_on_the_refused_and_cap_cases(argv):
+    parsed = _outcome(cli._parse, argv)
+    assert parsed == _outcome(_oracle_parse, argv)
+    assert parsed[0] == 0  # each breaks a rule that main checks after the parse
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+@given(argv=_hostile_argv())
+def test_the_parser_agrees_with_argparse_on_hostile_argv(argv):
+    assume(not _read_differently(argv))
+    assert _outcome(cli._parse, argv) == _outcome(_oracle_parse, argv), argv
+
+
+@pytest.mark.parametrize("command", [[], *([command] for command in cli._COMMANDS)], ids=str)
+def test_each_help_is_argparses_at_80_columns(command):
+    argv = [*command, "--help"]
+    code, out = _outcome(cli._parse, argv)
+    assert (code, out) == _outcome(_oracle_parse, argv)
+    assert code == 0 and out.startswith(f"usage: {' '.join(['fubini', *command])} [-h]")
+    # argparse wraps to the terminal; the CLI's help keeps its one layout
+    for columns in ("40", "200"):
+        assert _outcome(cli._parse, argv, columns) == (code, out), columns
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compute", "bell", "--max", "3", "-hh"], 2),  # argparse: the help, exit 0
+        (["--", "compute", "bell", "--max", "3"], 0),  # argparse: exit 2
+    ],
+    ids=["single-dash cluster", "leading --"],
+)
+def test_the_carve_outs_are_read_as_the_cli_reads_them(capsys, argv, code):
+    assert _read_differently(argv)
+    assert _exit_code(argv) == code
+    assert capsys.readouterr().out == ("0 1\n1 1\n2 3\n3 13\n" if code == 0 else "")
 
 
 # -- installed entry point -----------------------------------------------------

@@ -120,13 +120,11 @@ def test_the_integer_sweep_reaches_no_memo():
         ("sequences", "_row_sum"),
         ("_args", "_require_at_least"),
     } <= reached
-    # ... and none of them reads the shared memo, steps down or fills a
-    # weight's two classes at once as only it does
+    # ... and none of them reads the shared memo or steps down as only it does
     assert not reached & {
         ("sequences", "_read_row"),
         ("sequences", "_shared_triangle"),
         ("sequences", "_prev_stirling_row"),
-        ("sequences", "_HeldRowSums"),
     }
 
 
@@ -137,14 +135,13 @@ def test_only_the_library_point_reads_name_the_memo():
     assert {
         ("sequences", "_read_row"),
         ("sequences", "_prev_stirling_row"),
-        ("sequences", "_HeldRowSums"),
     } <= reached
     # ... while the modules behind the CLI name neither the memo nor its
     # reader: they hand each route its row's entry off the stream
     for module in ("identities", "registry", "bfiles", "cli"):
         tree = _tree(PACKAGE / f"{module}.py")
         names = {getattr(leaf, "attr", getattr(leaf, "id", None)) for leaf in ast.walk(tree)}
-        memo = {"_read_row", "_shared_triangle", "_StirlingTriangle", "_HeldRowSums"}
+        memo = {"_read_row", "_shared_triangle", "_StirlingTriangle"}
         assert not names & memo, module
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fubini import identities, sequences
+from fubini import identities, registry, sequences
 from fubini.sequences import (
     alternating_cyclic_sum,
     alternating_factorial_sum,
@@ -769,8 +769,8 @@ def test_repeated_sums_sum_each_row_once(monkeypatch):
 
 
 def test_a_held_row_walks_a_weights_two_classes_at_once(monkeypatch):
-    # a class miss on a memo row walks both parities of that weight, so the
-    # eight point routes on one row walk each class once, in two reads ...
+    # a class miss walks both parities of that weight, so the eight point
+    # routes on one memo row walk each class once, in two reads ...
     calls = collections.Counter()  # (shift, parity) -> calls of _row_sum
     row_sum = sequences._row_sum
 
@@ -793,12 +793,39 @@ def test_a_held_row_walks_a_weights_two_classes_at_once(monkeypatch):
             walking.append(param.id)
     assert calls == dict.fromkeys(CLASSES, 1)
     assert walking == first
-    # ... while a streamed entry walks only the class read
+    # ... and a streamed entry, of the same type, walks the same pair
     calls.clear()
     sums = next(sequences._rows(n))
     assert type(sums) is sequences._RowSums
     assert sums[1, 0] == cyclic_ordered_bell_even(n)
-    assert calls == {(1, 0): 1}
+    assert calls == {(1, 0): 1, (1, 1): 1}
+
+
+def test_the_stream_walks_each_class_once_and_a_weights_pair_together(monkeypatch):
+    # the sweep and a whole sum read both classes of every weight they read,
+    # so walking the pair together costs them no walk; a reader of one
+    # class alone, such as cyclic-even, walks its other class too
+    calls = collections.Counter()  # (row index, (shift, parity)) -> calls of _row_sum
+    row_sum = sequences._row_sum
+
+    def counting(row, *weights):
+        calls[len(row) - 1, weights] += 1
+        return row_sum(row, *weights)
+
+    monkeypatch.setattr(sequences, "_row_sum", counting)
+    monkeypatch.setattr(sequences, "_shared_triangle", sequences._StirlingTriangle())
+    assert all(report.passed for report in identities.verify_all(200, 16))
+    # the sweep walks rows 1..200 and the cyclic pair of row 201; verify egf
+    # walks rows 0..16 off its own stream, row 0 at shift 0 alone
+    sweep = [(n, key) for n in range(1, 201) for key in CLASSES] + [(201, (1, 0)), (201, (1, 1))]
+    egf = [(n, key) for n in range(17) for key in CLASSES if n or key[0] == 0]
+    assert calls == collections.Counter(sweep + egf) and calls.total() == 868
+    for name, first, shift in ("bell", 0, 0), ("cyclic-even", 1, 1), ("cyclic-odd", 1, 1):
+        calls.clear()
+        assert len(registry.SEQUENCES[name].terms(200)) == 201 - first
+        assert calls == {(n, (shift, parity)): 1 for n in range(first, 201) for parity in (0, 1)}
+    # no stream reader touched the memo
+    assert sequences._shared_triangle._rows.keys() == {0}
 
 
 def test_a_memoized_sum_never_hides_a_changed_row(monkeypatch):
